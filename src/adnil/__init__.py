@@ -13,14 +13,7 @@ from .rootsys import (
     root_leq,
     total_count_formula,
 )
-from .ideals import (
-    Antichain,
-    IdealSet,
-    antichain_to_ideal,
-    enumerate_ideals,
-    ideal_dimension,
-    ideal_minimal_elements,
-)
+from .ideals import antichain_to_ideal, ideal_minimal_elements
 from .nilpotence import (
     TwoRayResult,
     class_distribution,

@@ -10,26 +10,12 @@ paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from . import closedform, genfun
 from .ideals import enumerate_ideal_masks
-from .nilpotence import (
-    class_distribution,
-    ideal_partition_a,
-    ideal_to_shifted,
-    joint_histogram,
-    nilpotence_from_partition,
-    nilpotence_oracle,
-    nilpotence_via_completion,
-    single_ray_class,
-    staircase_filling,
-    two_ray_classify,
-    upward_ray_bound,
-    zigzag_class,
-)
+from .nilpotence import ROUTES, class_distribution, joint_histogram, nilpotence_oracle
 from .refdata import EXCEPTIONAL_CLASS_COUNTS
-from .rootsys import RootSystem, build_root_system, total_count_formula
+from .rootsys import build_root_system, total_count_formula
 
 
 @dataclass(frozen=True)
@@ -53,14 +39,18 @@ def suite_agreement(family: str, max_rank: int) -> list[CheckResult]:
     bracket oracle."""
     results = []
     lo = {"A": 1, "B": 2, "C": 2, "D": 2}[family]
+    routes = [
+        route
+        for method, (families, route) in ROUTES.items()
+        if method != "oracle" and family in families
+    ]
     for n in range(lo, max_rank + 1):
         rs = build_root_system(f"{family}{n}")
-        routes = _route_names(family)
         mismatches = 0
         count = 0
         for mask in enumerate_ideal_masks(rs):
             want = nilpotence_oracle(rs, mask)
-            got = [route(rs, n, mask) for route in _ROUTES[family]]
+            got = [route(rs, mask) for route in routes]
             count += 1
             if any(g != want for g in got):
                 mismatches += 1
@@ -74,61 +64,7 @@ def suite_agreement(family: str, max_rank: int) -> list[CheckResult]:
     return results
 
 
-def _route_names(family: str) -> list[str]:
-    return {
-        "A": ["filling", "recursion", "zigzag"],
-        "B": ["completion", "tworay"],
-        "C": ["completion", "ray"],
-        "D": ["completion", "tworay"],
-    }[family]
-
-
-_ROUTES = {
-    "A": [
-        lambda rs, n, m: (staircase_filling(ideal_partition_a(rs, m), n)[0][0] if m else 0),
-        lambda rs, n, m: nilpotence_from_partition(ideal_partition_a(rs, m), n),
-        lambda rs, n, m: zigzag_class(ideal_partition_a(rs, m), n),
-    ],
-    "B": [
-        lambda rs, n, m: nilpotence_via_completion(rs, m),
-        lambda rs, n, m: two_ray_classify(ideal_to_shifted(rs, m)[0], n, "B").nilpotence,
-    ],
-    "C": [
-        lambda rs, n, m: nilpotence_via_completion(rs, m),
-        lambda rs, n, m: single_ray_class(ideal_to_shifted(rs, m)[0], n),
-    ],
-    "D": [
-        lambda rs, n, m: nilpotence_via_completion(rs, m),
-        lambda rs, n, m: two_ray_classify(ideal_to_shifted(rs, m)[0], n, "D").nilpotence,
-    ],
-}
-
-
-def suite_ray_bound(max_rank: int = 7) -> list[CheckResult]:
-    """The upward ray returns the type-C class rounded up to even."""
-    results = []
-    for n in range(2, max_rank + 1):
-        rs = build_root_system(f"C{n}")
-        bad = 0
-        total = 0
-        for mask in enumerate_ideal_masks(rs):
-            if not mask:
-                continue
-            parts, _ = ideal_to_shifted(rs, mask)
-            k = single_ray_class(parts, n)
-            bound = upward_ray_bound(parts, n)
-            total += 1
-            if bound != k + (k % 2):
-                bad += 1
-        results.append(
-            CheckResult(
-                f"ray bound C{n}", bad == 0, f"{total} ideals, {bad} violations"
-            )
-        )
-    return results
-
-
-def suite_totals(workers: int | None = 1) -> list[CheckResult]:
+def suite_totals() -> list[CheckResult]:
     """Product formula totals against the enumeration count."""
     labels = (
         [f"A{n}" for n in range(1, 9)]
@@ -357,8 +293,6 @@ def run_suite(
         for fam in fams:
             out.extend(suite_agreement(fam, max_rank or default_rank[fam]))
         return out
-    if name == "totals":
-        return suite_totals(workers)
     if name == "table1":
         return suite_table1(workers=workers, budget=budget)
     if name in SUITES:

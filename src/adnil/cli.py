@@ -19,10 +19,9 @@ from .checks import SUITES, run_suite
 from .closedform import catalan_qt, gamma_qt
 from .genfun import PowerSeries, gf_A_le, gf_B_K, gf_B_le, gf_C_le, gf_D_K, gf_D_le
 from .ideals import enumerate_ideal_masks
-from .nilpotence import class_distribution, classify_ideal
-from .rootsys import LieType, RootSystem, build_root_system
+from .nilpotence import ROUTES, class_distribution, classify_ideal
+from .rootsys import LieType, build_root_system
 
-METHODS = ("oracle", "filling", "recursion", "zigzag", "completion", "ray", "tworay")
 CUMULATIVE_GF = {"A": gf_A_le, "B": gf_B_le, "C": gf_C_le, "D": gf_D_le}
 EXACT_GF = {"B": gf_B_K, "D": gf_D_K}
 
@@ -72,24 +71,33 @@ def format_distribution(dist: dict[int, int], fmt: str, label: str = "") -> str:
 
 
 def parse_distribution(text: str, fmt: str) -> dict[int, int]:
-    """Inverse of format_distribution; validates the embedded total."""
+    """Inverse of format_distribution; validates the embedded total.
+    Malformed input of any shape raises ValueError."""
     dist: dict[int, int] = {}
-    if fmt == "json":
-        doc = json.loads(text)
-        dist = {int(k): int(v) for k, v in doc["counts"].items()}
-        total = int(doc["total"])
-    else:
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or rows[0] != ["K", "count"]:
-            raise ValueError("missing K,count header")
-        total = None
-        for row in rows[1:]:
-            if row[0] == "total":
-                total = int(row[1])
-                break
-            dist[int(row[0])] = int(row[1])
-        if total is None:
-            raise ValueError("missing total row")
+    total = None
+    try:
+        if fmt == "json":
+            doc = json.loads(text)
+            dist = {int(k): int(v) for k, v in doc["counts"].items()}
+            total = int(doc["total"])
+        else:
+            rows = list(csv.reader(io.StringIO(text)))
+            if not rows or rows[0] != ["K", "count"]:
+                raise ValueError("missing K,count header")
+            for row in rows[1:]:
+                if len(row) != 2:
+                    raise ValueError(f"expected two fields, got {row}")
+                if row[0] == "total":
+                    total = int(row[1])
+                    break
+                k = int(row[0])
+                if k in dist:
+                    raise ValueError(f"class {k} listed twice")
+                dist[k] = int(row[1])
+    except (LookupError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed {fmt} distribution: {exc!r}") from exc
+    if total is None:
+        raise ValueError("missing total row")
     if total != sum(dist.values()):
         raise ValueError(f"total {total} != sum of counts {sum(dist.values())}")
     return dist
@@ -303,12 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list every ideal with its class")
     _add_type_args(p)
     _add_output_args(p)
-    p.add_argument("--method", choices=METHODS, default="oracle")
+    p.add_argument("--method", choices=list(ROUTES), default="oracle")
 
     p = sub.add_parser("table", help="class-of-nilpotence distribution")
     _add_type_args(p)
     _add_output_args(p)
-    p.add_argument("--method", choices=METHODS, default="oracle")
+    p.add_argument("--method", choices=list(ROUTES), default="oracle")
     p.add_argument("--workers", type=int, help="process count (default: env, then all cores)")
     p.add_argument("--budget", type=float, help="wall-time cap in seconds")
 
@@ -360,12 +368,12 @@ def main(argv: list[str] | None = None) -> int:
     cfg = parse_config(argv)
     try:
         return COMMANDS[cfg.command](cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TimeoutError as exc:
+    except TimeoutError as exc:  # an OSError, so caught before the others
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -5,8 +5,8 @@ bivariate (q,t) refinements by dimension, Gaussian binomials, the
 reflection-principle count for bounded type-C classes, lattice-path
 counts by height, and the small-class Fibonacci/power closed forms.
 
-Everything is integer arithmetic; polynomials in t are coefficient
-tuples (index = exponent, no trailing zeros, zero polynomial = ()).
+Everything is integer arithmetic; polynomials in t are the coefficient
+tuples of adnil.poly.
 """
 from __future__ import annotations
 
@@ -14,65 +14,23 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
+from . import poly
 from .rootsys import LieType
 
-TPoly = tuple[int, ...]
 
-
-def _trim(coeffs: list[int]) -> TPoly:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def t_mul(a: TPoly, b: TPoly) -> TPoly:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _trim(out)
-
-
-def t_add(a: TPoly, b: TPoly) -> TPoly:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _trim(out)
-
-
-def _t_exact_div(a: TPoly, b: TPoly) -> TPoly:
-    """Long division a / b, asserting zero remainder."""
-    rem = list(a)
-    out = [0] * (len(a) - len(b) + 1)
-    lead = b[-1]
-    for i in range(len(out) - 1, -1, -1):
-        q, r = divmod(rem[i + len(b) - 1], lead)
-        assert r == 0, "inexact polynomial division"
-        out[i] = q
-        for j, cb in enumerate(b):
-            rem[i + j] -= q * cb
-    assert not any(rem), "inexact polynomial division"
-    return _trim(out)
-
-
-def t_binomial(m: int, n: int) -> TPoly:
+def t_binomial(m: int, n: int) -> poly.Poly:
     """Gaussian binomial in t: zero unless n=0 (then 1) or m >= n > 0,
     in which case prod (1-t^(m-n+i))/(1-t^i) over i=1..n."""
     if n == 0:
         return (1,)
     if not 0 < n <= m:
         return ()
-    num: TPoly = (1,)
+    num: poly.Poly = (1,)
     for i in range(1, n + 1):
-        factor = _trim([1] + [0] * (m - n + i - 1) + [-1])
-        num = t_mul(num, factor)
+        factor = poly.trim([1] + [0] * (m - n + i - 1) + [-1])
+        num = poly.mul(num, factor)
     for i in range(1, n + 1):
-        num = _t_exact_div(num, _trim([1] + [0] * (i - 1) + [-1]))
+        num = poly.exact_div(num, poly.trim([1] + [0] * (i - 1) + [-1]))
     return num
 
 
@@ -92,14 +50,14 @@ class QTPoly:
     def evaluate(self, q: int, t: int) -> int:
         return sum(c * q**kq * t**kt for (kq, kt), c in self.coeffs.items())
 
-    def q_slice(self, q_deg: int) -> TPoly:
+    def q_slice(self, q_deg: int) -> poly.Poly:
         """Coefficient of q^q_deg as a polynomial in t."""
         top = max((kt for (kq, kt) in self.coeffs if kq == q_deg), default=-1)
         out = [0] * (top + 1)
         for (kq, kt), c in self.coeffs.items():
             if kq == q_deg:
                 out[kt] = c
-        return _trim(out)
+        return poly.trim(out)
 
     def t_degree(self) -> int:
         return max((kt for (_, kt) in self.coeffs), default=-1)
@@ -130,11 +88,11 @@ def catalan_qt(n: int) -> QTPoly:
     for K in range(n + 1):
         for chain in combinations(range(1, n + 1), K):
             seq = (0,) + chain + (n + 1, n + 2)
-            tp: TPoly = (1,)
+            tp: poly.Poly = (1,)
             shift = 0
             for j in range(K):
                 shift += seq[j + 1] * (seq[j + 3] - seq[j + 2])
-                tp = t_mul(tp, t_binomial(seq[j + 2] - seq[j] - 1, seq[j + 1] - seq[j]))
+                tp = poly.mul(tp, t_binomial(seq[j + 2] - seq[j] - 1, seq[j + 1] - seq[j]))
                 if not tp:
                     break
             for e, c in enumerate(tp):
@@ -187,11 +145,11 @@ def gamma_qt(n: int) -> QTPoly:
             for i1 in range(-i2 + 1, i2):
                 seq = (i1,) + tail
                 q_deg = 2 * k - (1 if i1 <= 0 else 0)
-                tp: TPoly = (1,)
+                tp: poly.Poly = (1,)
                 shift = 0
                 for j in range(1, k):
                     shift += (seq[j] + n) * (seq[j + 2] - seq[j + 1])
-                    tp = t_mul(
+                    tp = poly.mul(
                         tp, t_binomial(seq[j + 1] - seq[j - 1] - 1, seq[j] - seq[j - 1])
                     )
                     if not tp:
@@ -210,25 +168,26 @@ def gamma_qt(n: int) -> QTPoly:
                         if ct:
                             key = (q_deg, exp + e + shift)
                             out[key] = out.get(key, 0) + c * ct
-    poly = QTPoly(out)
-    assert all(kt >= 0 for (_, kt) in poly.coeffs), "negative t-degree"
-    return poly
+    result = QTPoly(out)
+    if any(kt < 0 for (_, kt) in result.coeffs):
+        raise AssertionError("negative t-degree")
+    return result
 
 
-def odd_sum_product(i1: int, i2: int) -> tuple[TPoly, TPoly]:
+def odd_sum_product(i1: int, i2: int) -> tuple[poly.Poly, poly.Poly]:
     """Both sides of the collapse of the inner sum for i1 <= 0: the
     triangular-weighted Gaussian sum and the product (1+t)...(1+t^(i1+i2-1))."""
-    lhs: TPoly = ()
+    lhs: poly.Poly = ()
     for ell in range(i2 - i1):
-        term = t_mul(t_binomial(i1 + i2 - 1, ell), _t_monomial(comb(ell + 1, 2)))
-        lhs = t_add(lhs, term)
-    rhs: TPoly = (1,)
+        term = poly.mul(t_binomial(i1 + i2 - 1, ell), _t_monomial(comb(ell + 1, 2)))
+        lhs = poly.add(lhs, term)
+    rhs: poly.Poly = (1,)
     for r in range(1, i1 + i2):
-        rhs = t_mul(rhs, _trim([1] + [0] * (r - 1) + [1]))
+        rhs = poly.mul(rhs, poly.trim([1] + [0] * (r - 1) + [1]))
     return lhs, rhs
 
 
-def _t_monomial(e: int) -> TPoly:
+def _t_monomial(e: int) -> poly.Poly:
     return tuple([0] * e + [1])
 
 
@@ -249,7 +208,8 @@ def c4_count(n: int, h: int) -> int:
                 total += (1 + 2 * s + 2 * k * period) * comb(2 * n + 1, low)
             k += 1
     count, rem = divmod(total, 2 * n + 1)
-    assert rem == 0, "reflection sum not divisible"
+    if rem:
+        raise AssertionError("reflection sum not divisible")
     return count
 
 

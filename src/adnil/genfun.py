@@ -14,40 +14,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-XPoly = tuple[int, ...]
+from . import poly
 
 
-def _xp_trim(c: list[int]) -> XPoly:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _xp_add(a: XPoly, b: XPoly) -> XPoly:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _xp_trim(out)
-
-
-def _xp_mul(a: XPoly, b: XPoly) -> XPoly:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _xp_trim(out)
-
-
-def _xp_scale(a: XPoly, c: int) -> XPoly:
-    return _xp_trim([c * v for v in a])
-
-
-def chebyshev_u(n: int) -> XPoly:
+def chebyshev_u(n: int) -> poly.Poly:
     """Chebyshev polynomial of the second kind, as x-coefficients.
     Extended backwards so that U(-1) = 0 and U(-2) = -1 keep the
     recurrence U(n+1) = 2x*U(n) - U(n-1) valid."""
@@ -57,10 +27,10 @@ def chebyshev_u(n: int) -> XPoly:
         return (-1,)
     if n == -1:
         return ()
-    prev: XPoly = ()
-    cur: XPoly = (1,)
+    prev: poly.Poly = ()
+    cur: poly.Poly = (1,)
     for _ in range(n):
-        prev, cur = cur, _xp_add(_xp_mul((0, 2), cur), _xp_scale(prev, -1))
+        prev, cur = cur, poly.add(poly.mul((0, 2), cur), poly.scale(prev, -1))
     return cur
 
 
@@ -331,10 +301,10 @@ def gf_D_le(h: int, order: int = 12) -> PowerSeries:
 def _cf_series(depth: int, order: int) -> PowerSeries:
     """Bottom-up expansion of 1/(1 - x/(1 - x/(... 1 - x))) with `depth`
     occurrences of x, as an exact rational function num/den in x."""
-    num: XPoly = (1,)
-    den: XPoly = (1,)
+    num: poly.Poly = (1,)
+    den: poly.Poly = (1,)
     for _ in range(depth):
-        num, den = den, _xp_add(den, _xp_mul((0, -1), num))
+        num, den = den, poly.add(den, poly.mul((0, -1), num))
     lp_num = LaurentPoly({2 * i: c for i, c in enumerate(num)})
     lp_den = LaurentPoly({2 * i: c for i, c in enumerate(den)})
     return series_of_ratio(lp_num, lp_den, order)
@@ -350,15 +320,15 @@ def verify_cf_identity(h: int, order: int = 20) -> bool:
     if cf.coefficients != closed.coefficients:
         return False
     for k in range(13):
-        lhs = _xp_mul(chebyshev_u(k), chebyshev_u(k + 1))
-        rhs: XPoly = ()
+        lhs = poly.mul(chebyshev_u(k), chebyshev_u(k + 1))
+        rhs: poly.Poly = ()
         for i in range(1, 2 * k + 2, 2):
-            rhs = _xp_add(rhs, chebyshev_u(i))
+            rhs = poly.add(rhs, chebyshev_u(i))
         if lhs != rhs:
             return False
-        sq = _xp_add(
-            _xp_mul(chebyshev_u(k + 1), chebyshev_u(k + 1)),
-            _xp_scale(_xp_mul(chebyshev_u(k), chebyshev_u(k)), -1),
+        sq = poly.add(
+            poly.mul(chebyshev_u(k + 1), chebyshev_u(k + 1)),
+            poly.scale(poly.mul(chebyshev_u(k), chebyshev_u(k)), -1),
         )
         if sq != chebyshev_u(2 * k + 2):
             return False

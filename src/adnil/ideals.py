@@ -7,36 +7,9 @@ stored as integer bit masks, bit i marking positive_roots[i].
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .rootsys import RootSystem
-
-
-@dataclass(frozen=True)
-class IdealSet:
-    """Upward-closed set of positive roots, as a bit mask."""
-
-    mask: int
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def indices(self) -> list[int]:
-        return mask_indices(self.mask)
-
-
-@dataclass(frozen=True)
-class Antichain:
-    """Pairwise incomparable set of positive roots, as a bit mask."""
-
-    mask: int
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def indices(self) -> list[int]:
-        return mask_indices(self.mask)
 
 
 def mask_indices(mask: int) -> list[int]:
@@ -52,37 +25,39 @@ def is_upward_closed(rs: RootSystem, mask: int) -> bool:
     return all(rs.filter_masks[i] & ~mask == 0 for i in mask_indices(mask))
 
 
-def antichain_to_ideal(rs: RootSystem, antichain: Antichain) -> IdealSet:
+def antichain_to_ideal(rs: RootSystem, antichain: int) -> int:
     """Union of the principal filters over the antichain's elements."""
     mask = 0
-    for i in antichain.indices():
+    for i in mask_indices(antichain):
         mask |= rs.filter_masks[i]
-    return IdealSet(mask)
+    return mask
 
 
-def ideal_minimal_elements(rs: RootSystem, ideal: IdealSet) -> Antichain:
+def ideal_minimal_elements(rs: RootSystem, ideal: int) -> int:
     """The antichain of roots in the ideal with nothing below them in it."""
     mask = 0
-    for i in ideal.indices():
-        if not ideal.mask & rs.below_masks[i]:
+    for i in mask_indices(ideal):
+        if not ideal & rs.below_masks[i]:
             mask |= 1 << i
-    return Antichain(mask)
+    return mask
 
 
-def ideal_dimension(ideal: IdealSet) -> int:
-    """Dimension of the ideal as a subspace: one per root space."""
-    return len(ideal)
-
-
-def _dfs_masks(rs: RootSystem, start: int, ideal: int, blocked: int) -> Iterator[int]:
-    """All ideals whose antichain extends the current choice using indices
-    >= start; `blocked` holds everything comparable to a chosen root."""
-    yield ideal
+def walk(rs: RootSystem, seed: tuple[int, int, int] = (0, 0, 0)) -> Iterator[int]:
+    """Every ideal in the search subtree below `seed`, a DFS state
+    (start, ideal mask, blocked mask): the ideals whose antichain extends
+    the seed's with roots of index >= start, where `blocked` holds every
+    root comparable to one already chosen.  The default seed is the root
+    of the whole tree."""
     filters = rs.filter_masks
     comparable = rs.comparable_masks
-    for i in range(start, len(filters)):
-        if not (blocked >> i) & 1:
-            yield from _dfs_masks(rs, i + 1, ideal | filters[i], blocked | comparable[i])
+    size = len(filters)
+    stack = [seed]
+    while stack:
+        start, ideal, blocked = stack.pop()
+        yield ideal
+        for i in range(start, size):
+            if not (blocked >> i) & 1:
+                stack.append((i + 1, ideal | filters[i], blocked | comparable[i]))
 
 
 def partition_seeds(rs: RootSystem, depth: int) -> list[tuple[int, int, int]]:
@@ -104,12 +79,4 @@ def partition_seeds(rs: RootSystem, depth: int) -> list[tuple[int, int, int]]:
 
 def enumerate_ideal_masks(rs: RootSystem) -> list[int]:
     """Every ideal of the root system as a bit mask, ascending."""
-    masks = list(_dfs_masks(rs, 0, 0, 0))
-    masks.sort()
-    return masks
-
-
-def enumerate_ideals(rs: RootSystem) -> Iterator[IdealSet]:
-    """All ideals in a deterministic order (ascending membership mask)."""
-    for mask in enumerate_ideal_masks(rs):
-        yield IdealSet(mask)
+    return sorted(walk(rs))

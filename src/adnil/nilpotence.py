@@ -12,21 +12,18 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from multiprocessing import Pool
 
-from .ideals import IdealSet, enumerate_ideal_masks, mask_indices, partition_seeds
-from .rootsys import RootSystem, build_root_system
+from .ideals import mask_indices, partition_seeds, walk
+from .rootsys import FAMILIES, RootSystem, build_root_system
 
 Partition = tuple[int, ...]
 
 WORKER_ENV = "ADNIL_WORKERS"
 
 
-def _as_mask(ideal: IdealSet | int) -> int:
-    return ideal.mask if isinstance(ideal, IdealSet) else ideal
-
-
-def nilpotence_oracle(rs: RootSystem, ideal: IdealSet | int) -> int:
+def nilpotence_oracle(rs: RootSystem, ideal: int) -> int:
     """Largest k such that the k-fold sum set of the ideal is nonempty.
 
     Stage k+1 is (stage k + ideal) intersected with the positive roots,
@@ -34,20 +31,19 @@ def nilpotence_oracle(rs: RootSystem, ideal: IdealSet | int) -> int:
     must contain the highest root; this is asserted as a guard (skipped
     for reducible D2, which has no highest root).
     """
-    mask = _as_mask(ideal)
-    if mask == 0:
+    if ideal == 0:
         return 0
     pairs = rs.sum_pairs
     sums: list[int] = [0] * len(pairs)
-    for i in mask_indices(mask):
+    for i in mask_indices(ideal):
         acc = 0
         for j, sbit in pairs[i]:
-            if (mask >> j) & 1:
+            if (ideal >> j) & 1:
                 acc |= sbit
         sums[i] = acc
     theta_bit = rs.highest_bit
     k = 0
-    cur = mask
+    cur = ideal
     while cur:
         if theta_bit is not None and not cur & theta_bit:
             raise AssertionError("nonempty sum stage without the highest root")
@@ -79,13 +75,13 @@ def _pad(parts: tuple[int, ...] | list[int], n: int) -> list[int]:
     return parts
 
 
-def ideal_partition_a(rs: RootSystem, ideal: IdealSet | int) -> Partition:
+def ideal_partition_a(rs: RootSystem, ideal: int) -> Partition:
     """Row lengths of an ideal of type A in its staircase arrangement."""
     if rs.lie_type.family != "A":
         raise ValueError("staircase partitions require type A")
     n = rs.lie_type.rank
     counts = [0] * n
-    for k in mask_indices(_as_mask(ideal)):
+    for k in mask_indices(ideal):
         counts[rs.cells[k][0] - 1] += 1
     # upward closure makes each row a prefix of its staircase row
     parts = tuple(counts)
@@ -175,9 +171,7 @@ def _rows_to_shifted(rows: dict[int, set[int]]) -> Partition | None:
     return tuple(parts)
 
 
-def ideal_to_shifted(
-    rs: RootSystem, ideal: IdealSet | int
-) -> tuple[Partition, bool]:
+def ideal_to_shifted(rs: RootSystem, ideal: int) -> tuple[Partition, bool]:
     """Shifted diagram of a B/C/D ideal in its staircase arrangement.
 
     In type D the two columns through the fork nodes are incomparable, so
@@ -189,7 +183,7 @@ def ideal_to_shifted(
         raise ValueError("shifted diagrams require type B, C or D")
     n = rs.lie_type.rank
     rows: dict[int, set[int]] = {}
-    for k in mask_indices(_as_mask(ideal)):
+    for k in mask_indices(ideal):
         i, j = rs.cells[k]
         rows.setdefault(i, set()).add(j)
     parts = _rows_to_shifted(rows)
@@ -238,7 +232,7 @@ def symmetric_completion(parts: Partition, family: str, n: int) -> Partition:
     return tuple(lam)
 
 
-def nilpotence_via_completion(rs: RootSystem, ideal: IdealSet | int) -> int:
+def nilpotence_via_completion(rs: RootSystem, ideal: int) -> int:
     """Class of a B/C/D ideal through its completed ordinary diagram."""
     family = rs.lie_type.family
     n = rs.lie_type.rank
@@ -374,42 +368,56 @@ def two_ray_classify(parts: Partition, n: int, family: str) -> TwoRayResult:
 # distributions
 
 
+def _filling_class(rs: RootSystem, ideal: int) -> int:
+    if not ideal:
+        return 0
+    return staircase_filling(ideal_partition_a(rs, ideal), rs.lie_type.rank)[0][0]
+
+
+def _recursion_class(rs: RootSystem, ideal: int) -> int:
+    return nilpotence_from_partition(ideal_partition_a(rs, ideal), rs.lie_type.rank)
+
+
+def _zigzag_class(rs: RootSystem, ideal: int) -> int:
+    return zigzag_class(ideal_partition_a(rs, ideal), rs.lie_type.rank)
+
+
+def _ray_class(rs: RootSystem, ideal: int) -> int:
+    return single_ray_class(ideal_to_shifted(rs, ideal)[0], rs.lie_type.rank)
+
+
+def _tworay_class(rs: RootSystem, ideal: int) -> int:
+    lt = rs.lie_type
+    return two_ray_classify(ideal_to_shifted(rs, ideal)[0], lt.rank, lt.family).nilpotence
+
+
+# method -> (families it applies to, class of one ideal); the oracle
+# applies everywhere, every other route is checked against it
+ROUTES = {
+    "oracle": (FAMILIES, nilpotence_oracle),
+    "filling": ("A", _filling_class),
+    "recursion": ("A", _recursion_class),
+    "zigzag": ("A", _zigzag_class),
+    "completion": ("BCD", nilpotence_via_completion),
+    "ray": ("C", _ray_class),
+    "tworay": ("BD", _tworay_class),
+}
+
+
 def _class_function(rs: RootSystem, method: str):
-    family = rs.lie_type.family
-    n = rs.lie_type.rank
-
-    if method == "oracle":
-        return lambda mask: nilpotence_oracle(rs, mask)
-    if method in ("filling", "recursion", "zigzag"):
-        if family != "A":
-            raise ValueError(f"method {method!r} requires type A")
-        if method == "filling":
-            return lambda mask: (
-                staircase_filling(ideal_partition_a(rs, mask), n)[0][0] if mask else 0
-            )
-        if method == "recursion":
-            return lambda mask: nilpotence_from_partition(ideal_partition_a(rs, mask), n)
-        return lambda mask: zigzag_class(ideal_partition_a(rs, mask), n)
-    if method == "completion":
-        if family not in "BCD":
-            raise ValueError("method 'completion' requires type B, C or D")
-        return lambda mask: nilpotence_via_completion(rs, mask)
-    if method == "ray":
-        if family != "C":
-            raise ValueError("method 'ray' requires type C")
-        return lambda mask: single_ray_class(ideal_to_shifted(rs, mask)[0], n)
-    if method == "tworay":
-        if family not in "BD":
-            raise ValueError("method 'tworay' requires type B or D")
-        return lambda mask: two_ray_classify(
-            ideal_to_shifted(rs, mask)[0], n, family
-        ).nilpotence
-    raise ValueError(f"unknown method {method!r}")
+    if method not in ROUTES:
+        raise ValueError(f"unknown method {method!r}")
+    families, route = ROUTES[method]
+    if rs.lie_type.family not in families:
+        *head, last = families
+        named = f"{', '.join(head)} or {last}" if head else last
+        raise ValueError(f"method {method!r} requires type {named}")
+    return partial(route, rs)
 
 
-def classify_ideal(rs: RootSystem, ideal: IdealSet | int, method: str = "oracle") -> int:
+def classify_ideal(rs: RootSystem, ideal: int, method: str = "oracle") -> int:
     """Class of nilpotence of a single ideal by the chosen algorithm."""
-    return _class_function(rs, method)(_as_mask(ideal))
+    return _class_function(rs, method)(ideal)
 
 
 _WORKER_STATE: tuple[RootSystem, str] | None = None
@@ -426,28 +434,25 @@ def _worker_run(seed: tuple[int, int, int]) -> Counter:
 
 
 def _seed_histogram(rs: RootSystem, method: str, seed: tuple[int, int, int]) -> Counter:
-    classify = _class_function(rs, method)
-    hist: Counter = Counter()
-    filters = rs.filter_masks
-    comparable = rs.comparable_masks
-    size = len(filters)
-    stack = [seed]
-    while stack:
-        start, ideal, blocked = stack.pop()
-        hist[classify(ideal)] += 1
-        for i in range(start, size):
-            if not (blocked >> i) & 1:
-                stack.append((i + 1, ideal | filters[i], blocked | comparable[i]))
-    return hist
+    return Counter(map(_class_function(rs, method), walk(rs, seed)))
 
 
 def resolve_workers(requested: int | None) -> int:
-    """Worker count: explicit request, then the environment, then all cores."""
+    """Worker count: explicit request, then the environment, then every
+    core this process may run on."""
     if requested is not None:
         return max(1, requested)
     env = os.environ.get(WORKER_ENV)
     if env:
-        return max(1, int(env))
+        try:
+            count = int(env)
+        except ValueError:
+            count = 0
+        if count < 1:
+            raise ValueError(f"{WORKER_ENV} must be a positive integer, got {env!r}")
+        return count
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -498,7 +503,4 @@ def class_distribution(
 def joint_histogram(rs: RootSystem, method: str = "oracle") -> dict[tuple[int, int], int]:
     """Histogram {(dimension, class): count} over every ideal."""
     classify = _class_function(rs, method)
-    hist: Counter = Counter()
-    for mask in enumerate_ideal_masks(rs):
-        hist[(mask.bit_count(), classify(mask))] += 1
-    return dict(hist)
+    return dict(Counter((mask.bit_count(), classify(mask)) for mask in walk(rs)))

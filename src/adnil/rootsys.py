@@ -258,9 +258,6 @@ class RootSystem:
         self.index: dict[Root, int] = {
             r: k for k, r in enumerate(self.positive_roots)
         }
-        self.cell_index: dict[tuple[int, int], int] = (
-            {c: k for k, c in enumerate(self.cells)} if self.cells else {}
-        )
 
         maxima = [
             r
@@ -283,7 +280,6 @@ class RootSystem:
         roots = self.positive_roots
         idx = self.index
         size = len(roots)
-        self.sum_index: dict[tuple[int, int], int] = {}
         # decomposition pairs keyed by the first summand, as (j, sum-bit)
         self.sum_pairs: list[list[tuple[int, int]]] = [[] for _ in range(size)]
         for i, ri in enumerate(roots):
@@ -291,7 +287,6 @@ class RootSystem:
             for j, rj in enumerate(roots):
                 k = idx.get(tuple(x + y for x, y in zip(ri, rj)))
                 if k is not None:
-                    self.sum_index[(i, j)] = k
                     pairs.append((j, 1 << k))
 
         self.filter_masks: list[int] = [0] * size   # j >= i

@@ -59,6 +59,16 @@ def test_parse_distribution_rejects_corrupt_input() -> None:
         parse_distribution("K,count\n0,1\ntotal,5\n", "csv")
     with pytest.raises(ValueError):
         parse_distribution('{"counts": {"0": "1"}, "total": "9"}', "json")
+    # malformed shapes: short, long and repeated rows, a missing key, a
+    # document of the wrong type
+    for text in ("K,count\n1\ntotal,1\n", "K,count\n0,1,2\ntotal,1\n",
+                 "K,count\n1,2\n1,3\ntotal,3\n"):
+        with pytest.raises(ValueError):
+            parse_distribution(text, "csv")
+    with pytest.raises(ValueError):
+        parse_distribution('{"counts": {"0": "1"}}', "json")
+    with pytest.raises(ValueError):
+        parse_distribution("[1]", "json")
 
 
 def test_methods_agree_through_cli(capsys: pytest.CaptureFixture) -> None:
@@ -80,6 +90,15 @@ def test_output_file(tmp_path, capsys: pytest.CaptureFixture) -> None:
     assert code == 0
     assert out == ""
     assert target.read_text(encoding="utf-8") == G2_TABLE
+
+
+def test_unwritable_output_exit_two(tmp_path, capsys: pytest.CaptureFixture) -> None:
+    target = tmp_path / "missing" / "x.csv"
+    code = main(["table", "--type", "A2", "--output", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_gf_d_exact_zero(capsys: pytest.CaptureFixture) -> None:

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import adnil
 from adnil import (
     QTPoly,
     alpha_A,
@@ -21,6 +26,27 @@ from adnil import (
     t_binomial,
 )
 from adnil.closedform import odd_sum_product
+
+
+def test_exact_division_guard_survives_optimize() -> None:
+    # a child under -O drops every bare assert; the guard must still raise
+    src = str(Path(adnil.__file__).resolve().parents[1])
+    code = (
+        "from adnil import poly\n"
+        "try:\n"
+        "    poly.exact_div((1,), (1, 1))\n"
+        "except AssertionError:\n"
+        "    print('raised')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised\n"
 
 
 def catalan(m: int) -> int:

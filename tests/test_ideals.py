@@ -3,12 +3,8 @@ from __future__ import annotations
 from hypothesis import given, strategies as st
 
 from adnil import (
-    Antichain,
-    IdealSet,
     antichain_to_ideal,
     build_root_system,
-    enumerate_ideals,
-    ideal_dimension,
     ideal_minimal_elements,
     total_count_formula,
 )
@@ -17,6 +13,7 @@ from adnil.ideals import (
     is_upward_closed,
     mask_indices,
     partition_seeds,
+    walk,
 )
 from adnil.rootsys import root_leq
 
@@ -56,17 +53,17 @@ def test_antichain_ideal_bijection_exhaustive() -> None:
     for label in ["A4", "B3", "D4", "G2"]:
         rs = build_root_system(label)
         seen = set()
-        for ideal in enumerate_ideals(rs):
+        for ideal in enumerate_ideal_masks(rs):
             antichain = ideal_minimal_elements(rs, ideal)
             # minimal elements really are pairwise incomparable
-            idx = antichain.indices()
+            idx = mask_indices(antichain)
             for a in idx:
                 for b in idx:
                     if a != b:
                         ra, rb = rs.positive_roots[a], rs.positive_roots[b]
                         assert not root_leq(ra, rb)
             assert antichain_to_ideal(rs, antichain) == ideal
-            seen.add(antichain.mask)
+            seen.add(antichain)
         assert len(seen) == total_count_formula(rs.lie_type)
 
 
@@ -78,31 +75,23 @@ def test_minimal_elements_of_any_filter_union(bits: int) -> None:
     # the up-closure of the minimal elements of any root subset is an
     # ideal whose minimal elements form exactly that antichain
     rs = _B4
-    subset = IdealSet(bits)
-    antichain = ideal_minimal_elements(rs, subset)
+    antichain = ideal_minimal_elements(rs, bits)
     ideal = antichain_to_ideal(rs, antichain)
-    assert is_upward_closed(rs, ideal.mask)
+    assert is_upward_closed(rs, ideal)
     assert ideal_minimal_elements(rs, ideal) == antichain
-
-
-def test_ideal_dimension() -> None:
-    assert ideal_dimension(IdealSet(0)) == 0
-    assert ideal_dimension(IdealSet(0b1011)) == 3
 
 
 def test_empty_antichain_gives_zero_ideal() -> None:
     rs = build_root_system("A2")
-    assert antichain_to_ideal(rs, Antichain(0)) == IdealSet(0)
+    assert antichain_to_ideal(rs, 0) == 0
 
 
 def test_partition_seeds_cover_exactly_once() -> None:
-    from adnil.ideals import _dfs_masks
-
     for label, depth in [("A3", 2), ("B3", 3), ("C4", 5)]:
         rs = build_root_system(label)
         combined: list[int] = []
-        for start, ideal, blocked in partition_seeds(rs, depth):
-            combined.extend(_dfs_masks(rs, start, ideal, blocked))
+        for seed in partition_seeds(rs, depth):
+            combined.extend(walk(rs, seed))
         assert sorted(combined) == enumerate_ideal_masks(rs), label
         assert len(combined) == len(set(combined)), label
 

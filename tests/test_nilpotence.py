@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from adnil import (
@@ -170,14 +172,6 @@ def test_method_family_validation() -> None:
         classify_ideal(rs, 0, "nonsense")
 
 
-def test_ideal_argument_forms() -> None:
-    from adnil import IdealSet
-
-    rs = build_root_system("B2")
-    for mask in enumerate_ideal_masks(rs):
-        assert nilpotence_oracle(rs, IdealSet(mask)) == nilpotence_oracle(rs, mask)
-
-
 def test_parallel_distribution_matches_serial() -> None:
     rs = build_root_system("C4")
     assert class_distribution(rs, workers=2) == class_distribution(rs, workers=1)
@@ -193,8 +187,14 @@ def test_resolve_workers(monkeypatch: pytest.MonkeyPatch) -> None:
     monkeypatch.setenv("ADNIL_WORKERS", "3")
     assert resolve_workers(None) == 3
     assert resolve_workers(2) == 2
+    for bad in ("abc", "0", "-2", "1.5"):
+        monkeypatch.setenv("ADNIL_WORKERS", bad)
+        with pytest.raises(ValueError, match="ADNIL_WORKERS"):
+            resolve_workers(None)
     monkeypatch.delenv("ADNIL_WORKERS")
     assert resolve_workers(None) >= 1
+    if hasattr(os, "sched_getaffinity"):
+        assert resolve_workers(None) == len(os.sched_getaffinity(0))
 
 
 def test_joint_histogram_marginals() -> None:

@@ -89,15 +89,18 @@ def test_cells_match_roots_for_classical() -> None:
 def test_sum_tables_are_consistent() -> None:
     rs = build_root_system("B3")
     roots = rs.positive_roots
-    for (i, j), k in rs.sum_index.items():
-        summed = tuple(a + b for a, b in zip(roots[i], roots[j]))
-        assert summed == roots[k]
+    for i, pairs in enumerate(rs.sum_pairs):
+        for j, sbit in pairs:
+            summed = tuple(a + b for a, b in zip(roots[i], roots[j]))
+            assert sbit.bit_count() == 1
+            assert summed == roots[sbit.bit_length() - 1]
     # no root pair summing to a root is missing
     index = rs.index
     for i, ri in enumerate(roots):
+        summands = {j for j, _ in rs.sum_pairs[i]}
         for j, rj in enumerate(roots):
             s = tuple(a + b for a, b in zip(ri, rj))
-            assert ((i, j) in rs.sum_index) == (s in index)
+            assert (j in summands) == (s in index)
 
 
 def test_order_masks() -> None:
