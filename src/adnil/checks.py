@@ -10,12 +10,21 @@ paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from types import MappingProxyType
 
 from . import closedform, genfun
 from .ideals import enumerate_ideal_masks
 from .nilpotence import ROUTES, class_distribution, joint_histogram, nilpotence_oracle
 from .refdata import EXCEPTIONAL_CLASS_COUNTS
-from .rootsys import build_root_system, total_count_formula
+from .rootsys import LieType, build_root_system, total_count_formula
+
+# E8 is left out: its oracle histogram alone takes seconds
+SMALL_TYPES = (
+    tuple(f"A{n}" for n in range(1, 9))
+    + tuple(f"{f}{n}" for f in "BCD" for n in range(2, 7))
+    + ("G2", "F4", "E6", "E7")
+)
 
 
 @dataclass(frozen=True)
@@ -29,52 +38,52 @@ class CheckResult:
         return f"[{status}] {self.name}: {self.detail}"
 
 
+@cache
+def distribution(label: str) -> MappingProxyType:
+    """Serial oracle histogram {class: count} of a small type, computed
+    once per process and shared by every suite, hence read-only."""
+    return MappingProxyType(class_distribution(build_root_system(label), workers=1))
+
+
 def _distribution_to_row(dist: dict[int, int]) -> tuple[int, ...]:
     top = max(dist)
     return tuple(dist.get(k, 0) for k in range(top + 1))
 
 
-def suite_agreement(family: str, max_rank: int) -> list[CheckResult]:
+def suite_agreement(family: str | None = None, max_rank: int | None = None) -> list[CheckResult]:
     """Per-ideal agreement of every applicable class algorithm with the
-    bracket oracle."""
+    bracket oracle, for one family or all four."""
     results = []
-    lo = {"A": 1, "B": 2, "C": 2, "D": 2}[family]
-    routes = [
-        route
-        for method, (families, route) in ROUTES.items()
-        if method != "oracle" and family in families
-    ]
-    for n in range(lo, max_rank + 1):
-        rs = build_root_system(f"{family}{n}")
-        mismatches = 0
-        count = 0
-        for mask in enumerate_ideal_masks(rs):
-            want = nilpotence_oracle(rs, mask)
-            got = [route(rs, mask) for route in routes]
-            count += 1
-            if any(g != want for g in got):
-                mismatches += 1
-        results.append(
-            CheckResult(
-                f"agreement {family}{n}",
-                mismatches == 0,
-                f"{len(routes)+1} routes over {count} ideals, {mismatches} mismatches",
+    for fam in family or "ABCD":
+        routes = [
+            route
+            for method, (families, route) in ROUTES.items()
+            if method != "oracle" and fam in families
+        ]
+        top = max_rank or {"A": 8, "B": 6, "C": 7, "D": 6}[fam]
+        for n in range(1 if fam == "A" else 2, top + 1):
+            rs = build_root_system(f"{fam}{n}")
+            mismatches = 0
+            count = 0
+            for mask in enumerate_ideal_masks(rs):
+                want = nilpotence_oracle(rs, mask)
+                count += 1
+                if any(route(rs, mask) != want for route in routes):
+                    mismatches += 1
+            results.append(
+                CheckResult(
+                    f"agreement {fam}{n}",
+                    mismatches == 0,
+                    f"{len(routes)+1} routes over {count} ideals, {mismatches} mismatches",
+                )
             )
-        )
     return results
 
 
 def suite_totals() -> list[CheckResult]:
     """Product formula totals against the enumeration count."""
-    labels = (
-        [f"A{n}" for n in range(1, 9)]
-        + [f"B{n}" for n in range(2, 7)]
-        + [f"C{n}" for n in range(2, 7)]
-        + [f"D{n}" for n in range(2, 7)]
-        + ["G2", "F4", "E6", "E7", "E8"]
-    )
     results = []
-    for label in labels:
+    for label in SMALL_TYPES + ("E8",):
         rs = build_root_system(label)
         want = total_count_formula(rs)
         got = len(enumerate_ideal_masks(rs))
@@ -106,13 +115,11 @@ def suite_formulas(max_rank: int = 6, qt_rank: int = 5) -> list[CheckResult]:
     """Multisum and (q,t) formulas against brute-force histograms."""
     results = []
     for n in range(1, max_rank + 1):
-        rs = build_root_system(f"A{n}")
-        hist = class_distribution(rs, workers=1)
+        hist = distribution(f"A{n}")
         ok = all(closedform.alpha_A(n, K) == hist.get(K, 0) for K in range(n + 1))
         results.append(CheckResult(f"class multisum A{n}", ok, f"{sum(hist.values())} ideals"))
     for n in range(2, max_rank + 1):
-        rs = build_root_system(f"C{n}")
-        hist = class_distribution(rs, workers=1)
+        hist = distribution(f"C{n}")
         ok = all(closedform.gamma_C(n, K) == hist.get(K, 0) for K in range(2 * n))
         results.append(CheckResult(f"class multisum C{n}", ok, f"{sum(hist.values())} ideals"))
         ok2 = all(
@@ -139,52 +146,34 @@ def suite_formulas(max_rank: int = 6, qt_rank: int = 5) -> list[CheckResult]:
     for fam, lo in [("A", 1), ("B", 1), ("C", 1), ("D", 2)]:
         ok = True
         for n in range(lo, 9):
+            k = genfun.x_power(fam, n)
             for h in (2, 3):
-                want = _cumulative_via_series(fam, n, h)
-                if closedform.corollary_values(fam, n, h) != want:
+                if closedform.corollary_values(fam, n, h) != genfun.family_series(fam, h, k)[k]:
                     ok = False
         results.append(CheckResult(f"small-class closed forms {fam}", ok, "n <= 8, h in {2,3}"))
     return results
-
-
-def _cumulative_via_series(family: str, n: int, h: int) -> int:
-    if family == "A":
-        return genfun.gf_A_le(h, n + 1)[n + 1]
-    if family == "B":
-        return genfun.gf_B_le(h, n)[n]
-    if family == "C":
-        return genfun.gf_C_le(h, n)[n]
-    return genfun.gf_D_le(h, n)[n]
 
 
 def suite_gf(max_rank: int = 6, max_class: int = 12) -> list[CheckResult]:
     """Generating-function coefficients against brute-force histograms."""
     results = []
     hists = {
-        fam: {
-            n: class_distribution(build_root_system(f"{fam}{n}"), workers=1)
-            for n in range(lo, max_rank + 1)
-        }
-        for fam, lo in [("A", 1), ("B", 2), ("C", 2), ("D", 2)]
+        fam: {n: distribution(f"{fam}{n}") for n in range(1 if fam == "A" else 2, max_rank + 1)}
+        for fam in "ABCD"
     }
     order = max_rank + 1
     for h in range(max_class + 1):
-        sA = genfun.gf_A_le(h, order)
-        sB = genfun.gf_B_le(h, order)
-        sC = genfun.gf_C_le(h, order)
-        sD = genfun.gf_D_le(h, order)
         ok = True
-        for n, hist in hists["A"].items():
-            ok &= sA[n + 1] == sum(c for K, c in hist.items() if K <= h)
-        for fam, series in [("B", sB), ("C", sC), ("D", sD)]:
-            for n, hist in hists[fam].items():
-                ok &= series[n] == sum(c for K, c in hist.items() if K <= h)
+        for fam, by_rank in hists.items():
+            series = genfun.family_series(fam, h, order)
+            for n, hist in by_rank.items():
+                ok &= series[genfun.x_power(fam, n)] == sum(c for K, c in hist.items() if K <= h)
         results.append(CheckResult(f"cumulative series h={h}", ok, "families A,B,C,D"))
     for K in range(max_class + 1):
-        sB = genfun.gf_B_K(K, order)
-        sD = genfun.gf_D_K(K, order)
-        ok = all(sB[n] == hist.get(K, 0) for n, hist in hists["B"].items())
-        ok &= all(sD[n] == hist.get(K, 0) for n, hist in hists["D"].items())
+        ok = True
+        for fam in "BD":
+            series = genfun.family_series(fam, K, order, exact=True)
+            ok &= all(series[n] == hist.get(K, 0) for n, hist in hists[fam].items())
         results.append(CheckResult(f"exact-class series K={K}", ok, "families B,D"))
     ok = True
     for h in range(1, max_class + 1):
@@ -198,14 +187,14 @@ def suite_paths(max_rank_a: int = 7, max_rank_c: int = 6) -> list[CheckResult]:
     """Class histograms against bounded-height lattice path counts."""
     results = []
     for n in range(1, max_rank_a + 1):
-        hist = class_distribution(build_root_system(f"A{n}"), workers=1)
+        hist = distribution(f"A{n}")
         ok = all(
             closedform.path_count_height(2 * n + 2, K + 1, True) == hist.get(K, 0)
             for K in range(n + 1)
         )
         results.append(CheckResult(f"closed paths A{n}", ok, f"length {2*n+2}"))
     for n in range(2, max_rank_c + 1):
-        hist = class_distribution(build_root_system(f"C{n}"), workers=1)
+        hist = distribution(f"C{n}")
         ok = all(
             closedform.path_count_height(2 * n, K + 1, False) == hist.get(K, 0)
             for K in range(2 * n)
@@ -217,19 +206,11 @@ def suite_paths(max_rank_a: int = 7, max_rank_c: int = 6) -> list[CheckResult]:
 def suite_abelian() -> list[CheckResult]:
     """Ideals of class at most 1 number exactly 2^rank, every type."""
     results = []
-    labels = (
-        [f"A{n}" for n in range(1, 9)]
-        + [f"B{n}" for n in range(2, 7)]
-        + [f"C{n}" for n in range(2, 7)]
-        + [f"D{n}" for n in range(2, 7)]
-        + ["G2", "F4", "E6", "E7"]
-    )
-    for label in labels:
-        rs = build_root_system(label)
-        hist = class_distribution(rs, workers=1)
+    for label in SMALL_TYPES:
+        hist = distribution(label)
         got = hist.get(0, 0) + hist.get(1, 0)
-        want = 2 ** rs.lie_type.rank
-        results.append(CheckResult(f"abelian {label}", got == want, f"{got} = 2^{rs.lie_type.rank}"))
+        rank = LieType.parse(label).rank
+        results.append(CheckResult(f"abelian {label}", got == 2**rank, f"{got} = 2^{rank}"))
     row = EXCEPTIONAL_CLASS_COUNTS["E8"]
     results.append(
         CheckResult("abelian E8 (reference row)", row[0] + row[1] == 2**8, f"{row[0]}+{row[1]}")
@@ -268,7 +249,7 @@ def suite_series(order: int = 12, max_class: int = 10) -> list[CheckResult]:
 
 
 SUITES = {
-    "agreement": None,  # needs family/max_rank, dispatched in run_suite
+    "agreement": suite_agreement,
     "totals": suite_totals,
     "table1": suite_table1,
     "formulas": suite_formulas,
@@ -286,15 +267,12 @@ def run_suite(
     workers: int | None = None,
     budget: float | None = None,
 ) -> list[CheckResult]:
+    """Run one suite; `family` and `max_rank` reach only the agreement
+    suite, `workers` and `budget` only table1."""
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
     if name == "agreement":
-        fams = [family] if family else ["A", "B", "C", "D"]
-        default_rank = {"A": 8, "B": 6, "C": 7, "D": 6}
-        out = []
-        for fam in fams:
-            out.extend(suite_agreement(fam, max_rank or default_rank[fam]))
-        return out
+        return suite_agreement(family, max_rank)
     if name == "table1":
-        return suite_table1(workers=workers, budget=budget)
-    if name in SUITES:
-        return SUITES[name]()
-    raise ValueError(f"unknown suite {name!r}")
+        return suite_table1(workers, budget)
+    return SUITES[name]()

@@ -17,14 +17,10 @@ from dataclasses import dataclass
 
 from .checks import SUITES, run_suite
 from .closedform import catalan_qt, gamma_qt
-from .genfun import PowerSeries, gf_A_le, gf_B_K, gf_B_le, gf_C_le, gf_D_K, gf_D_le
+from .genfun import family_series
 from .ideals import enumerate_ideal_masks
 from .nilpotence import ROUTES, class_distribution, classify_ideal
 from .rootsys import LieType, build_root_system
-
-CUMULATIVE_GF = {"A": gf_A_le, "B": gf_B_le, "C": gf_C_le, "D": gf_D_le}
-EXACT_GF = {"B": gf_B_K, "D": gf_D_K}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -94,7 +90,8 @@ def parse_distribution(text: str, fmt: str) -> dict[int, int]:
                 if k in dist:
                     raise ValueError(f"class {k} listed twice")
                 dist[k] = int(row[1])
-    except (LookupError, TypeError, AttributeError) as exc:
+    except (LookupError, TypeError, AttributeError, OverflowError, RecursionError,
+            csv.Error) as exc:
         raise ValueError(f"malformed {fmt} distribution: {exc!r}") from exc
     if total is None:
         raise ValueError("missing total row")
@@ -201,26 +198,14 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 1 if failed else 0
 
 
-def _expand_series(family: str, le: int | None, exact: int | None, order: int) -> PowerSeries:
-    if le is not None:
-        return CUMULATIVE_GF[family](le, order)
-    if family in EXACT_GF:
-        return EXACT_GF[family](exact, order)
-    # A and C publish cumulative series only; telescope for an exact class
-    series = CUMULATIVE_GF[family](exact, order)
-    if exact > 0:
-        series = series - CUMULATIVE_GF[family](exact - 1, order)
-    return series
-
-
 def cmd_gf(cfg: RunConfig) -> int:
-    series = _expand_series(cfg.family, cfg.le, cfg.exact, cfg.order)
+    kind, bound = ("exact", cfg.exact) if cfg.le is None else ("le", cfg.le)
+    series = family_series(cfg.family, bound, cfg.order, exact=kind == "exact")
     coeffs = [series[n] for n in range(cfg.order + 1)]
     if cfg.format == "json":
-        bound = "le" if cfg.le is not None else "exact"
         doc = {
             "family": cfg.family,
-            bound: cfg.le if cfg.le is not None else cfg.exact,
+            kind: bound,
             "order": cfg.order,
             "coefficients": [str(c) for c in coeffs],
         }

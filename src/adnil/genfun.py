@@ -4,14 +4,13 @@ The counting series live in x, but their closed forms are ratios of
 Chebyshev polynomials of the second kind evaluated at 1/(2*sqrt(x)).
 We work in the formal variable s with s**2 = x: each U_k(1/(2s)) is a
 Laurent polynomial in s, ratios are cleared to ordinary polynomials,
-and long division (over exact rationals) produces the series.  A
-quotient that is a genuine series in x has no odd powers of s; this is
-asserted, as is integrality of every coefficient.
+and exact integer long division produces the series.  A quotient that
+is a genuine series in x has no odd powers of s; this is asserted, as is
+integrality of every coefficient.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 
 from . import poly
@@ -132,9 +131,11 @@ def series_of_ratio(num: LaurentPoly, den: LaurentPoly, order: int) -> PowerSeri
     """Expand num/den as a power series in x = s**2 through x**order.
 
     Both arguments are shifted by a common power of s until polynomial,
-    then divided as formal series in s.  The quotient must have no odd
-    powers of s (otherwise the ratio is not a series in x) and integer
-    coefficients; both conditions are asserted.
+    then divided as formal series in s.  The quotient must have integer
+    coefficients and no odd powers of s (otherwise the ratio is not a
+    series in x); both conditions are asserted.  Every counting series
+    here has a denominator whose lowest coefficient is 1 after the
+    shift, so integer division loses nothing.
     """
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
@@ -152,23 +153,19 @@ def series_of_ratio(num: LaurentPoly, den: LaurentPoly, order: int) -> PowerSeri
     den = den.shift(-lead)
 
     length = 2 * order + 2
-    n = [Fraction(num.coeffs.get(e, 0)) for e in range(length)]
-    d = [Fraction(den.coeffs.get(e, 0)) for e in range(length)]
-    q: list[Fraction] = []
+    n = [num.coeffs.get(e, 0) for e in range(length)]
+    d = [den.coeffs.get(e, 0) for e in range(length)]
+    q: list[int] = []
     for i in range(length):
-        acc = n[i]
-        for j, qj in enumerate(q):
-            acc -= qj * d[i - j]
-        q.append(acc / d[0])
+        acc = n[i] - sum(qj * d[i - j] for j, qj in enumerate(q))
+        qi, rem = divmod(acc, d[0])
+        if rem:
+            raise ValueError(f"noninteger series coefficient {acc}/{d[0]}")
+        q.append(qi)
     residue = [c for c in q[1::2] if c]
     if residue:
         raise ValueError(f"odd powers of sqrt(x) survive: {residue[:3]}")
-    coeffs = []
-    for c in q[0::2][: order + 1]:
-        if c.denominator != 1:
-            raise ValueError(f"noninteger series coefficient {c}")
-        coeffs.append(int(c))
-    return PowerSeries(tuple(coeffs))
+    return PowerSeries(tuple(q[0::2][: order + 1]))
 
 
 def _counting_series(num: LaurentPoly, den: LaurentPoly, order: int) -> PowerSeries:
@@ -296,6 +293,27 @@ def gf_D_le(h: int, order: int = 12) -> PowerSeries:
             num = num + u_tilde(2 * h + 1 - 2 * i).scale(6 * i + 5)
     num = num + u_tilde(2 * h + 3)
     return _counting_series(X * num, u_tilde(h + 1) * u_tilde(h + 2), order)
+
+
+def family_series(family: str, h: int, order: int, exact: bool = False) -> PowerSeries:
+    """Series counting the ideals of a family of class at most `h`, or of
+    exactly `h`.  A and C publish cumulative series only, so their exact
+    series is a difference.  The names are looked up at call time, so a
+    wrapper set on this module sees every call."""
+    exact_gf = {"B": gf_B_K, "D": gf_D_K}
+    if exact and family in exact_gf:
+        return exact_gf[family](h, order)
+    cumulative = {"A": gf_A_le, "B": gf_B_le, "C": gf_C_le, "D": gf_D_le}[family]
+    series = cumulative(h, order)
+    if exact and h > 0:
+        series = series - cumulative(h - 1, order)
+    return series
+
+
+def x_power(family: str, rank: int) -> int:
+    """Power of x whose coefficient counts the rank-`rank` ideals: the
+    published type-A series carries rank n at x^(n+1), the others at x^n."""
+    return rank + 1 if family == "A" else rank
 
 
 def _cf_series(depth: int, order: int) -> PowerSeries:

@@ -8,11 +8,13 @@ are routed through a symmetric completion of the shifted diagram.
 """
 from __future__ import annotations
 
+import math
 import os
 import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from multiprocessing import Pool
 
 from .ideals import mask_indices, partition_seeds, walk
@@ -21,6 +23,7 @@ from .rootsys import FAMILIES, RootSystem, build_root_system
 Partition = tuple[int, ...]
 
 WORKER_ENV = "ADNIL_WORKERS"
+BUDGET_BLOCK = 4096  # ideals classified between two looks at the clock
 
 
 def nilpotence_oracle(rs: RootSystem, ideal: int) -> int:
@@ -420,28 +423,41 @@ def classify_ideal(rs: RootSystem, ideal: int, method: str = "oracle") -> int:
     return _class_function(rs, method)(ideal)
 
 
-_WORKER_STATE: tuple[RootSystem, str] | None = None
+_WORKER_STATE: tuple[RootSystem, str, float] | None = None
 
 
-def _worker_init(label: str, method: str) -> None:
+def _worker_init(label: str, method: str, deadline: float) -> None:
     global _WORKER_STATE
-    _WORKER_STATE = (build_root_system(label), method)
+    _WORKER_STATE = (build_root_system(label), method, deadline)
 
 
 def _worker_run(seed: tuple[int, int, int]) -> Counter:
-    rs, method = _WORKER_STATE
-    return _seed_histogram(rs, method, seed)
+    return _seed_histogram(*_WORKER_STATE, seed)
 
 
-def _seed_histogram(rs: RootSystem, method: str, seed: tuple[int, int, int]) -> Counter:
-    return Counter(map(_class_function(rs, method), walk(rs, seed)))
+def _seed_histogram(
+    rs: RootSystem, method: str, deadline: float, seed: tuple[int, int, int]
+) -> Counter:
+    """Histogram of one search subtree.  The clock (`time.monotonic`, the
+    same in every process) is read once per block of ideals, and a block
+    starting past `deadline` raises TimeoutError."""
+    classify = _class_function(rs, method)
+    ideals = walk(rs, seed)
+    hist: Counter = Counter()
+    while block := list(islice(ideals, BUDGET_BLOCK)):
+        if time.monotonic() > deadline:
+            raise TimeoutError("class distribution exceeded its budget")
+        hist.update(map(classify, block))
+    return hist
 
 
 def resolve_workers(requested: int | None) -> int:
     """Worker count: explicit request, then the environment, then every
     core this process may run on."""
     if requested is not None:
-        return max(1, requested)
+        if requested < 1:
+            raise ValueError(f"workers must be a positive integer, got {requested}")
+        return requested
     env = os.environ.get(WORKER_ENV)
     if env:
         try:
@@ -468,33 +484,25 @@ def class_distribution(
     The antichain search is split into independent subtrees (seeds) so it
     can fan out across processes; results merge by addition, so the
     histogram is deterministic for any worker count.  `budget` caps wall
-    time in seconds; `progress` is called with (done, total) seed counts.
+    time in seconds, checked in every process each `BUDGET_BLOCK` ideals;
+    `progress` is called with (done, total) seed counts.
     """
     nworkers = resolve_workers(workers)
     depth = min(rs.lie_type.rank, 8) if nworkers > 1 or len(rs) >= 100 else 0
     seeds = partition_seeds(rs, depth)
-    started = time.monotonic()
+    deadline = math.inf if budget is None else time.monotonic() + budget
     hist: Counter = Counter()
-    done = 0
-
-    def check_budget() -> None:
-        if budget is not None and time.monotonic() - started > budget:
-            raise TimeoutError(f"class distribution exceeded budget of {budget}s")
-
     if nworkers > 1 and len(seeds) > 1:
-        label = str(rs.lie_type)
-        with Pool(nworkers, initializer=_worker_init, initargs=(label, method)) as pool:
-            for part in pool.imap_unordered(_worker_run, seeds):
+        initargs = (str(rs.lie_type), method, deadline)
+        with Pool(nworkers, initializer=_worker_init, initargs=initargs) as pool:
+            parts = pool.imap_unordered(_worker_run, seeds)
+            for done, part in enumerate(parts, 1):
                 hist.update(part)
-                done += 1
-                check_budget()
                 if progress:
                     progress(done, len(seeds))
     else:
-        for seed in seeds:
-            hist.update(_seed_histogram(rs, method, seed))
-            done += 1
-            check_budget()
+        for done, seed in enumerate(seeds, 1):
+            hist.update(_seed_histogram(rs, method, deadline, seed))
             if progress:
                 progress(done, len(seeds))
     return dict(sorted(hist.items()))

@@ -6,28 +6,20 @@ The E8 distribution is computed once per session and shared.
 from __future__ import annotations
 
 import time
-from math import comb
 
 import pytest
 
 from adnil import (
     alpha_A,
     build_root_system,
-    c4_count,
-    catalan_qt,
     class_distribution,
     corollary_values,
     gamma_C,
-    gamma_qt,
-    gf_A_le,
-    gf_B_le,
-    gf_C_le,
-    gf_D_le,
-    joint_histogram,
     path_count_height,
     total_count_formula,
 )
-from adnil.checks import run_suite
+from adnil.checks import distribution, run_suite
+from adnil.genfun import family_series, x_power
 from adnil.nilpotence import resolve_workers
 from adnil.refdata import EXCEPTIONAL_CLASS_COUNTS
 
@@ -75,18 +67,9 @@ def test_criterion_2_e8_distribution(e8_distribution) -> None:
 
 
 def test_criterion_3_product_formula_totals(e8_distribution) -> None:
-    labels = (
-        [f"A{n}" for n in range(1, 9)]
-        + [f"{f}{n}" for f in "BCD" for n in range(2, 7)]
-        + ["G2", "F4", "E6", "E7"]
-    )
-    bad = []
-    for label in labels:
-        total = sum(class_distribution(build_root_system(label)).values())
-        if total != total_count_formula(label):
-            bad.append(label)
+    bad = [r.name for r in run_suite("totals") if not r.passed]
     if sum(e8_distribution[0].values()) != total_count_formula("E8"):
-        bad.append("E8")
+        bad.append("E8 live")
     ok = not bad
     report(3, ok, "product-formula totals equal enumerated totals for all types")
     assert ok, bad
@@ -111,21 +94,14 @@ def test_criterion_5_formulas_match_enumeration() -> None:
 def test_criterion_6_corollaries_through_rank_8() -> None:
     bad = []
     for n in range(1, 9):
-        plans = [("A", gf_A_le, n + 1), ("B", gf_B_le, n), ("C", gf_C_le, n)]
-        if n >= 2:
-            plans.append(("D", gf_D_le, n))
-        for family, gf, index in plans:
+        for family in "ABCD" if n >= 2 else "ABC":
             for h in (2, 3):
-                if corollary_values(family, n, h) != gf(h, 10)[index]:
+                want = corollary_values(family, n, h)
+                if want != family_series(family, h, 10)[x_power(family, n)]:
                     bad.append((family, n, h, "series"))
-        if n <= 5:
-            for family, _, _ in plans:
-                if family != "A" and n < 2:
-                    continue
-                dist = class_distribution(build_root_system(f"{family}{n}"))
-                for h in (2, 3):
-                    want = sum(c for k, c in dist.items() if k <= h)
-                    if corollary_values(family, n, h) != want:
+                if n <= 5 and (family == "A" or n >= 2):
+                    dist = distribution(f"{family}{n}")
+                    if want != sum(c for k, c in dist.items() if k <= h):
                         bad.append((family, n, h, "enumeration"))
     ok = not bad
     report(6, ok, "closed-form small-class counts hold through rank 8")
@@ -149,23 +125,10 @@ def test_criterion_7_path_identities() -> None:
 
 
 def test_criterion_8_abelian_counts(e8_distribution) -> None:
-    labels = (
-        [f"A{n}" for n in range(1, 9)]
-        + [f"{f}{n}" for f in "BCD" for n in range(2, 7)]
-        + ["G2", "F4", "E6", "E7"]
-    )
-    bad = []
-    for label in labels:
-        rs = build_root_system(label)
-        dist = class_distribution(rs)
-        if dist.get(0, 0) + dist.get(1, 0) != 2**rs.lie_type.rank:
-            bad.append(label)
+    bad = [r.name for r in run_suite("abelian") if not r.passed]
     dist, _ = e8_distribution
     if dist[0] + dist[1] != 256:
         bad.append("E8 live")
-    row = EXCEPTIONAL_CLASS_COUNTS["E8"]
-    if row[0] + row[1] != 256:
-        bad.append("E8 reference")
     ok = not bad
     report(8, ok, "ideals of class at most 1 number 2^rank for every type")
     assert ok, bad
@@ -176,16 +139,3 @@ def test_criterion_9_series_engine_properties() -> None:
     ok = not failed
     report(9, ok, "series residue/integrality, continued fraction, product identities")
     assert ok, failed
-
-
-def test_joint_refinements_specialize_correctly() -> None:
-    # supporting exactness check for the two-variable refinements used in
-    # criterion 5: the (q,t) polynomials restrict to the joint histograms
-    for n in range(1, 6):
-        joint = joint_histogram(build_root_system(f"A{n}"))
-        assert catalan_qt(n).coeffs == {(K, d): c for (d, K), c in joint.items()}
-    for n in range(2, 6):
-        joint = joint_histogram(build_root_system(f"C{n}"))
-        assert gamma_qt(n).coeffs == {(K, d): c for (d, K), c in joint.items()}
-    for n in range(1, 6):
-        assert c4_count(n, 2) == corollary_values("C", n, 2)

@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from adnil.checks import CheckResult
 from adnil.cli import format_distribution, main, parse_distribution
@@ -44,10 +46,47 @@ def test_table_json_round_trip(capsys: pytest.CaptureFixture) -> None:
     assert parse_distribution(out, "json") == {0: 1, 1: 3, 2: 1, 3: 1}
 
 
-def test_format_parse_round_trip() -> None:
-    dist = {0: 1, 1: 255, 2: 2200, 3: 0, 4: 10**30}
-    for fmt in ("csv", "json"):
-        assert parse_distribution(format_distribution(dist, fmt, "X"), fmt) == dist
+FORMATS = st.sampled_from(["csv", "json"])
+# mostly the characters a table is made of, so that near-misses are common
+TABLE_TEXT = st.text(st.sampled_from("0123456789-+., \t\r\n\"Kcountal")) | st.text()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | TABLE_TEXT,
+    lambda children: (
+        st.lists(children, max_size=3) | st.dictionaries(TABLE_TEXT, children, max_size=3)
+    ),
+    max_leaves=8,
+)
+
+
+@given(st.dictionaries(st.integers(), st.integers(min_value=0, max_value=10**60)), FORMATS)
+@example({0: 1, 1: 255, 2: 2200, 3: 0, 4: 10**30}, "csv")
+@example({0: 1, 1: 255, 2: 2200, 3: 0, 4: 10**30}, "json")
+def test_format_parse_round_trip(dist: dict[int, int], fmt: str) -> None:
+    assert parse_distribution(format_distribution(dist, fmt, "X"), fmt) == dist
+
+
+@given(
+    st.one_of(
+        TABLE_TEXT,
+        TABLE_TEXT.map(lambda rows: "K,count\n" + rows),
+        JSON_VALUES.map(json.dumps),
+        st.fixed_dictionaries({
+            "counts": st.dictionaries(st.integers().map(str), JSON_VALUES, max_size=4),
+            "total": JSON_VALUES,
+        }).map(json.dumps),
+    ),
+    FORMATS,
+)
+@example("K,count\n\r0", "csv")
+@example('{"counts": {"0": Infinity}, "total": 1}', "json")
+@example("[" * 5000, "json")
+def test_parse_distribution_fuzz(text: str, fmt: str) -> None:
+    # any text parses to a distribution or is refused with ValueError
+    try:
+        dist = parse_distribution(text, fmt)
+    except ValueError:
+        return
+    assert isinstance(dist, dict)
 
 
 def test_parse_distribution_rejects_corrupt_input() -> None:
@@ -249,6 +288,15 @@ def test_incompatible_method_exit_two(capsys: pytest.CaptureFixture) -> None:
     captured = capsys.readouterr()
     assert code == 2
     assert "requires type C" in captured.err
+
+
+def test_nonpositive_workers_exit_two(capsys: pytest.CaptureFixture) -> None:
+    for count in ("0", "-3"):
+        code = main(["table", "--type", "A2", "--workers", count])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "workers" in err
 
 
 def test_console_module_invocation() -> None:

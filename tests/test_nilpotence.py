@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
@@ -183,10 +184,23 @@ def test_budget_timeout() -> None:
         class_distribution(rs, workers=1, budget=1e-9)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_budget_holds_inside_a_seed(workers: int) -> None:
+    # serially, A10 is one seed of 58786 ideals and takes about 3 s whole
+    rs = build_root_system("A10")
+    started = time.monotonic()
+    with pytest.raises(TimeoutError):
+        class_distribution(rs, workers=workers, budget=0.05)
+    assert time.monotonic() - started < 1.5
+
+
 def test_resolve_workers(monkeypatch: pytest.MonkeyPatch) -> None:
     monkeypatch.setenv("ADNIL_WORKERS", "3")
     assert resolve_workers(None) == 3
     assert resolve_workers(2) == 2
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            resolve_workers(bad)
     for bad in ("abc", "0", "-2", "1.5"):
         monkeypatch.setenv("ADNIL_WORKERS", bad)
         with pytest.raises(ValueError, match="ADNIL_WORKERS"):
