@@ -10,8 +10,6 @@ paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from types import MappingProxyType
 
 from . import closedform, genfun
 from .ideals import enumerate_ideal_masks
@@ -38,11 +36,10 @@ class CheckResult:
         return f"[{status}] {self.name}: {self.detail}"
 
 
-@cache
-def distribution(label: str) -> MappingProxyType:
-    """Serial oracle histogram {class: count} of a small type, computed
-    once per process and shared by every suite, hence read-only."""
-    return MappingProxyType(class_distribution(build_root_system(label), workers=1))
+def distribution(label: str) -> dict[int, int]:
+    """Serial oracle histogram {class: count} of a small type, the one
+    route by which the suites enumerate."""
+    return class_distribution(build_root_system(label), workers=1)
 
 
 def _distribution_to_row(dist: dict[int, int]) -> tuple[int, ...]:

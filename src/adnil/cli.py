@@ -19,7 +19,7 @@ from .checks import SUITES, run_suite
 from .closedform import catalan_qt, gamma_qt
 from .genfun import family_series
 from .ideals import enumerate_ideal_masks
-from .nilpotence import ROUTES, class_distribution, classify_ideal
+from .nilpotence import ROUTES, class_distribution, classify_ideal, resolve_workers
 from .rootsys import LieType, build_root_system
 
 @dataclass(frozen=True)
@@ -352,6 +352,8 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
 def main(argv: list[str] | None = None) -> int:
     cfg = parse_config(argv)
     try:
+        if cfg.workers is not None:
+            resolve_workers(cfg.workers)  # refuse a bad count for every command
         return COMMANDS[cfg.command](cfg)
     except TimeoutError as exc:  # an OSError, so caught before the others
         print(f"error: {exc}", file=sys.stderr)

@@ -7,24 +7,17 @@ import pytest
 from adnil import checks
 
 
-def test_suites_share_one_histogram_per_type(monkeypatch: pytest.MonkeyPatch) -> None:
-    calls: Counter = Counter()
+def test_each_suite_enumerates_a_type_once(monkeypatch: pytest.MonkeyPatch) -> None:
+    calls: dict[str, Counter] = {}
     enumerate_serially = checks.class_distribution
 
     def counted(rs, *args, **kwargs):
-        calls[str(rs.lie_type)] += 1
+        calls[name][str(rs.lie_type)] += 1
         return enumerate_serially(rs, *args, **kwargs)
 
-    checks.distribution.cache_clear()
     monkeypatch.setattr(checks, "class_distribution", counted)
     for name in ("formulas", "gf", "paths", "abelian"):
+        calls[name] = Counter()
         assert all(r.passed for r in checks.run_suite(name)), name
-    assert set(calls) == set(checks.SMALL_TYPES)
-    assert set(calls.values()) == {1}
-
-
-def test_shared_histogram_is_read_only() -> None:
-    hist = checks.distribution("A2")
-    assert hist == {0: 1, 1: 3, 2: 1}
-    with pytest.raises(TypeError):
-        hist[0] = 5
+        assert set(calls[name].values()) == {1}, name
+    assert set().union(*calls.values()) == set(checks.SMALL_TYPES)

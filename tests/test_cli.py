@@ -291,12 +291,14 @@ def test_incompatible_method_exit_two(capsys: pytest.CaptureFixture) -> None:
 
 
 def test_nonpositive_workers_exit_two(capsys: pytest.CaptureFixture) -> None:
-    for count in ("0", "-3"):
-        code = main(["table", "--type", "A2", "--workers", count])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert "workers" in err
+    for command in (["table", "--type", "A2"], ["verify", "--suite", "formulas"]):
+        for count in ("0", "-3"):
+            code = main(command + ["--workers", count])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+            assert "workers" in captured.err
+            assert captured.out == ""
 
 
 def test_console_module_invocation() -> None:

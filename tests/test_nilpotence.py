@@ -174,8 +174,11 @@ def test_method_family_validation() -> None:
 
 
 def test_parallel_distribution_matches_serial() -> None:
-    rs = build_root_system("C4")
-    assert class_distribution(rs, workers=2) == class_distribution(rs, workers=1)
+    # the pool splits seeds at depth min(rank, 8): cover shallow and deep
+    # splits in every classical family
+    for label in ("C4", "A8", "B6", "C6", "D6"):
+        rs = build_root_system(label)
+        assert class_distribution(rs, workers=2) == class_distribution(rs, workers=1), label
 
 
 def test_budget_timeout() -> None:
