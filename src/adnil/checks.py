@@ -1,5 +1,5 @@
 """Cross-verification suites tying the independent computation routes
-together: diagram algorithms against the bracket oracle, closed formulas
+together: diagram algorithms against the oracle, closed formulas
 and generating functions against brute-force enumeration, path counts,
 reference tables, and the series-engine consistency guards.
 
@@ -9,11 +9,20 @@ paths.
 """
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass
 
 from . import closedform, genfun
 from .ideals import enumerate_ideal_masks
-from .nilpotence import ROUTES, class_distribution, joint_histogram, nilpotence_oracle
+from .nilpotence import (
+    BUDGET_BLOCK,
+    BUDGET_MESSAGE,
+    ROUTES,
+    class_distribution,
+    joint_histogram,
+    nilpotence_oracle,
+)
 from .refdata import EXCEPTIONAL_CLASS_COUNTS
 from .rootsys import LieType, build_root_system, total_count_formula
 
@@ -47,9 +56,13 @@ def _distribution_to_row(dist: dict[int, int]) -> tuple[int, ...]:
     return tuple(dist.get(k, 0) for k in range(top + 1))
 
 
-def suite_agreement(family: str | None = None, max_rank: int | None = None) -> list[CheckResult]:
+def suite_agreement(
+    family: str | None = None, max_rank: int | None = None, budget: float | None = None
+) -> list[CheckResult]:
     """Per-ideal agreement of every applicable class algorithm with the
-    bracket oracle, for one family or all four."""
+    oracle, for one family or all four.  `budget` caps wall time in
+    seconds, checked before each type and every `BUDGET_BLOCK` ideals."""
+    deadline = math.inf if budget is None else time.monotonic() + budget
     results = []
     for fam in family or "ABCD":
         routes = [
@@ -63,6 +76,8 @@ def suite_agreement(family: str | None = None, max_rank: int | None = None) -> l
             mismatches = 0
             count = 0
             for mask in enumerate_ideal_masks(rs):
+                if count % BUDGET_BLOCK == 0 and time.monotonic() > deadline:
+                    raise TimeoutError(BUDGET_MESSAGE)
                 want = nilpotence_oracle(rs, mask)
                 count += 1
                 if any(route(rs, mask) != want for route in routes):
@@ -265,11 +280,11 @@ def run_suite(
     budget: float | None = None,
 ) -> list[CheckResult]:
     """Run one suite; `family` and `max_rank` reach only the agreement
-    suite, `workers` and `budget` only table1."""
+    suite, `workers` only table1, and `budget` both of them."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     if name == "agreement":
-        return suite_agreement(family, max_rank)
+        return suite_agreement(family, max_rank, budget)
     if name == "table1":
         return suite_table1(workers, budget)
     return SUITES[name]()

@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from dataclasses import dataclass
 
@@ -66,6 +67,14 @@ def format_distribution(dist: dict[int, int], fmt: str, label: str = "") -> str:
     return buf.getvalue()
 
 
+def _decimal(text: object) -> int:
+    """The integer spelled by a decimal string: ASCII digits with an
+    optional minus sign, nothing else (no number, bool, space or '_')."""
+    if not isinstance(text, str) or not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"expected a decimal string, got {text!r}")
+    return int(text)
+
+
 def parse_distribution(text: str, fmt: str) -> dict[int, int]:
     """Inverse of format_distribution; validates the embedded total.
     Malformed input of any shape raises ValueError."""
@@ -74,22 +83,24 @@ def parse_distribution(text: str, fmt: str) -> dict[int, int]:
     try:
         if fmt == "json":
             doc = json.loads(text)
-            dist = {int(k): int(v) for k, v in doc["counts"].items()}
-            total = int(doc["total"])
+            dist = {_decimal(k): _decimal(v) for k, v in doc["counts"].items()}
+            total = _decimal(doc["total"])
         else:
             rows = list(csv.reader(io.StringIO(text)))
             if not rows or rows[0] != ["K", "count"]:
                 raise ValueError("missing K,count header")
             for row in rows[1:]:
+                if total is not None:
+                    raise ValueError(f"row {row} after the total row")
                 if len(row) != 2:
                     raise ValueError(f"expected two fields, got {row}")
                 if row[0] == "total":
-                    total = int(row[1])
-                    break
-                k = int(row[0])
+                    total = _decimal(row[1])
+                    continue
+                k = _decimal(row[0])
                 if k in dist:
                     raise ValueError(f"class {k} listed twice")
-                dist[k] = int(row[1])
+                dist[k] = _decimal(row[1])
     except (LookupError, TypeError, AttributeError, OverflowError, RecursionError,
             csv.Error) as exc:
         raise ValueError(f"malformed {fmt} distribution: {exc!r}") from exc

@@ -1,10 +1,12 @@
 """Class of nilpotence of an ad-nilpotent ideal, several ways.
 
-The reference computation ("oracle") iterates the bracket filtration
-directly on root bit masks.  Independent routes recover the same number
-from diagram combinatorics: a staircase filling, a truncation recursion,
-and broken-ray walks on (shifted) Ferrers diagrams.  Types B, C and D
-are routed through a symmetric completion of the shifted diagram.
+The reference computation ("oracle") is a decomposition DP: one pass
+over the roots of the ideal in increasing height gives each root its
+depth in the lower central series, from the decomposition table of the
+root system.  Independent routes recover the same number from diagram
+combinatorics: a staircase filling, a truncation recursion, and
+broken-ray walks on (shifted) Ferrers diagrams.  Types B, C and D are
+routed through a symmetric completion of the shifted diagram.
 """
 from __future__ import annotations
 
@@ -24,38 +26,41 @@ Partition = tuple[int, ...]
 
 WORKER_ENV = "ADNIL_WORKERS"
 BUDGET_BLOCK = 4096  # ideals classified between two looks at the clock
+BUDGET_MESSAGE = "class distribution exceeded its budget"
 
 
 def nilpotence_oracle(rs: RootSystem, ideal: int) -> int:
-    """Largest k such that the k-fold sum set of the ideal is nonempty.
+    """Length of the lower central series I = I^1, I^{k+1} = [I^k, I].
 
-    Stage k+1 is (stage k + ideal) intersected with the positive roots,
-    computed through the precomputed sum table.  Every nonempty stage
-    must contain the highest root; this is asserted as a guard (skipped
-    for reducible D2, which has no highest root).
+    Every stage is upward closed, so the depth of a root beta of the
+    ideal (the largest k with beta in I^k) is one more than the larger
+    depth of gamma and delta over the decompositions beta = gamma + delta
+    inside the ideal, and 1 when there is none.  One pass over
+    `rs.decompositions`, in increasing height, fills in every depth; a
+    root outside the ideal keeps depth 0, which rules out each pair it
+    belongs to.  The class is the depth of the highest root; that it is
+    the largest depth is checked as a guard (skipped for reducible D2,
+    which has no highest root).
     """
-    if ideal == 0:
-        return 0
-    pairs = rs.sum_pairs
-    sums: list[int] = [0] * len(pairs)
-    for i in mask_indices(ideal):
-        acc = 0
-        for j, sbit in pairs[i]:
-            if (ideal >> j) & 1:
-                acc |= sbit
-        sums[i] = acc
-    theta_bit = rs.highest_bit
-    k = 0
-    cur = ideal
-    while cur:
-        if theta_bit is not None and not cur & theta_bit:
-            raise AssertionError("nonempty sum stage without the highest root")
-        k += 1
-        nxt = 0
-        for i in mask_indices(cur):
-            nxt |= sums[i]
-        cur = nxt
-    return k
+    depth = [0] * len(rs)
+    for k, bit, pairs in rs.decompositions:
+        if ideal & bit:
+            d = 0
+            for i, j in pairs:
+                x = depth[i]
+                if x:
+                    y = depth[j]
+                    if y:
+                        if y > x:
+                            x = y
+                        if x > d:
+                            d = x
+            depth[k] = d + 1
+    top = max(depth)
+    theta = rs.highest_index
+    if theta is not None and depth[theta] != top:
+        raise AssertionError("the highest root does not carry the largest depth")
+    return top
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +451,7 @@ def _seed_histogram(
     hist: Counter = Counter()
     while block := list(islice(ideals, BUDGET_BLOCK)):
         if time.monotonic() > deadline:
-            raise TimeoutError("class distribution exceeded its budget")
+            raise TimeoutError(BUDGET_MESSAGE)
         hist.update(map(classify, block))
     return hist
 

@@ -280,14 +280,19 @@ class RootSystem:
         roots = self.positive_roots
         idx = self.index
         size = len(roots)
-        # decomposition pairs keyed by the first summand, as (j, sum-bit)
-        self.sum_pairs: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+        # each unordered pair {i, j}, i <= j, of summands under its sum k
+        pairs: list[list[tuple[int, int]]] = [[] for _ in range(size)]
         for i, ri in enumerate(roots):
-            pairs = self.sum_pairs[i]
-            for j, rj in enumerate(roots):
-                k = idx.get(tuple(x + y for x, y in zip(ri, rj)))
+            for j in range(i, size):
+                k = idx.get(tuple(x + y for x, y in zip(ri, roots[j])))
                 if k is not None:
-                    pairs.append((j, 1 << k))
+                    pairs[k].append((i, j))
+        # (k, 1 << k, pairs of k) for every root k in increasing height; the
+        # classical cell order is not a height order, hence the index k
+        self.decompositions: list[tuple[int, int, tuple[tuple[int, int], ...]]] = [
+            (k, 1 << k, tuple(pairs[k]))
+            for k in sorted(range(size), key=lambda k: sum(roots[k]))
+        ]
 
         self.filter_masks: list[int] = [0] * size   # j >= i
         self.below_masks: list[int] = [0] * size    # j <= i, j != i
@@ -304,8 +309,8 @@ class RootSystem:
         self.comparable_masks: list[int] = [
             self.filter_masks[i] | self.below_masks[i] for i in range(size)
         ]
-        self.highest_bit: int | None = (
-            1 << idx[self.highest_root] if self.highest_root is not None else None
+        self.highest_index: int | None = (
+            idx[self.highest_root] if self.highest_root is not None else None
         )
 
     def __len__(self) -> int:

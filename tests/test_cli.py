@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given
@@ -108,6 +109,16 @@ def test_parse_distribution_rejects_corrupt_input() -> None:
         parse_distribution('{"counts": {"0": "1"}}', "json")
     with pytest.raises(ValueError):
         parse_distribution("[1]", "json")
+    # counts and totals are decimal strings, and nothing follows the total
+    for text in ('{"counts": {"0": 1.9, "1": true}, "total": 2}',
+                 '{"counts": {"0": "1"}, "total": 1}',
+                 '{"counts": {"0": " 1"}, "total": "1"}'):
+        with pytest.raises(ValueError):
+            parse_distribution(text, "json")
+    for text in ("K,count\n1,2\ntotal,2\ngarbage after total\n",
+                 "K,count\n1,2\ntotal,2\n1,0\n", "K,count\n1,1_0\ntotal,10\n"):
+        with pytest.raises(ValueError):
+            parse_distribution(text, "csv")
 
 
 def test_methods_agree_through_cli(capsys: pytest.CaptureFixture) -> None:
@@ -260,6 +271,17 @@ def test_budget_exit_code(capsys: pytest.CaptureFixture) -> None:
     captured = capsys.readouterr()
     assert code == 1
     assert "budget" in captured.err
+
+
+def test_verify_agreement_budget_exit_code(capsys: pytest.CaptureFixture) -> None:
+    # the whole suite takes over a second; the clock is read before each type
+    started = time.monotonic()
+    code = main(["verify", "--suite", "agreement", "--budget", "0.01"])
+    elapsed = time.monotonic() - started
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "" and "budget" in captured.err
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize(

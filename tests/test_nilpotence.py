@@ -1,10 +1,16 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 import time
+from functools import cache
+from operator import add
+from pathlib import Path
 
 import pytest
 
+import adnil
 from adnil import (
     build_root_system,
     class_distribution,
@@ -19,6 +25,7 @@ from adnil import (
     upward_ray_bound,
     zigzag_class,
 )
+from adnil.checks import SMALL_TYPES
 from adnil.ideals import enumerate_ideal_masks
 from adnil.nilpotence import ideal_partition_a, ideal_to_shifted, resolve_workers
 
@@ -49,6 +56,65 @@ def test_oracle_requires_ideal_through_highest_root() -> None:
     assert nilpotence_oracle(rs, 7) == 2
     # bracketing the two simple roots reaches the highest root
     assert nilpotence_oracle(rs, 1) == 1
+
+
+@cache
+def _partners(roots: tuple[tuple[int, ...], ...]) -> list[dict[int, int]]:
+    index = {r: k for k, r in enumerate(roots)}
+    return [
+        {d: index[s] for d, rd in enumerate(roots) if (s := tuple(map(add, rg, rd))) in index}
+        for rg in roots
+    ]
+
+
+def bracket_class(roots: list[tuple[int, ...]], ideal: int) -> int:
+    """Independent reference: iterate I^{k+1} = [I^k, I] on root sets, where
+    [g, d] is nonzero exactly when g + d is a root, and count the stages."""
+    partners = _partners(tuple(roots))
+    members = {k for k in range(len(roots)) if ideal >> k & 1}
+    stage, k = members, 0
+    while stage:
+        k += 1
+        stage = {s for g in stage for d, s in partners[g].items() if d in members}
+    return k
+
+
+@pytest.mark.parametrize("label", SMALL_TYPES)
+def test_oracle_matches_bracket_iteration(label: str) -> None:
+    rs = build_root_system(label)
+    for mask in enumerate_ideal_masks(rs):
+        assert nilpotence_oracle(rs, mask) == bracket_class(rs.positive_roots, mask), mask
+
+
+def test_oracle_guard_rejects_non_ideal() -> None:
+    # the two simple roots of A2 without their sum, the highest root
+    rs = build_root_system("A2")
+    mask = sum(1 << rs.index[r] for r in rs.simple_roots)
+    with pytest.raises(AssertionError, match="highest root"):
+        nilpotence_oracle(rs, mask)
+
+
+def test_oracle_guard_survives_optimize() -> None:
+    # a child under -O drops every bare assert; the guard must still raise
+    src = str(Path(adnil.__file__).resolve().parents[1])
+    code = (
+        "from adnil import build_root_system, nilpotence_oracle\n"
+        "rs = build_root_system('A2')\n"
+        "mask = sum(1 << rs.index[r] for r in rs.simple_roots)\n"
+        "try:\n"
+        "    nilpotence_oracle(rs, mask)\n"
+        "except AssertionError:\n"
+        "    print('raised')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised\n"
 
 
 def test_staircase_partition_of_full_ideal() -> None:

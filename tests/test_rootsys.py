@@ -87,20 +87,30 @@ def test_cells_match_roots_for_classical() -> None:
 
 
 def test_sum_tables_are_consistent() -> None:
-    rs = build_root_system("B3")
-    roots = rs.positive_roots
-    for i, pairs in enumerate(rs.sum_pairs):
-        for j, sbit in pairs:
-            summed = tuple(a + b for a, b in zip(roots[i], roots[j]))
-            assert sbit.bit_count() == 1
-            assert summed == roots[sbit.bit_length() - 1]
-    # no root pair summing to a root is missing
-    index = rs.index
-    for i, ri in enumerate(roots):
-        summands = {j for j, _ in rs.sum_pairs[i]}
-        for j, rj in enumerate(roots):
-            s = tuple(a + b for a, b in zip(ri, rj))
-            assert (j in summands) == (s in index)
+    # B3 lists its roots in cell order, which is not a height order
+    for label in ("B3", "D4", "G2"):
+        rs = build_root_system(label)
+        roots = rs.positive_roots
+        order = [k for k, _, _ in rs.decompositions]
+        assert sorted(order) == list(range(len(roots))), label
+        heights = [sum(roots[k]) for k in order]
+        assert heights == sorted(heights), label
+        listed = []
+        for k, bit, pairs in rs.decompositions:
+            assert bit == 1 << k
+            for i, j in pairs:
+                assert i <= j
+                assert tuple(a + b for a, b in zip(roots[i], roots[j])) == roots[k]
+                listed.append((i, j))
+        # each unordered pair once, and no pair summing to a root missing
+        assert len(listed) == len(set(listed)), label
+        want = {
+            (i, j)
+            for i in range(len(roots))
+            for j in range(i, len(roots))
+            if tuple(a + b for a, b in zip(roots[i], roots[j])) in rs.index
+        }
+        assert set(listed) == want, label
 
 
 def test_order_masks() -> None:
