@@ -18,8 +18,7 @@ from .nilpotence import (
     TwoRayResult,
     class_distribution,
     classify_ideal,
-    ideal_partition_a,
-    ideal_to_shifted,
+    ideal_rows,
     joint_histogram,
     nilpotence_from_partition,
     nilpotence_oracle,

@@ -62,6 +62,8 @@ def suite_agreement(
     """Per-ideal agreement of every applicable class algorithm with the
     oracle, for one family or all four.  `budget` caps wall time in
     seconds, checked before each type and every `BUDGET_BLOCK` ideals."""
+    if max_rank is not None and max_rank < 1:
+        raise ValueError(f"max rank must be at least 1, got {max_rank}")
     deadline = math.inf if budget is None else time.monotonic() + budget
     results = []
     for fam in family or "ABCD":
@@ -70,7 +72,7 @@ def suite_agreement(
             for method, (families, route) in ROUTES.items()
             if method != "oracle" and fam in families
         ]
-        top = max_rank or {"A": 8, "B": 6, "C": 7, "D": 6}[fam]
+        top = {"A": 8, "B": 6, "C": 7, "D": 6}[fam] if max_rank is None else max_rank
         for n in range(1 if fam == "A" else 2, top + 1):
             rs = build_root_system(f"{fam}{n}")
             mismatches = 0

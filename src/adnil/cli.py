@@ -21,7 +21,12 @@ from .closedform import catalan_qt, gamma_qt
 from .genfun import family_series
 from .ideals import enumerate_ideal_masks
 from .nilpotence import ROUTES, class_distribution, classify_ideal, resolve_workers
-from .rootsys import LieType, build_root_system
+from .rootsys import LieType, RootSystem, build_root_system, total_count_formula
+
+# the most ideals `table` or `enumerate` may visit: about 4 min serially at
+# the oracle's ~21 us per ideal; A14 (9694845 ideals) fits, A15 does not
+MAX_IDEALS = 10**7
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -108,6 +113,8 @@ def parse_distribution(text: str, fmt: str) -> dict[int, int]:
         raise ValueError("missing total row")
     if total != sum(dist.values()):
         raise ValueError(f"total {total} != sum of counts {sum(dist.values())}")
+    if any(v < 0 for v in dist.values()):  # so the total is nonnegative too
+        raise ValueError("counts must be nonnegative")
     return dist
 
 
@@ -145,8 +152,19 @@ def cmd_roots(cfg: RunConfig) -> int:
     return 0
 
 
+def _enumerable(lt: LieType) -> RootSystem:
+    """The root system of a type with at most MAX_IDEALS ideals, counted
+    exactly by the product formula before anything is built."""
+    count = total_count_formula(lt)
+    if count > MAX_IDEALS:
+        raise ValueError(
+            f"{lt} has {count} ideals, more than the {MAX_IDEALS} a run may enumerate"
+        )
+    return build_root_system(lt)
+
+
 def cmd_enumerate(cfg: RunConfig) -> int:
-    rs = build_root_system(cfg.lie_type)
+    rs = _enumerable(cfg.lie_type)
     rows = [
         (mask, mask.bit_count(), classify_ideal(rs, mask, cfg.method))
         for mask in enumerate_ideal_masks(rs)
@@ -177,7 +195,7 @@ def _stderr_progress(done: int, total: int) -> None:
 
 
 def cmd_table(cfg: RunConfig) -> int:
-    rs = build_root_system(cfg.lie_type)
+    rs = _enumerable(cfg.lie_type)
     progress = _stderr_progress if len(rs) >= 100 else None
     dist = class_distribution(
         rs, cfg.method, workers=cfg.workers, budget=cfg.budget, progress=progress
@@ -195,6 +213,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         workers=cfg.workers,
         budget=cfg.budget,
     )
+    if not results:
+        raise ValueError(f"suite {cfg.suite} ran no checks")
     lines = []
     failed = 0
     for res in results:

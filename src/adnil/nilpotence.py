@@ -19,7 +19,7 @@ from functools import partial
 from itertools import islice
 from multiprocessing import Pool
 
-from .ideals import mask_indices, partition_seeds, walk
+from .ideals import partition_seeds, walk
 from .rootsys import FAMILIES, RootSystem, build_root_system
 
 Partition = tuple[int, ...]
@@ -64,36 +64,47 @@ def nilpotence_oracle(rs: RootSystem, ideal: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# diagrams
+
+
+def ideal_rows(rs: RootSystem, ideal: int) -> Partition:
+    """Row lengths of a classical ideal in its (shifted) staircase, empty
+    rows dropped, by one lookup per row in `rs.rows`: weakly decreasing in
+    type A, strictly in B, C, D.  A mask that is no ideal raises ValueError."""
+    if rs.rows is None:
+        raise ValueError("diagrams require type A, B, C or D")
+    # the type-D rows that hold one fork column must all hold the same one
+    lo, hi = ideal & rs.fork_mask, ideal >> 1 & rs.fork_mask
+    mixed = lo | hi not in (lo, hi)
+    strict = rs.lie_type.family != "A"
+    parts = []
+    limit = len(rs)
+    for first, width, lengths in rs.rows:
+        rest = ideal >> first
+        if not rest:
+            break
+        length = lengths.get(rest & width, 0)
+        if mixed or not 0 < length <= limit:
+            raise ValueError(f"mask {ideal} is not an ideal of {rs.lie_type}")
+        parts.append(length)
+        limit = length - strict
+    return tuple(parts)
+
+
+# ---------------------------------------------------------------------------
 # type A: staircase diagrams
 
 
 def _pad(parts: tuple[int, ...] | list[int], n: int) -> list[int]:
-    parts = [p for p in parts]
-    if len(parts) < n:
-        parts += [0] * (n - len(parts))
-    if len(parts) > n and any(parts[n:]):
+    if any(parts[n:]):
         raise ValueError(f"partition {parts} has more than {n} parts")
-    parts = parts[:n]
+    parts = list(parts[:n]) + [0] * (n - len(parts))
     for i in range(1, n):
         if parts[i] > parts[i - 1]:
             raise ValueError(f"{parts} is not weakly decreasing")
     for i, p in enumerate(parts, start=1):
         if p > n - i + 1:
             raise ValueError(f"{parts} does not fit inside the {n}-staircase")
-    return parts
-
-
-def ideal_partition_a(rs: RootSystem, ideal: int) -> Partition:
-    """Row lengths of an ideal of type A in its staircase arrangement."""
-    if rs.lie_type.family != "A":
-        raise ValueError("staircase partitions require type A")
-    n = rs.lie_type.rank
-    counts = [0] * n
-    for k in mask_indices(ideal):
-        counts[rs.cells[k][0] - 1] += 1
-    # upward closure makes each row a prefix of its staircase row
-    parts = tuple(counts)
-    _pad(parts, n)
     return parts
 
 
@@ -159,56 +170,6 @@ def zigzag_class(parts: Partition, n: int) -> int:
 # types B, C, D: shifted diagrams and symmetric completions
 
 
-def _rows_to_shifted(rows: dict[int, set[int]]) -> Partition | None:
-    """Row lengths if the cells form a shifted diagram (row i a prefix of
-    columns i, i+1, ...; lengths strictly decreasing), else None."""
-    if not rows:
-        return ()
-    depth = max(rows)
-    parts = []
-    for i in range(1, depth + 1):
-        cols = rows.get(i, set())
-        if cols != set(range(i, i + len(cols))):
-            return None
-        parts.append(len(cols))
-    for i in range(depth - 1):
-        if parts[i] <= parts[i + 1]:
-            return None
-    if parts[-1] == 0:
-        return None
-    return tuple(parts)
-
-
-def ideal_to_shifted(rs: RootSystem, ideal: int) -> tuple[Partition, bool]:
-    """Shifted diagram of a B/C/D ideal in its staircase arrangement.
-
-    In type D the two columns through the fork nodes are incomparable, so
-    the raw cell set may fail to be a diagram; swapping those two columns
-    always repairs it.  The flag reports whether the swap was applied.
-    """
-    family = rs.lie_type.family
-    if family not in "BCD":
-        raise ValueError("shifted diagrams require type B, C or D")
-    n = rs.lie_type.rank
-    rows: dict[int, set[int]] = {}
-    for k in mask_indices(ideal):
-        i, j = rs.cells[k]
-        rows.setdefault(i, set()).add(j)
-    parts = _rows_to_shifted(rows)
-    if parts is not None:
-        return parts, False
-    if family != "D":
-        raise AssertionError(f"{rs.lie_type} ideal is not a shifted diagram")
-    swap = {n - 1: n, n: n - 1}
-    swapped = {
-        i: {swap.get(j, j) for j in cols} for i, cols in rows.items()
-    }
-    parts = _rows_to_shifted(swapped)
-    if parts is None:
-        raise AssertionError("column swap did not produce a shifted diagram")
-    return parts, True
-
-
 def symmetric_completion(parts: Partition, family: str, n: int) -> Partition:
     """Complete a shifted diagram to the ordinary diagram matching the
     mirror pairing of the staircase arrangement.
@@ -244,8 +205,7 @@ def nilpotence_via_completion(rs: RootSystem, ideal: int) -> int:
     """Class of a B/C/D ideal through its completed ordinary diagram."""
     family = rs.lie_type.family
     n = rs.lie_type.rank
-    parts, _ = ideal_to_shifted(rs, ideal)
-    lam = symmetric_completion(parts, family, n)
+    lam = symmetric_completion(ideal_rows(rs, ideal), family, n)
     size = 2 * n - 1 if family in "BC" else 2 * n - 2
     return nilpotence_from_partition(lam, size)
 
@@ -377,26 +337,24 @@ def two_ray_classify(parts: Partition, n: int, family: str) -> TwoRayResult:
 
 
 def _filling_class(rs: RootSystem, ideal: int) -> int:
-    if not ideal:
-        return 0
-    return staircase_filling(ideal_partition_a(rs, ideal), rs.lie_type.rank)[0][0]
+    return staircase_filling(ideal_rows(rs, ideal), rs.lie_type.rank)[0][0]
 
 
 def _recursion_class(rs: RootSystem, ideal: int) -> int:
-    return nilpotence_from_partition(ideal_partition_a(rs, ideal), rs.lie_type.rank)
+    return nilpotence_from_partition(ideal_rows(rs, ideal), rs.lie_type.rank)
 
 
 def _zigzag_class(rs: RootSystem, ideal: int) -> int:
-    return zigzag_class(ideal_partition_a(rs, ideal), rs.lie_type.rank)
+    return zigzag_class(ideal_rows(rs, ideal), rs.lie_type.rank)
 
 
 def _ray_class(rs: RootSystem, ideal: int) -> int:
-    return single_ray_class(ideal_to_shifted(rs, ideal)[0], rs.lie_type.rank)
+    return single_ray_class(ideal_rows(rs, ideal), rs.lie_type.rank)
 
 
 def _tworay_class(rs: RootSystem, ideal: int) -> int:
     lt = rs.lie_type
-    return two_ray_classify(ideal_to_shifted(rs, ideal)[0], lt.rank, lt.family).nilpotence
+    return two_ray_classify(ideal_rows(rs, ideal), lt.rank, lt.family).nilpotence
 
 
 # method -> (families it applies to, class of one ideal); the oracle

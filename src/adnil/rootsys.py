@@ -7,6 +7,7 @@ translate directly into diagrams; exceptional types are listed by height.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 Root = tuple[int, ...]
@@ -247,12 +248,27 @@ class RootSystem:
             tuple(int(i == j) for j in range(n)) for i in range(n)
         ]
         self.cells: list[tuple[int, int]] | None = None
+        self.rows: list[tuple[int, int, dict[int, int]]] | None = None
+        self.fork_mask = 0
         if lie_type.is_classical:
             labelled = _CELL_BUILDERS[lie_type.family](n)
             if {r for _, r in labelled} != closure:
                 raise AssertionError(f"{lie_type}: cell labels disagree with closure")
             self.cells = [cell for cell, _ in labelled]
             self.positive_roots: list[Root] = [r for _, r in labelled]
+            # (first bit, width mask, {row pattern: length}) per row of the
+            # (shifted) staircase, whose cells are consecutive bits.  Rows of
+            # ideals are prefixes, or in type D hold fork column n without
+            # n-1; `fork_mask` marks column n-1, and column n is the next bit.
+            self.rows = []
+            first = 0
+            for i, width in Counter(i for i, _ in self.cells).items():
+                lengths = {(1 << m) - 1: m for m in range(1, width + 1)}
+                if lie_type.family == "D":  # row n is empty
+                    lengths[((1 << (n - 1 - i)) - 1) | 1 << (n - i)] = n - i
+                    self.fork_mask |= 1 << (first + n - 1 - i)
+                self.rows.append((first, (1 << width) - 1, lengths))
+                first += width
         else:
             self.positive_roots = sorted(closure, key=lambda r: (sum(r), r))
         self.index: dict[Root, int] = {

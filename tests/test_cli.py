@@ -10,7 +10,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from adnil.checks import CheckResult
-from adnil.cli import format_distribution, main, parse_distribution
+from adnil.cli import MAX_IDEALS, format_distribution, main, parse_distribution
+from adnil.rootsys import total_count_formula
 
 G2_TABLE = "K,count\n0,1\n1,3\n2,2\n3,1\n4,0\n5,1\ntotal,8\n"
 
@@ -119,6 +120,13 @@ def test_parse_distribution_rejects_corrupt_input() -> None:
                  "K,count\n1,2\ntotal,2\n1,0\n", "K,count\n1,1_0\ntotal,10\n"):
         with pytest.raises(ValueError):
             parse_distribution(text, "csv")
+    # no enumeration gives a negative count, even when the total adds up
+    with pytest.raises(ValueError, match="nonnegative"):
+        parse_distribution("K,count\n0,-1\n1,2\ntotal,1\n", "csv")
+    with pytest.raises(ValueError, match="nonnegative"):
+        parse_distribution('{"counts": {"0": "-1", "1": "2"}, "total": "1"}', "json")
+    with pytest.raises(ValueError):
+        parse_distribution("K,count\ntotal,-1\n", "csv")
 
 
 def test_methods_agree_through_cli(capsys: pytest.CaptureFixture) -> None:
@@ -321,6 +329,36 @@ def test_nonpositive_workers_exit_two(capsys: pytest.CaptureFixture) -> None:
             assert captured.err.startswith("error:") and captured.err.count("\n") == 1
             assert "workers" in captured.err
             assert captured.out == ""
+
+
+def test_verify_max_rank_holds(capsys: pytest.CaptureFixture) -> None:
+    # a rank below 1 is refused, and so is a run left with no check at all
+    for extra in (["--max-rank", "0"], ["--max-rank", "-1"],
+                  ["--family", "C", "--max-rank", "1"]):
+        code = main(["verify", "--suite", "agreement", *extra])
+        captured = capsys.readouterr()
+        assert code == 2, extra
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert captured.out == ""
+    code, out = run_cli(capsys, ["verify", "--suite", "agreement", "--family", "B",
+                                 "--max-rank", "2"])
+    assert code == 0
+    assert out.endswith("\n1/1 checks passed (agreement)\n")
+
+
+def test_preflight_refuses_huge_types(capsys: pytest.CaptureFixture) -> None:
+    assert total_count_formula("A14") <= MAX_IDEALS < total_count_formula("A15")
+    for command in ("table", "enumerate"):
+        started = time.monotonic()
+        code = main([command, "--type", "A20"])
+        elapsed = time.monotonic() - started
+        captured = capsys.readouterr()
+        assert code == 2
+        assert elapsed < 1.0
+        assert captured.out == ""
+        assert captured.err == (
+            "error: A20 has 24466267020 ideals, more than the 10000000 a run may enumerate\n"
+        )
 
 
 def test_console_module_invocation() -> None:

@@ -27,7 +27,7 @@ from adnil import (
 )
 from adnil.checks import SMALL_TYPES
 from adnil.ideals import enumerate_ideal_masks
-from adnil.nilpotence import ideal_partition_a, ideal_to_shifted, resolve_workers
+from adnil.nilpotence import ROUTES, ideal_rows, resolve_workers
 
 
 def test_hand_counted_distributions() -> None:
@@ -119,9 +119,39 @@ def test_oracle_guard_survives_optimize() -> None:
 
 def test_staircase_partition_of_full_ideal() -> None:
     rs = build_root_system("A2")
-    assert ideal_partition_a(rs, 0b111) == (2, 1)
-    assert ideal_partition_a(rs, 0b001) == (1, 0)
-    assert ideal_partition_a(rs, 0) == (0, 0)
+    assert ideal_rows(rs, 0b111) == (2, 1)
+    assert ideal_rows(rs, 0b101) == (1, 1)
+    assert ideal_rows(rs, 0b001) == (1,)
+    assert ideal_rows(rs, 0) == ()
+
+
+@pytest.mark.parametrize("label", ["A4", "B3", "C3", "D3", "D4"])
+def test_ideal_rows_accepts_exactly_the_ideals(label: str) -> None:
+    rs = build_root_system(label)
+    ideals = set(enumerate_ideal_masks(rs))
+    for mask in range(1 << len(rs)):
+        if mask in ideals:
+            assert sum(ideal_rows(rs, mask)) == mask.bit_count()
+        else:
+            with pytest.raises(ValueError, match="not an ideal"):
+                ideal_rows(rs, mask)
+
+
+def test_diagram_routes_reject_non_ideal() -> None:
+    # the simple roots alone, and every root of A3 but the highest
+    cases = []
+    for label in ("A2", "B3", "C3", "D4"):
+        rs = build_root_system(label)
+        cases.append((rs, sum(1 << rs.index[r] for r in rs.simple_roots)))
+    rs = build_root_system("A3")
+    cases.append((rs, (1 << len(rs)) - 1 ^ 1 << rs.highest_index))
+    for rs, mask in cases:
+        family = rs.lie_type.family
+        methods = [m for m, (fams, _) in ROUTES.items() if m != "oracle" and family in fams]
+        assert methods
+        for method in methods:
+            with pytest.raises(ValueError, match="not an ideal"):
+                classify_ideal(rs, mask, method)
 
 
 def test_staircase_filling_hand_example() -> None:
@@ -134,7 +164,7 @@ def test_truncation_recursion_agrees_with_filling() -> None:
     for n in range(1, 6):
         rs = build_root_system(f"A{n}")
         for mask in enumerate_ideal_masks(rs):
-            parts = ideal_partition_a(rs, mask)
+            parts = ideal_rows(rs, mask)
             want = staircase_filling(parts, n)[0][0] if mask else 0
             assert nilpotence_from_partition(parts, n) == want
 
@@ -184,7 +214,7 @@ def test_two_ray_cases_are_total() -> None:
         rs = build_root_system(label)
         n, family = rs.lie_type.rank, rs.lie_type.family
         for mask in enumerate_ideal_masks(rs):
-            parts, _ = ideal_to_shifted(rs, mask)
+            parts = ideal_rows(rs, mask)
             res = two_ray_classify(parts, n, family)
             seen.add(res.case_id)
             assert res.nilpotence >= 0
@@ -208,13 +238,20 @@ def test_symmetric_completion_type_c_mirrors() -> None:
 def test_shifted_diagrams_exist_for_all_ideals() -> None:
     for label in ["B3", "C3", "D4", "D5"]:
         rs = build_root_system(label)
-        swapped = 0
+        n = rs.lie_type.rank
+        forked = 0
         for mask in enumerate_ideal_masks(rs):
-            parts, star = ideal_to_shifted(rs, mask)
+            parts = ideal_rows(rs, mask)
             assert sum(parts) == mask.bit_count()
-            swapped += star
+            assert 0 not in parts and all(a > b for a, b in zip(parts, parts[1:]))
+            # a type-D row holding fork column n without column n-1
+            rows: dict[int, set[int]] = {}
+            for k, (i, j) in enumerate(rs.cells):
+                if mask >> k & 1:
+                    rows.setdefault(i, set()).add(j)
+            forked += any(n in cols and n - 1 not in cols for cols in rows.values())
         if rs.lie_type.family == "D":
-            assert swapped > 0, "some D ideal needs the column swap"
+            assert forked > 0, "some D ideal holds fork column n without n-1"
 
 
 def test_upward_ray_is_class_rounded_up_to_even() -> None:
@@ -222,7 +259,7 @@ def test_upward_ray_is_class_rounded_up_to_even() -> None:
         rs = build_root_system(label)
         n = rs.lie_type.rank
         for mask in enumerate_ideal_masks(rs):
-            parts, _ = ideal_to_shifted(rs, mask)
+            parts = ideal_rows(rs, mask)
             k = nilpotence_oracle(rs, mask)
             assert upward_ray_bound(parts, n) == k + (k % 2)
 
