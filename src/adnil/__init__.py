@@ -56,7 +56,7 @@ from .genfun import (
     u_tilde,
     verify_cf_identity,
 )
-from .refdata import EXCEPTIONAL_CLASS_COUNTS, EXCEPTIONAL_TOTALS
+from .refdata import EXCEPTIONAL_CLASS_COUNTS
 from .checks import CheckResult, run_suite
 
 __version__ = "0.1.0"

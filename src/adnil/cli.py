@@ -16,16 +16,16 @@ import re
 import sys
 from dataclasses import dataclass
 
-from .checks import SUITES, run_suite
+from .checks import SUITES, refuse_huge, run_suite
 from .closedform import catalan_qt, gamma_qt
 from .genfun import family_series
 from .ideals import enumerate_ideal_masks
 from .nilpotence import ROUTES, class_distribution, classify_ideal, resolve_workers
 from .rootsys import LieType, RootSystem, build_root_system, total_count_formula
 
-# the most ideals `table` or `enumerate` may visit: about 4 min serially at
-# the oracle's ~21 us per ideal; A14 (9694845 ideals) fits, A15 does not
-MAX_IDEALS = 10**7
+# `qt` sums over 2^rank chains: A16 takes about 12 s and each further rank
+# doubles that, so rank 18 (about a minute for A18) is the last one run
+MAX_QT_RANK = 18
 
 
 @dataclass(frozen=True)
@@ -155,11 +155,7 @@ def cmd_roots(cfg: RunConfig) -> int:
 def _enumerable(lt: LieType) -> RootSystem:
     """The root system of a type with at most MAX_IDEALS ideals, counted
     exactly by the product formula before anything is built."""
-    count = total_count_formula(lt)
-    if count > MAX_IDEALS:
-        raise ValueError(
-            f"{lt} has {count} ideals, more than the {MAX_IDEALS} a run may enumerate"
-        )
+    refuse_huge(str(lt), total_count_formula(lt))
     return build_root_system(lt)
 
 
@@ -253,6 +249,8 @@ def cmd_gf(cfg: RunConfig) -> int:
 
 def cmd_qt(cfg: RunConfig) -> int:
     n = cfg.lie_type.rank
+    if n > MAX_QT_RANK:
+        raise ValueError(f"qt sums over 2^{n} chains; ranks above {MAX_QT_RANK} are refused")
     poly = catalan_qt(n) if cfg.lie_type.family == "A" else gamma_qt(n)
     terms = sorted(poly.coeffs.items())
     if cfg.format == "json":

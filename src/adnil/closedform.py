@@ -44,9 +44,6 @@ class QTPoly:
         clean = {k: v for k, v in self.coeffs.items() if v}
         object.__setattr__(self, "coeffs", clean)
 
-    def coefficient(self, q_deg: int, t_deg: int) -> int:
-        return self.coeffs.get((q_deg, t_deg), 0)
-
     def evaluate(self, q: int, t: int) -> int:
         return sum(c * q**kq * t**kt for (kq, kt), c in self.coeffs.items())
 
@@ -61,9 +58,6 @@ class QTPoly:
 
     def t_degree(self) -> int:
         return max((kt for (_, kt) in self.coeffs), default=-1)
-
-    def q_degree(self) -> int:
-        return max((kq for (kq, _) in self.coeffs), default=-1)
 
 
 def alpha_A(n: int, K: int) -> int:

@@ -11,6 +11,8 @@ from typing import Iterator
 
 from .rootsys import RootSystem
 
+Seed = tuple[int, int, int]  # a DFS state (start, ideal mask, blocked mask)
+
 
 def mask_indices(mask: int) -> list[int]:
     out = []
@@ -42,12 +44,11 @@ def ideal_minimal_elements(rs: RootSystem, ideal: int) -> int:
     return mask
 
 
-def walk(rs: RootSystem, seed: tuple[int, int, int] = (0, 0, 0)) -> Iterator[int]:
-    """Every ideal in the search subtree below `seed`, a DFS state
-    (start, ideal mask, blocked mask): the ideals whose antichain extends
-    the seed's with roots of index >= start, where `blocked` holds every
-    root comparable to one already chosen.  The default seed is the root
-    of the whole tree."""
+def walk(rs: RootSystem, seed: Seed = (0, 0, 0)) -> Iterator[int]:
+    """Every ideal in the search subtree below `seed`: the ideals whose
+    antichain extends the seed's with roots of index >= start, where
+    `blocked` holds every root comparable to one already chosen.  The
+    default seed is the root of the whole tree."""
     filters = rs.filter_masks
     comparable = rs.comparable_masks
     size = len(filters)
@@ -60,21 +61,12 @@ def walk(rs: RootSystem, seed: tuple[int, int, int] = (0, 0, 0)) -> Iterator[int
                 stack.append((i + 1, ideal | filters[i], blocked | comparable[i]))
 
 
-def partition_seeds(rs: RootSystem, depth: int) -> list[tuple[int, int, int]]:
-    """Split the antichain search into independent subtrees by fixing the
-    membership of the first `depth` roots.  Each seed is a DFS state
-    (start, ideal mask, blocked mask); the subtrees cover every ideal
-    exactly once."""
-    depth = max(0, min(depth, len(rs)))
-    seeds = [(depth, 0, 0)]
-    for i in range(depth):
-        extended = [
-            (depth, ideal | rs.filter_masks[i], blocked | rs.comparable_masks[i])
-            for _, ideal, blocked in seeds
-            if not (blocked >> i) & 1
-        ]
-        seeds += extended
-    return seeds
+def partition_seeds(rs: RootSystem) -> list[Seed]:
+    """The children of the walk's root, as DFS states: the empty ideal
+    alone, then for each root i the subtree of antichains whose least
+    index is i.  Their walks cover every ideal exactly once."""
+    children = zip(range(1, len(rs) + 1), rs.filter_masks, rs.comparable_masks)
+    return [(len(rs), 0, 0), *children]
 
 
 def enumerate_ideal_masks(rs: RootSystem) -> list[int]:

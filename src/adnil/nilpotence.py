@@ -14,12 +14,14 @@ import math
 import os
 import time
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from multiprocessing import Pool
+from typing import Iterable, Iterator
 
-from .ideals import partition_seeds, walk
+from .ideals import Seed, partition_seeds, walk
 from .rootsys import FAMILIES, RootSystem, build_root_system
 
 Partition = tuple[int, ...]
@@ -394,22 +396,26 @@ def _worker_init(label: str, method: str, deadline: float) -> None:
     _WORKER_STATE = (build_root_system(label), method, deadline)
 
 
-def _worker_run(seed: tuple[int, int, int]) -> Counter:
+def _worker_run(seed: Seed) -> Counter:
     return _seed_histogram(*_WORKER_STATE, seed)
 
 
-def _seed_histogram(
-    rs: RootSystem, method: str, deadline: float, seed: tuple[int, int, int]
-) -> Counter:
-    """Histogram of one search subtree.  The clock (`time.monotonic`, the
-    same in every process) is read once per block of ideals, and a block
-    starting past `deadline` raises TimeoutError."""
-    classify = _class_function(rs, method)
-    ideals = walk(rs, seed)
-    hist: Counter = Counter()
+def budget_blocks(ideals: Iterable[int], deadline: float) -> Iterator[list[int]]:
+    """Cut an ideal iterator into blocks of `BUDGET_BLOCK`.  The clock
+    (`time.monotonic`, the same in every process) is read once per block,
+    and a block drawn past `deadline` raises TimeoutError."""
+    ideals = iter(ideals)
     while block := list(islice(ideals, BUDGET_BLOCK)):
         if time.monotonic() > deadline:
             raise TimeoutError(BUDGET_MESSAGE)
+        yield block
+
+
+def _seed_histogram(rs: RootSystem, method: str, deadline: float, seed: Seed) -> Counter:
+    """Histogram of one search subtree, within the deadline."""
+    classify = _class_function(rs, method)
+    hist: Counter = Counter()
+    for block in budget_blocks(walk(rs, seed), deadline):
         hist.update(map(classify, block))
     return hist
 
@@ -444,28 +450,22 @@ def class_distribution(
 ) -> dict[int, int]:
     """Histogram {class: count} over every ideal of the root system.
 
-    The antichain search is split into independent subtrees (seeds) so it
-    can fan out across processes; results merge by addition, so the
-    histogram is deterministic for any worker count.  `budget` caps wall
-    time in seconds, checked in every process each `BUDGET_BLOCK` ideals;
-    `progress` is called with (done, total) seed counts.
+    The walk's first-level subtrees (seeds) are classified one by one, or
+    fanned out across a pool of processes; results merge by addition, so
+    the histogram is deterministic for any worker count.  `budget` caps
+    wall time in seconds, checked in every process each `BUDGET_BLOCK`
+    ideals; `progress` is called with (done, total) seed counts.
     """
     nworkers = resolve_workers(workers)
-    depth = min(rs.lie_type.rank, 8) if nworkers > 1 or len(rs) >= 100 else 0
-    seeds = partition_seeds(rs, depth)
+    seeds = partition_seeds(rs)
     deadline = math.inf if budget is None else time.monotonic() + budget
+    run = partial(_seed_histogram, rs, method, deadline)
+    initargs = (str(rs.lie_type), method, deadline)
     hist: Counter = Counter()
-    if nworkers > 1 and len(seeds) > 1:
-        initargs = (str(rs.lie_type), method, deadline)
-        with Pool(nworkers, initializer=_worker_init, initargs=initargs) as pool:
-            parts = pool.imap_unordered(_worker_run, seeds)
-            for done, part in enumerate(parts, 1):
-                hist.update(part)
-                if progress:
-                    progress(done, len(seeds))
-    else:
-        for done, seed in enumerate(seeds, 1):
-            hist.update(_seed_histogram(rs, method, deadline, seed))
+    with Pool(nworkers, _worker_init, initargs) if nworkers > 1 else nullcontext() as pool:
+        parts = pool.imap_unordered(_worker_run, seeds) if pool else map(run, seeds)
+        for done, part in enumerate(parts, 1):
+            hist.update(part)
             if progress:
                 progress(done, len(seeds))
     return dict(sorted(hist.items()))

@@ -17,7 +17,3 @@ EXCEPTIONAL_CLASS_COUNTS: dict[str, tuple[int, ...]] = {
         40, 30, 18, 14, 7, 5, 3, 2, 0, 1,
     ),
 }
-
-EXCEPTIONAL_TOTALS: dict[str, int] = {
-    name: sum(row) for name, row in EXCEPTIONAL_CLASS_COUNTS.items()
-}

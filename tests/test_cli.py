@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from adnil.checks import CheckResult
-from adnil.cli import MAX_IDEALS, format_distribution, main, parse_distribution
+from adnil.checks import MAX_IDEALS, CheckResult
+from adnil.cli import format_distribution, main, parse_distribution
 from adnil.rootsys import total_count_formula
 
 G2_TABLE = "K,count\n0,1\n1,3\n2,2\n3,1\n4,0\n5,1\ntotal,8\n"
@@ -348,17 +348,25 @@ def test_verify_max_rank_holds(capsys: pytest.CaptureFixture) -> None:
 
 def test_preflight_refuses_huge_types(capsys: pytest.CaptureFixture) -> None:
     assert total_count_formula("A14") <= MAX_IDEALS < total_count_formula("A15")
-    for command in ("table", "enumerate"):
+    too_many = "ideals, more than the 10000000 a run may enumerate"
+    agreement = sum(total_count_formula(f"A{n}") for n in range(1, 21))
+    cases = [
+        (["table", "--type", "A20"], f"A20 has 24466267020 {too_many}"),
+        (["enumerate", "--type", "A20"], f"A20 has 24466267020 {too_many}"),
+        (["verify", "--suite", "agreement", "--family", "A", "--max-rank", "20"],
+         f"the agreement suite has {agreement} {too_many}"),
+        (["qt", "--type", "A30"], "qt sums over 2^30 chains; ranks above 18 are refused"),
+        (["qt", "--type", "C30"], "qt sums over 2^30 chains; ranks above 18 are refused"),
+    ]
+    for argv, message in cases:
         started = time.monotonic()
-        code = main([command, "--type", "A20"])
+        code = main(argv)
         elapsed = time.monotonic() - started
         captured = capsys.readouterr()
-        assert code == 2
-        assert elapsed < 1.0
+        assert code == 2, argv
+        assert elapsed < 1.0, argv
         assert captured.out == ""
-        assert captured.err == (
-            "error: A20 has 24466267020 ideals, more than the 10000000 a run may enumerate\n"
-        )
+        assert captured.err == f"error: {message}\n"
 
 
 def test_console_module_invocation() -> None:

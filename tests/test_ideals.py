@@ -8,6 +8,7 @@ from adnil import (
     ideal_minimal_elements,
     total_count_formula,
 )
+from adnil.checks import SMALL_TYPES
 from adnil.ideals import (
     enumerate_ideal_masks,
     is_upward_closed,
@@ -87,17 +88,18 @@ def test_empty_antichain_gives_zero_ideal() -> None:
 
 
 def test_partition_seeds_cover_exactly_once() -> None:
-    for label, depth in [("A3", 2), ("B3", 3), ("C4", 5)]:
+    for label in SMALL_TYPES:
         rs = build_root_system(label)
-        combined: list[int] = []
-        for seed in partition_seeds(rs, depth):
-            combined.extend(walk(rs, seed))
+        seeds = partition_seeds(rs)
+        assert seeds[0] == (len(rs), 0, 0) and len(seeds) == len(rs) + 1, label
+        combined = [ideal for seed in seeds for ideal in walk(rs, seed)]
         assert sorted(combined) == enumerate_ideal_masks(rs), label
-        assert len(combined) == len(set(combined)), label
 
 
-def test_partition_depth_extremes() -> None:
-    rs = build_root_system("A2")
-    assert partition_seeds(rs, 0) == [(0, 0, 0)]
-    full = partition_seeds(rs, len(rs))
-    assert len(full) == total_count_formula(rs.lie_type)
+def test_partition_seeds_are_balanced() -> None:
+    # a pool can only be as fast as its largest seed
+    for label in ("E8", "A10", "B8", "C8", "D8"):
+        rs = build_root_system(label)
+        sizes = [sum(1 for _ in walk(rs, seed)) for seed in partition_seeds(rs)]
+        assert sum(sizes) == total_count_formula(rs), label
+        assert max(sizes) <= 0.3 * sum(sizes), (label, max(sizes), sum(sizes))

@@ -27,7 +27,7 @@ from adnil import (
 )
 from adnil.checks import SMALL_TYPES
 from adnil.ideals import enumerate_ideal_masks
-from adnil.nilpotence import ROUTES, ideal_rows, resolve_workers
+from adnil.nilpotence import ROUTES, _seed_histogram, ideal_rows, resolve_workers
 
 
 def test_hand_counted_distributions() -> None:
@@ -277,8 +277,8 @@ def test_method_family_validation() -> None:
 
 
 def test_parallel_distribution_matches_serial() -> None:
-    # the pool splits seeds at depth min(rank, 8): cover shallow and deep
-    # splits in every classical family
+    # the pool takes the walk's first-level subtrees as seeds: cover
+    # every classical family
     for label in ("C4", "A8", "B6", "C6", "D6"):
         rs = build_root_system(label)
         assert class_distribution(rs, workers=2) == class_distribution(rs, workers=1), label
@@ -292,11 +292,20 @@ def test_budget_timeout() -> None:
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_budget_holds_inside_a_seed(workers: int) -> None:
-    # serially, A10 is one seed of 58786 ideals and takes about 3 s whole
+    # A10 has 58786 ideals and takes about 1 s whole
     rs = build_root_system("A10")
     started = time.monotonic()
     with pytest.raises(TimeoutError):
         class_distribution(rs, workers=workers, budget=0.05)
+    assert time.monotonic() - started < 1.5
+
+
+def test_budget_holds_inside_the_root_seed() -> None:
+    # the whole walk as one seed: only a check between blocks can stop it
+    rs = build_root_system("A10")
+    started = time.monotonic()
+    with pytest.raises(TimeoutError):
+        _seed_histogram(rs, "oracle", started + 0.05, (0, 0, 0))
     assert time.monotonic() - started < 1.5
 
 
