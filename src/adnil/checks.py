@@ -9,8 +9,6 @@ paths.
 """
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass
 
 from . import closedform, genfun
@@ -18,6 +16,7 @@ from .ideals import enumerate_ideal_masks
 from .nilpotence import (
     ROUTES,
     budget_blocks,
+    budget_deadline,
     class_distribution,
     joint_histogram,
     nilpotence_oracle,
@@ -83,7 +82,7 @@ def suite_agreement(
         top = tops[fam] if max_rank is None else max_rank
         labels += [f"{fam}{n}" for n in range(1 if fam == "A" else 2, top + 1)]
     refuse_huge("the agreement suite", sum(map(total_count_formula, labels)))
-    deadline = math.inf if budget is None else time.monotonic() + budget
+    deadline = budget_deadline(budget)
     results = []
     for label in labels:
         rs = build_root_system(label)

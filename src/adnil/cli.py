@@ -20,7 +20,13 @@ from .checks import SUITES, refuse_huge, run_suite
 from .closedform import catalan_qt, gamma_qt
 from .genfun import family_series
 from .ideals import enumerate_ideal_masks
-from .nilpotence import ROUTES, class_distribution, classify_ideal, resolve_workers
+from .nilpotence import (
+    ROUTES,
+    budget_deadline,
+    class_distribution,
+    classify_ideal,
+    resolve_workers,
+)
 from .rootsys import LieType, RootSystem, build_root_system, total_count_formula
 
 # `qt` sums over 2^rank chains: A16 takes about 12 s and each further rank
@@ -381,8 +387,11 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
 def main(argv: list[str] | None = None) -> int:
     cfg = parse_config(argv)
     try:
+        # refuse a bad count or budget for every command, also where unused
         if cfg.workers is not None:
-            resolve_workers(cfg.workers)  # refuse a bad count for every command
+            resolve_workers(cfg.workers)
+        if cfg.budget is not None:
+            budget_deadline(cfg.budget)
         return COMMANDS[cfg.command](cfg)
     except TimeoutError as exc:  # an OSError, so caught before the others
         print(f"error: {exc}", file=sys.stderr)

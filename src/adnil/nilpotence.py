@@ -116,40 +116,33 @@ def staircase_filling(parts: Partition, n: int) -> list[list[int]]:
     t[i][k] + t[n-k+2][j] over k > j.  Entry (1,1) is the class of
     nilpotence of the corresponding type-A ideal.
     """
-    lam = _pad(parts, n)
-    t = [[0] * (n - i + 1) for i in range(1, n + 1)]
-
-    def lam_at(i: int) -> int:
-        return lam[i - 1] if i <= n else 0
-
-    for s in range(n + 1, 1, -1):
-        for i in range(max(1, s - n), n + 1):
-            j = s - i
-            if j < 1 or j > n - i + 1:
-                continue
-            if j > lam_at(i):
-                continue
-            if lam_at(i) == j and lam_at(i + 1) < j:
-                t[i - 1][j - 1] = 1
+    lam = _pad(parts, n) + [0]
+    t = [[0] * (n - i) for i in range(n)]
+    # 0-based: t[i][j] reads row i right of j and column j below row i
+    for i in range(n - 1, -1, -1):
+        row = t[i]
+        for j in range(lam[i] - 1, -1, -1):
+            if j == lam[i] - 1 and lam[i + 1] <= j:
+                row[j] = 1  # outer corner
                 continue
             best = 0
-            for k in range(j + 1, n - i + 2):
-                cand = t[i - 1][k - 1] + t[n - k + 2 - 1][j - 1]
+            for k in range(j + 1, n - i):
+                cand = row[k] + t[n - k][j]
                 if cand > best:
                     best = cand
-            t[i - 1][j - 1] = best
+            row[j] = best
     return t
 
 
 def nilpotence_from_partition(parts: Partition, n: int) -> int:
     """Truncation recursion: drop the first n+1-p rows of a diagram with
-    first part p, shrink the ambient staircase to p-1, and count steps."""
+    first part p, shrink the ambient staircase to p-1, and count steps.
+    The rows kept fit the smaller staircase, so they are checked once."""
     lam = _pad(parts, n)
     steps = 0
-    while any(lam):
-        first = lam[0]
-        lam = _pad(lam[n + 1 - first :], first - 1)
-        n = first - 1
+    while lam and lam[0]:
+        lam = lam[n + 1 - lam[0] :]
+        n = len(lam)
         steps += 1
     return steps
 
@@ -172,32 +165,41 @@ def zigzag_class(parts: Partition, n: int) -> int:
 # types B, C, D: shifted diagrams and symmetric completions
 
 
+def _completion_size(family: str, n: int) -> int:
+    """Staircase size of the completions of B, C or D ideals of rank n."""
+    return 2 * n - 1 if family in "BC" else 2 * n - 2
+
+
 def symmetric_completion(parts: Partition, family: str, n: int) -> Partition:
     """Complete a shifted diagram to the ordinary diagram matching the
     mirror pairing of the staircase arrangement.
 
     Type C mirrors across the main diagonal.  Types B and D mirror cell
     (i, j) to (j+1, i-1) and add the off-diagonal cell (i, i-1) to every
-    nonempty row below the first.
+    nonempty row below the first.  So row r of the completion has length
+    a_r + #{i < r : i + a_i - 1 >= r} in type C, and in types B and D
+    a_r + [a_r > 0 and r >= 2] + #{2 <= i < r : i + a_i >= r}.
     """
     if family not in "BCD":
         raise ValueError(f"no completion for family {family!r}")
-    cells = set()
-    for i, a in enumerate(parts, start=1):
-        for j in range(i, i + a):
-            cells.add((i, j))
-    if family == "C":
-        cells |= {(j, i) for i, j in list(cells)}
-    else:
-        cells |= {(j + 1, i - 1) for i, j in list(cells) if i >= 2}
-        cells |= {(i, i - 1) for i, a in enumerate(parts, start=1) if a and i >= 2}
-    size = 2 * n - 1 if family in "BC" else 2 * n - 2
-    lam = [0] * size
-    for i, j in cells:
-        lam[i - 1] += 1
-    for i, j in cells:  # completions of ideals are left-justified
-        if j > lam[i - 1]:
-            raise AssertionError("completion is not a Ferrers diagram")
+    shift = family != "C"  # B and D mirror row i to column i-1, row 1 to none
+    size = _completion_size(family, n)
+    rows = [*parts] + [0] * (size - len(parts))
+    mirrored = [0] * (size + 1)  # difference array of the mirrored cells per row
+    lam = rows[:shift]
+    m = 0
+    above = math.inf
+    for r, a in enumerate(rows[shift:], start=1 + shift):
+        m += mirrored[r - 1]
+        a += shift and a > 0  # the off-diagonal cell (r, r-1)
+        last = r + a - 1  # a nonempty row r mirrors into rows r+1..last
+        if a:
+            if last > above:  # a shorter reach above leaves a gap in row `last` or r
+                raise AssertionError("completion is not a Ferrers diagram")
+            mirrored[r] += 1
+            mirrored[last] -= 1
+        above = last
+        lam.append(m + a)
     while lam and lam[-1] == 0:
         lam.pop()
     return tuple(lam)
@@ -208,8 +210,7 @@ def nilpotence_via_completion(rs: RootSystem, ideal: int) -> int:
     family = rs.lie_type.family
     n = rs.lie_type.rank
     lam = symmetric_completion(ideal_rows(rs, ideal), family, n)
-    size = 2 * n - 1 if family in "BC" else 2 * n - 2
-    return nilpotence_from_partition(lam, size)
+    return nilpotence_from_partition(lam, _completion_size(family, n))
 
 
 # ---------------------------------------------------------------------------
@@ -338,20 +339,9 @@ def two_ray_classify(parts: Partition, n: int, family: str) -> TwoRayResult:
 # distributions
 
 
-def _filling_class(rs: RootSystem, ideal: int) -> int:
-    return staircase_filling(ideal_rows(rs, ideal), rs.lie_type.rank)[0][0]
-
-
-def _recursion_class(rs: RootSystem, ideal: int) -> int:
-    return nilpotence_from_partition(ideal_rows(rs, ideal), rs.lie_type.rank)
-
-
-def _zigzag_class(rs: RootSystem, ideal: int) -> int:
-    return zigzag_class(ideal_rows(rs, ideal), rs.lie_type.rank)
-
-
-def _ray_class(rs: RootSystem, ideal: int) -> int:
-    return single_ray_class(ideal_rows(rs, ideal), rs.lie_type.rank)
+def _on_rows(diagram_class):
+    """The route of a diagram algorithm, which takes (row lengths, rank)."""
+    return lambda rs, ideal: diagram_class(ideal_rows(rs, ideal), rs.lie_type.rank)
 
 
 def _tworay_class(rs: RootSystem, ideal: int) -> int:
@@ -363,11 +353,11 @@ def _tworay_class(rs: RootSystem, ideal: int) -> int:
 # applies everywhere, every other route is checked against it
 ROUTES = {
     "oracle": (FAMILIES, nilpotence_oracle),
-    "filling": ("A", _filling_class),
-    "recursion": ("A", _recursion_class),
-    "zigzag": ("A", _zigzag_class),
+    "filling": ("A", _on_rows(lambda parts, n: staircase_filling(parts, n)[0][0])),
+    "recursion": ("A", _on_rows(nilpotence_from_partition)),
+    "zigzag": ("A", _on_rows(zigzag_class)),
     "completion": ("BCD", nilpotence_via_completion),
-    "ray": ("C", _ray_class),
+    "ray": ("C", _on_rows(single_ray_class)),
     "tworay": ("BD", _tworay_class),
 }
 
@@ -409,6 +399,15 @@ def budget_blocks(ideals: Iterable[int], deadline: float) -> Iterator[list[int]]
         if time.monotonic() > deadline:
             raise TimeoutError(BUDGET_MESSAGE)
         yield block
+
+
+def budget_deadline(budget: float | None) -> float:
+    """`time.monotonic` deadline for a cap of `budget` seconds, inf for None
+    or inf.  A cap that is not positive raises ValueError, nan included:
+    no clock reading exceeds `monotonic() + nan`."""
+    if budget is not None and not budget > 0:
+        raise ValueError(f"budget must be a positive number of seconds, got {budget}")
+    return math.inf if budget is None else time.monotonic() + budget
 
 
 def _seed_histogram(rs: RootSystem, method: str, deadline: float, seed: Seed) -> Counter:
@@ -456,9 +455,9 @@ def class_distribution(
     wall time in seconds, checked in every process each `BUDGET_BLOCK`
     ideals; `progress` is called with (done, total) seed counts.
     """
-    nworkers = resolve_workers(workers)
+    deadline = budget_deadline(budget)
     seeds = partition_seeds(rs)
-    deadline = math.inf if budget is None else time.monotonic() + budget
+    nworkers = min(resolve_workers(workers), len(seeds))  # a process idles without a seed
     run = partial(_seed_histogram, rs, method, deadline)
     initargs = (str(rs.lie_type), method, deadline)
     hist: Counter = Counter()

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import io
 import json
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adnil.checks import MAX_IDEALS, CheckResult
 from adnil.cli import format_distribution, main, parse_distribution
+from adnil.nilpotence import ROUTES
 from adnil.rootsys import total_count_formula
 
 G2_TABLE = "K,count\n0,1\n1,3\n2,2\n3,1\n4,0\n5,1\ntotal,8\n"
@@ -331,6 +334,23 @@ def test_nonpositive_workers_exit_two(capsys: pytest.CaptureFixture) -> None:
             assert captured.out == ""
 
 
+def test_nonpositive_budget_exit_two(capsys: pytest.CaptureFixture) -> None:
+    # nan too: a deadline of now + nan is never passed
+    commands = (["table", "--type", "A9", "--workers", "1"],
+                ["verify", "--suite", "agreement"], ["verify", "--suite", "table1"])
+    for command in commands:
+        for budget in ("nan", "0", "-1"):
+            started = time.monotonic()
+            code = main(command + ["--budget", budget])
+            captured = capsys.readouterr()
+            assert code == 2, (command, budget)
+            assert time.monotonic() - started < 1.0
+            assert captured.err == (
+                f"error: budget must be a positive number of seconds, got {float(budget)}\n"
+            )
+            assert captured.out == ""
+
+
 def test_verify_max_rank_holds(capsys: pytest.CaptureFixture) -> None:
     # a rank below 1 is refused, and so is a run left with no check at all
     for extra in (["--max-rank", "0"], ["--max-rank", "-1"],
@@ -378,3 +398,66 @@ def test_console_module_invocation() -> None:
     )
     assert proc.returncode == 0
     assert proc.stdout == G2_TABLE
+
+
+# Real flags with cheap values: ranks up to 4, orders up to 30, the agreement
+# suite up to rank 3, and a few good and bad worker counts and budgets.
+FAMILY = st.sampled_from("ABCDEFG")
+RANK = st.integers(-1, 4).map(str)
+TYPE_ARGS = st.one_of(
+    st.tuples(FAMILY, RANK).map(lambda fr: ["--type", "".join(fr)]),
+    st.tuples(FAMILY, RANK).map(lambda fr: ["--type", fr[0], "--rank", fr[1]]),
+    st.tuples(FAMILY, RANK).map(lambda fr: ["--family", fr[0], "--rank", fr[1]]),
+    st.just([]),
+)
+FORMAT = st.sampled_from([[], ["--format", "csv"], ["--format", "json"]])
+METHOD = st.sampled_from([[]] + [["--method", m] for m in ROUTES])
+WORKERS = st.sampled_from([[]] + [["--workers", w] for w in ("-1", "0", "1", "2", "x")])
+BUDGET = st.sampled_from([[]] + [["--budget", b] for b in ("nan", "-1", "0", "1e-9", "inf", "x")])
+
+
+def _argv(command: str, *groups: st.SearchStrategy) -> st.SearchStrategy:
+    return st.tuples(*groups).map(lambda drawn: [command, *(a for g in drawn for a in g)])
+
+
+ARGV = st.one_of(
+    _argv("roots", TYPE_ARGS, FORMAT),
+    _argv("enumerate", TYPE_ARGS, METHOD, FORMAT),
+    _argv("table", TYPE_ARGS, METHOD, WORKERS, BUDGET, FORMAT),
+    _argv("qt", TYPE_ARGS, FORMAT),
+    _argv(
+        "gf",
+        st.sampled_from([[]] + [["--family", f] for f in "ABCDE"]),
+        st.tuples(st.sampled_from(["--le", "--exact"]), st.integers(-1, 5).map(str)).map(list),
+        st.sampled_from([[], ["--order", "-1"], ["--order", "0"]])
+        | st.integers(1, 30).map(lambda k: ["--order", str(k)]),
+        FORMAT,
+    ),
+    _argv("verify", st.just(["--suite", "series"]), WORKERS, BUDGET, FORMAT),
+    _argv(
+        "verify",
+        st.just(["--suite", "agreement"]),
+        st.sampled_from([[]] + [["--family", f] for f in "ABCD"]),
+        st.integers(-1, 3).map(lambda k: ["--max-rank", str(k)]),
+        st.sampled_from([[], ["--keep-going"]]),
+        WORKERS,
+        BUDGET,
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ARGV)
+def test_cli_argv_fuzz(argv: list[str]) -> None:
+    # every run ends in status 0, 1 or 2, or in argparse's usage exit;
+    # any other exception escaping main is a bug
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            return
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, argv

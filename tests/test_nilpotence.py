@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
 import time
 from functools import cache
+from itertools import product
 from operator import add
 from pathlib import Path
 
@@ -25,9 +27,17 @@ from adnil import (
     upward_ray_bound,
     zigzag_class,
 )
-from adnil.checks import SMALL_TYPES
-from adnil.ideals import enumerate_ideal_masks
-from adnil.nilpotence import ROUTES, _seed_histogram, ideal_rows, resolve_workers
+from adnil import nilpotence
+from adnil.checks import SMALL_TYPES, suite_agreement
+from adnil.cli import main
+from adnil.ideals import enumerate_ideal_masks, partition_seeds
+from adnil.nilpotence import (
+    ROUTES,
+    _seed_histogram,
+    budget_deadline,
+    ideal_rows,
+    resolve_workers,
+)
 
 
 def test_hand_counted_distributions() -> None:
@@ -154,10 +164,44 @@ def test_diagram_routes_reject_non_ideal() -> None:
                 classify_ideal(rs, mask, method)
 
 
+def filling_by_anti_diagonals(parts: tuple[int, ...], n: int) -> list[list[int]]:
+    """Reference: the staircase filling as an anti-diagonal sweep over every
+    staircase cell, skipping the cells outside the diagram."""
+    lam = list(parts) + [0] * (n - len(parts))
+    t = [[0] * (n - i + 1) for i in range(1, n + 1)]
+
+    def lam_at(i: int) -> int:
+        return lam[i - 1] if i <= n else 0
+
+    for s in range(n + 1, 1, -1):
+        for i in range(max(1, s - n), n + 1):
+            j = s - i
+            if j < 1 or j > n - i + 1:
+                continue
+            if j > lam_at(i):
+                continue
+            if lam_at(i) == j and lam_at(i + 1) < j:
+                t[i - 1][j - 1] = 1
+                continue
+            best = 0
+            for k in range(j + 1, n - i + 2):
+                cand = t[i - 1][k - 1] + t[n - k + 2 - 1][j - 1]
+                if cand > best:
+                    best = cand
+            t[i - 1][j - 1] = best
+    return t
+
+
 def test_staircase_filling_hand_example() -> None:
     # corners get 1, the inner cell adds the best hook split
     assert staircase_filling((2, 1), 2) == [[2, 1], [1]]
     assert staircase_filling((1,), 1) == [[1]]
+    # the whole table, not just entry (1,1), on every ideal of A1..A7
+    for n in range(1, 8):
+        rs = build_root_system(f"A{n}")
+        for mask in enumerate_ideal_masks(rs):
+            parts = ideal_rows(rs, mask)
+            assert staircase_filling(parts, n) == filling_by_anti_diagonals(parts, n), parts
 
 
 def test_truncation_recursion_agrees_with_filling() -> None:
@@ -235,6 +279,54 @@ def test_symmetric_completion_type_c_mirrors() -> None:
     assert symmetric_completion((), "C", 3) == ()
 
 
+def completion_by_cells(parts: tuple[int, ...], family: str, n: int) -> tuple[int, ...]:
+    """Reference: the symmetric completion built as a set of cells."""
+    cells = set()
+    for i, a in enumerate(parts, start=1):
+        for j in range(i, i + a):
+            cells.add((i, j))
+    if family == "C":
+        cells |= {(j, i) for i, j in list(cells)}
+    else:
+        cells |= {(j + 1, i - 1) for i, j in list(cells) if i >= 2}
+        cells |= {(i, i - 1) for i, a in enumerate(parts, start=1) if a and i >= 2}
+    size = 2 * n - 1 if family in "BC" else 2 * n - 2
+    lam = [0] * size
+    for i, j in cells:
+        lam[i - 1] += 1
+    for i, j in cells:
+        if j > lam[i - 1]:
+            raise AssertionError("completion is not a Ferrers diagram")
+    while lam and lam[-1] == 0:
+        lam.pop()
+    return tuple(lam)
+
+
+@pytest.mark.parametrize("family", "BCD")
+def test_symmetric_completion_matches_cell_sets(family: str) -> None:
+    # every tuple of at most n rows, each no longer than its row of the
+    # shifted staircase (2n-1, 2n-3, ... cells in B and C, 2n-2, ... in D)
+    outcomes = set()
+    for n in range(2, 5):
+        size = 2 * n - 1 if family in "BC" else 2 * n - 2
+        fits = [range(size - 2 * i + 1) for i in range(n)]
+        for length in range(n + 1):
+            for parts in product(*fits[:length]):
+                try:
+                    want = completion_by_cells(parts, family, n)
+                except AssertionError:
+                    outcomes.add("raised")
+                    with pytest.raises(AssertionError, match="not a Ferrers diagram"):
+                        symmetric_completion(parts, family, n)
+                else:
+                    outcomes.add("returned")
+                    assert symmetric_completion(parts, family, n) == want, parts
+    assert outcomes == {"raised", "returned"}
+    for parts in [(1, 3), (0, 2), (1, 0, 1)]:
+        with pytest.raises(AssertionError, match="not a Ferrers diagram"):
+            symmetric_completion(parts, "C", 3)
+
+
 def test_shifted_diagrams_exist_for_all_ideals() -> None:
     for label in ["B3", "C3", "D4", "D5"]:
         rs = build_root_system(label)
@@ -307,6 +399,56 @@ def test_budget_holds_inside_the_root_seed() -> None:
     with pytest.raises(TimeoutError):
         _seed_histogram(rs, "oracle", started + 0.05, (0, 0, 0))
     assert time.monotonic() - started < 1.5
+
+
+def test_budget_must_be_positive() -> None:
+    # a deadline of monotonic() + nan is never passed, so nan is refused
+    # with the nonpositive budgets; inf is no cap, like None
+    rs = build_root_system("A2")
+    for budget in (math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="budget must be a positive number"):
+            class_distribution(rs, workers=1, budget=budget)
+        with pytest.raises(ValueError, match="budget must be a positive number"):
+            suite_agreement("A", 2, budget=budget)
+    assert budget_deadline(None) == budget_deadline(math.inf) == math.inf
+    assert class_distribution(rs, workers=1, budget=math.inf) == {0: 1, 1: 3, 2: 1}
+    assert all(row.passed for row in suite_agreement("A", 2, budget=math.inf))
+
+
+def test_pool_is_capped_at_the_seed_count(
+    monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture
+) -> None:
+    # a stand-in pool that records its size and runs in this process, so
+    # no request below starts a real process, however large
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, processes: int, initializer, initargs: tuple) -> None:
+            requested.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self) -> "RecordingPool":
+            return self
+
+        def __exit__(self, *exc: object) -> None:
+            pass
+
+        def imap_unordered(self, func, items):
+            return map(func, items)
+
+    monkeypatch.setattr(nilpotence, "Pool", RecordingPool)
+    monkeypatch.setattr(nilpotence, "_WORKER_STATE", None)
+    rs = build_root_system("A1")
+    assert len(partition_seeds(rs)) == 2
+    assert class_distribution(rs, workers=10**9) == {0: 1, 1: 1}
+    monkeypatch.setenv("ADNIL_WORKERS", str(10**9))
+    assert class_distribution(rs) == {0: 1, 1: 1}
+    assert main(["table", "--type", "A1", "--workers", str(10**9)]) == 0
+    assert capsys.readouterr().out == "K,count\n0,1\n1,1\ntotal,2\n"
+    assert requested == [2, 2, 2]
+    # a cap of one runs serially, with no pool at all
+    assert class_distribution(rs, workers=1) == {0: 1, 1: 1}
+    assert requested == [2, 2, 2]
 
 
 def test_resolve_workers(monkeypatch: pytest.MonkeyPatch) -> None:
