@@ -31,7 +31,6 @@ from .nilpotence import (
     zigzag_class,
 )
 from .closedform import (
-    QTPoly,
     alpha_A,
     c4_count,
     catalan_qt,
@@ -43,7 +42,6 @@ from .closedform import (
     t_binomial,
 )
 from .genfun import (
-    LaurentPoly,
     PowerSeries,
     chebyshev_u,
     gf_A_le,

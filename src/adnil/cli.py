@@ -33,6 +33,12 @@ from .rootsys import LieType, RootSystem, build_root_system, total_count_formula
 # doubles that, so rank 18 (about a minute for A18) is the last one run
 MAX_QT_RANK = 18
 
+# `gf` at class 500 and order 2000 takes about 4 s in its slowest family
+# (B or D, exact class); the cost grows with the square of the class and
+# of the order (class 1000 at order 2000 takes 15-18 s), so no more is run
+MAX_GF_CLASS = 500
+MAX_GF_ORDER = 2000
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -233,6 +239,11 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_gf(cfg: RunConfig) -> int:
     kind, bound = ("exact", cfg.exact) if cfg.le is None else ("le", cfg.le)
+    if bound > MAX_GF_CLASS or cfg.order > MAX_GF_ORDER:
+        raise ValueError(
+            f"gf expands classes up to {MAX_GF_CLASS} and orders up to {MAX_GF_ORDER}, "
+            f"got class {bound} and order {cfg.order}"
+        )
     series = family_series(cfg.family, bound, cfg.order, exact=kind == "exact")
     coeffs = [series[n] for n in range(cfg.order + 1)]
     if cfg.format == "json":
@@ -257,8 +268,8 @@ def cmd_qt(cfg: RunConfig) -> int:
     n = cfg.lie_type.rank
     if n > MAX_QT_RANK:
         raise ValueError(f"qt sums over 2^{n} chains; ranks above {MAX_QT_RANK} are refused")
-    poly = catalan_qt(n) if cfg.lie_type.family == "A" else gamma_qt(n)
-    terms = sorted(poly.coeffs.items())
+    coeffs = catalan_qt(n) if cfg.lie_type.family == "A" else gamma_qt(n)
+    terms = sorted(coeffs.items())
     if cfg.format == "json":
         doc = {
             "type": str(cfg.lie_type),

@@ -10,7 +10,6 @@ tuples of adnil.poly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
@@ -34,32 +33,6 @@ def t_binomial(m: int, n: int) -> poly.Poly:
     return num
 
 
-@dataclass(frozen=True)
-class QTPoly:
-    """Bivariate polynomial, coefficient map (q-degree, t-degree) -> int."""
-
-    coeffs: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        clean = {k: v for k, v in self.coeffs.items() if v}
-        object.__setattr__(self, "coeffs", clean)
-
-    def evaluate(self, q: int, t: int) -> int:
-        return sum(c * q**kq * t**kt for (kq, kt), c in self.coeffs.items())
-
-    def q_slice(self, q_deg: int) -> poly.Poly:
-        """Coefficient of q^q_deg as a polynomial in t."""
-        top = max((kt for (kq, kt) in self.coeffs if kq == q_deg), default=-1)
-        out = [0] * (top + 1)
-        for (kq, kt), c in self.coeffs.items():
-            if kq == q_deg:
-                out[kt] = c
-        return poly.trim(out)
-
-    def t_degree(self) -> int:
-        return max((kt for (_, kt) in self.coeffs), default=-1)
-
-
 def alpha_A(n: int, K: int) -> int:
     """Number of type-A_n ideals with class exactly K: the chain multisum
     over 0 = i_0 < i_1 < ... < i_K < i_{K+1} = n+1."""
@@ -75,9 +48,10 @@ def alpha_A(n: int, K: int) -> int:
     return total
 
 
-def catalan_qt(n: int) -> QTPoly:
-    """(q,t)-Catalan refinement for type A_n: q marks the class, t the
-    dimension; specializes at (1,1) to the (n+1)st Catalan number."""
+def catalan_qt(n: int) -> dict[tuple[int, int], int]:
+    """(q,t)-Catalan refinement for type A_n, as a map (q-degree,
+    t-degree) -> coefficient: q marks the class, t the dimension.  Every
+    coefficient is positive, and they sum to the (n+1)st Catalan number."""
     out: dict[tuple[int, int], int] = {}
     for K in range(n + 1):
         for chain in combinations(range(1, n + 1), K):
@@ -93,7 +67,7 @@ def catalan_qt(n: int) -> QTPoly:
                 if c:
                     key = (K, e + shift)
                     out[key] = out.get(key, 0) + c
-    return QTPoly(out)
+    return out
 
 
 def gamma_C(n: int, K: int) -> int:
@@ -127,10 +101,11 @@ def gamma_C(n: int, K: int) -> int:
     return total
 
 
-def gamma_qt(n: int) -> QTPoly:
-    """(q,t)-analogue of the central binomial C(2n,n) for type C_n:
-    q marks the class, t the dimension.  The chain sum allows the first
-    index to go nonpositive; those terms carry an odd q-power."""
+def gamma_qt(n: int) -> dict[tuple[int, int], int]:
+    """(q,t)-analogue of the central binomial C(2n,n) for type C_n, as a
+    map (q-degree, t-degree) -> positive coefficient: q marks the class,
+    t the dimension.  The chain sum allows the first index to go
+    nonpositive; those terms carry an odd q-power."""
     out: dict[tuple[int, int], int] = {(0, 0): 1}
     for k in range(1, n + 1):
         for chain in combinations(range(1, n), k - 1):
@@ -162,22 +137,19 @@ def gamma_qt(n: int) -> QTPoly:
                         if ct:
                             key = (q_deg, exp + e + shift)
                             out[key] = out.get(key, 0) + c * ct
-    result = QTPoly(out)
-    if any(kt < 0 for (_, kt) in result.coeffs):
+    if any(kt < 0 for (_, kt) in out):
         raise AssertionError("negative t-degree")
-    return result
+    return out
 
 
 def odd_sum_product(i1: int, i2: int) -> tuple[poly.Poly, poly.Poly]:
     """Both sides of the collapse of the inner sum for i1 <= 0: the
     triangular-weighted Gaussian sum and the product (1+t)...(1+t^(i1+i2-1))."""
-    lhs: poly.Poly = ()
-    for ell in range(i2 - i1):
-        term = poly.mul(t_binomial(i1 + i2 - 1, ell), _t_monomial(comb(ell + 1, 2)))
-        lhs = poly.add(lhs, term)
-    rhs: poly.Poly = (1,)
-    for r in range(1, i1 + i2):
-        rhs = poly.mul(rhs, poly.trim([1] + [0] * (r - 1) + [1]))
+    lhs = poly.add(
+        *(poly.mul(t_binomial(i1 + i2 - 1, ell), _t_monomial(comb(ell + 1, 2)))
+          for ell in range(i2 - i1))
+    )
+    rhs = poly.mul((1,), *(poly.trim([1] + [0] * (r - 1) + [1]) for r in range(1, i1 + i2)))
     return lhs, rhs
 
 

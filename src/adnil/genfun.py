@@ -2,18 +2,22 @@
 
 The counting series live in x, but their closed forms are ratios of
 Chebyshev polynomials of the second kind evaluated at 1/(2*sqrt(x)).
-We work in the formal variable s with s**2 = x: each U_k(1/(2s)) is a
-Laurent polynomial in s, ratios are cleared to ordinary polynomials,
-and exact integer long division produces the series.  A quotient that
-is a genuine series in x has no odd powers of s; this is asserted, as is
-integrality of every coefficient.
+In t = 1/sqrt(x) each U_k(t/2) is an ordinary integer polynomial of
+degree k, so every numerator and denominator is a coefficient tuple of
+adnil.poly; a factor sqrt(x) or x of one side becomes t or t**2 on the
+other.  Exact integer long division in s = sqrt(x) = 1/t produces the
+series.  A quotient that is a genuine series in x has no odd powers of
+s; this is asserted, as is integrality of every coefficient.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 from . import poly
+
+T: poly.Poly = (0, 1)  # t = 1/sqrt(x)
+T2: poly.Poly = (0, 0, 1)  # t**2 = 1/x
 
 
 def chebyshev_u(n: int) -> poly.Poly:
@@ -33,71 +37,20 @@ def chebyshev_u(n: int) -> poly.Poly:
     return cur
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
-    """Laurent polynomial in s, coefficient map exponent -> int."""
-
-    coeffs: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", {e: c for e, c in self.coeffs.items() if c})
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + other.scale(-1)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out)
-
-    def scale(self, c: int) -> "LaurentPoly":
-        return LaurentPoly({e: c * v for e, v in self.coeffs.items()})
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by s**k."""
-        return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
-
-    def min_exponent(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no exponents")
-        return min(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-
-ONE = LaurentPoly({0: 1})
-SQRT_X = LaurentPoly({1: 1})
-X = LaurentPoly({2: 1})
-
-
-def laurent_const(c: int) -> LaurentPoly:
-    return LaurentPoly({0: c})
-
-
-def u_tilde(k: int) -> LaurentPoly:
-    """U_k at 1/(2s): sum over j of (-1)^j C(k-j, j) s^(2j-k).
-    Lowest exponent is -k for k >= 0; negative indices extend by the
-    recurrence (u_tilde(-1) = 0, u_tilde(-2) = -1)."""
+def u_tilde(k: int) -> poly.Poly:
+    """U_k(t/2) with t = 1/sqrt(x): sum over j of (-1)^j C(k-j, j) t^(k-2j).
+    Degree k with leading coefficient 1 for k >= 0; negative indices
+    extend by the recurrence (u_tilde(-1) = 0, u_tilde(-2) = -1)."""
     if k < -2:
         raise ValueError("index must be at least -2")
     if k == -2:
-        return laurent_const(-1)
+        return (-1,)
     if k == -1:
-        return LaurentPoly({})
-    out: dict[int, int] = {}
+        return ()
+    out = [0] * (k + 1)
     for j in range(k // 2 + 1):
-        out[2 * j - k] = (-1) ** j * comb(k - j, j)
-    return LaurentPoly(out)
+        out[k - 2 * j] = (-1) ** j * comb(k - j, j)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -107,18 +60,8 @@ class PowerSeries:
 
     coefficients: tuple[int, ...]
 
-    @property
-    def order(self) -> int:
-        return len(self.coefficients) - 1
-
     def __getitem__(self, n: int) -> int:
         return self.coefficients[n]
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(len(self.coefficients), len(other.coefficients))
-        return PowerSeries(
-            tuple(a + b for a, b in zip(self.coefficients[:n], other.coefficients[:n]))
-        )
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
         n = min(len(self.coefficients), len(other.coefficients))
@@ -127,37 +70,30 @@ class PowerSeries:
         )
 
 
-def series_of_ratio(num: LaurentPoly, den: LaurentPoly, order: int) -> PowerSeries:
-    """Expand num/den as a power series in x = s**2 through x**order.
+def series_of_ratio(num: poly.Poly, den: poly.Poly, order: int) -> PowerSeries:
+    """Expand num/den, two polynomials in t = 1/sqrt(x), as a power series
+    in x = s**2 through x**order.
 
-    Both arguments are shifted by a common power of s until polynomial,
-    then divided as formal series in s.  The quotient must have integer
-    coefficients and no odd powers of s (otherwise the ratio is not a
-    series in x); both conditions are asserted.  Every counting series
-    here has a denominator whose lowest coefficient is 1 after the
-    shift, so integer division loses nothing.
+    In s = 1/t the ratio is s**(deg den - deg num) times the ratio of the
+    reversed coefficient tuples, whose denominator has the nonzero
+    constant term lead(den); that ratio is divided as a formal series in
+    s.  The quotient must have integer coefficients and no odd powers of
+    s (otherwise the ratio is not a series in x); both conditions are
+    asserted.  Every counting series here has a denominator with leading
+    coefficient 1, so integer division loses nothing.
     """
-    if den.is_zero():
+    if not den:
         raise ZeroDivisionError("zero denominator")
-    if num.is_zero():
-        return PowerSeries((0,) * (order + 1))
-    shift = -min(num.min_exponent(), den.min_exponent())
-    num = num.shift(shift)
-    den = den.shift(shift)
-    # cancel any remaining common power of s; a pole would surface here
-    lead = den.min_exponent()
-    num_lead = num.min_exponent()
-    if num_lead < lead:
+    shift = len(den) - len(num)
+    if shift < 0:
         raise ValueError("ratio has a pole at the origin")
-    num = num.shift(-lead)
-    den = den.shift(-lead)
-
     length = 2 * order + 2
-    n = [num.coeffs.get(e, 0) for e in range(length)]
-    d = [den.coeffs.get(e, 0) for e in range(length)]
+    n = ([0] * shift + list(reversed(num)) + [0] * length)[:length]
+    d = den[::-1]
     q: list[int] = []
     for i in range(length):
-        acc = n[i] - sum(qj * d[i - j] for j, qj in enumerate(q))
+        lo = max(0, i - len(d) + 1)  # d vanishes past its degree
+        acc = n[i] - sum(q[j] * d[i - j] for j in range(lo, i))
         qi, rem = divmod(acc, d[0])
         if rem:
             raise ValueError(f"noninteger series coefficient {acc}/{d[0]}")
@@ -168,7 +104,7 @@ def series_of_ratio(num: LaurentPoly, den: LaurentPoly, order: int) -> PowerSeri
     return PowerSeries(tuple(q[0::2][: order + 1]))
 
 
-def _counting_series(num: LaurentPoly, den: LaurentPoly, order: int) -> PowerSeries:
+def _counting_series(num: poly.Poly, den: poly.Poly, order: int) -> PowerSeries:
     series = series_of_ratio(num, den, order)
     if any(c < 0 for c in series.coefficients):
         raise ValueError(f"negative count in series {series.coefficients}")
@@ -177,19 +113,15 @@ def _counting_series(num: LaurentPoly, den: LaurentPoly, order: int) -> PowerSer
 
 def gf_A_le(h: int, order: int = 12) -> PowerSeries:
     """Series whose x^(n+1) coefficient counts type-A_n ideals of class
-    at most h (constant term 1)."""
-    return _counting_series(u_tilde(h + 1), SQRT_X * u_tilde(h + 2), order)
+    at most h (constant term 1): U_(h+1) / (sqrt(x) U_(h+2))."""
+    return _counting_series(poly.mul(T, u_tilde(h + 1)), u_tilde(h + 2), order)
 
 
 def gf_C_le(h: int, order: int = 12) -> PowerSeries:
     """Series whose x^n coefficient counts type-C_n ideals of class at
-    most h."""
-    num = LaurentPoly({})
-    i = h + 1
-    while i >= 0:
-        num = num + u_tilde(i)
-        i -= 2
-    return _counting_series(num, SQRT_X * u_tilde(h + 2), order)
+    most h: (U_(h+1) + U_(h-1) + ...) / (sqrt(x) U_(h+2))."""
+    num = poly.add(*(u_tilde(i) for i in range(h + 1, -1, -2)))
+    return _counting_series(poly.mul(T, num), u_tilde(h + 2), order)
 
 
 def gf_B_K(K: int, order: int = 12) -> PowerSeries:
@@ -197,39 +129,42 @@ def gf_B_K(K: int, order: int = 12) -> PowerSeries:
     exactly K."""
     if K < 0:
         raise ValueError("class must be nonnegative")
+    u = u_tilde
     if K % 2 == 0:
         k = K // 2
-        num = u_tilde(2 * k) + u_tilde(k) * u_tilde(k + 1) * u_tilde(2 * k - 1)
-        den = SQRT_X * u_tilde(2 * k) * u_tilde(2 * k + 1) * u_tilde(2 * k + 2)
-    else:
-        k = (K + 1) // 2
-        num = (
-            u_tilde(2 * k)
-            + u_tilde(k + 1) * u_tilde(k + 1) * u_tilde(2 * k - 2)
-            + u_tilde(k - 1) * u_tilde(k - 1) * u_tilde(2 * k - 2)
-            + u_tilde(2)
+        num = poly.add(u(2 * k), poly.mul(u(k), u(k + 1), u(2 * k - 1)))
+        # the factor sqrt(x) of the denominator is a t of the numerator
+        return _counting_series(
+            poly.mul(T, num), poly.mul(u(2 * k), u(2 * k + 1), u(2 * k + 2)), order
         )
-        den = u_tilde(2 * k - 1) * u_tilde(2 * k) * u_tilde(2 * k + 1)
-    return _counting_series(num, den, order)
+    k = (K + 1) // 2
+    num = poly.add(
+        u(2 * k),
+        poly.mul(u(k + 1), u(k + 1), u(2 * k - 2)),
+        poly.mul(u(k - 1), u(k - 1), u(2 * k - 2)),
+        u(2),
+    )
+    return _counting_series(num, poly.mul(u(2 * k - 1), u(2 * k), u(2 * k + 1)), order)
 
 
 def gf_B_le(h: int, order: int = 12) -> PowerSeries:
     """Series whose x^n coefficient counts type-B_n ideals of class at
     most h."""
-    num = LaurentPoly({})
-    if h % 2 == 0:
-        for i in range(1, h // 2 + 1):
-            num = num + u_tilde(2 * i - 1).scale(2 * i + 1)
-        num = num + u_tilde(h + 1).scale(h + 1)
-        for i in range(1, h // 2 + 1):
-            num = num + u_tilde(2 * h + 3 - 2 * i).scale(2 * i)
-    else:
-        for i in range(1, (h - 1) // 2 + 1):
-            num = num + u_tilde(2 * i - 1).scale(2 * i + 1)
-        num = num + u_tilde(h).scale(h + 1)
-        for i in range(1, (h + 1) // 2 + 1):
-            num = num + u_tilde(2 * h + 3 - 2 * i).scale(2 * i)
-    return _counting_series(num, u_tilde(h + 1) * u_tilde(h + 2), order)
+    # the middle term is U_(h+1) for even h and U_h for odd h
+    num = poly.add(
+        *(poly.scale(u_tilde(2 * i - 1), 2 * i + 1) for i in range(1, h // 2 + 1)),
+        poly.scale(u_tilde(h + 1 - h % 2), h + 1),
+        *(poly.scale(u_tilde(2 * h + 3 - 2 * i), 2 * i) for i in range(1, (h + 1) // 2 + 1)),
+    )
+    return _counting_series(num, poly.mul(u_tilde(h + 1), u_tilde(h + 2)), order)
+
+
+def _geometric_d(h: int) -> tuple[poly.Poly, poly.Poly]:
+    """Numerator and denominator in t of x/(1-x) = 1/(t**2 - 1) for h = 0
+    and of x(1+2x)/(1-2x) = (t**2 + 2)/(t**2 (t**2 - 2)) for h = 1."""
+    if h == 0:
+        return (1,), poly.add(T2, (-1,))
+    return poly.add(T2, (2,)), poly.mul(T2, poly.add(T2, (-2,)))
 
 
 def gf_D_K(K: int, order: int = 12) -> PowerSeries:
@@ -244,29 +179,31 @@ def gf_D_K(K: int, order: int = 12) -> PowerSeries:
     if K < 0:
         raise ValueError("class must be nonnegative")
     if K == 0:
-        return _counting_series(X, ONE - X, order)
+        return _counting_series(*_geometric_d(0), order)
+    u = u_tilde
     if K % 2 == 0:
         k = K // 2
-        num = (
-            laurent_const(2)
-            - u_tilde(2 * k)
-            + u_tilde(2 * k + 2).scale(2)
-            + u_tilde(k) * u_tilde(k + 1) * u_tilde(2 * k - 1).scale(3)
+        num = poly.add(
+            (2,),
+            poly.scale(u(2 * k), -1),
+            poly.scale(u(2 * k + 2), 2),
+            poly.scale(poly.mul(u(k), u(k + 1), u(2 * k - 1)), 3),
         )
-        den = SQRT_X * u_tilde(2 * k) * u_tilde(2 * k + 1) * u_tilde(2 * k + 2)
-    else:
-        k = (K + 1) // 2
-        num = (
-            u_tilde(2 * k + 2).scale(2)
-            + u_tilde(2 * k)
-            - u_tilde(2 * k - 2).scale(3)
-            + u_tilde(k) * u_tilde(k + 1) * u_tilde(2 * k - 1)
-            + u_tilde(k) * u_tilde(k) * u_tilde(2 * k - 2).scale(4)
-            + u_tilde(k - 1) * u_tilde(k) * u_tilde(2 * k - 3)
-            + laurent_const(2)
+        # x / sqrt(x) = sqrt(x): a t of the denominator
+        return _counting_series(
+            num, poly.mul(T, u(2 * k), u(2 * k + 1), u(2 * k + 2)), order
         )
-        den = u_tilde(2 * k - 1) * u_tilde(2 * k) * u_tilde(2 * k + 1)
-    return _counting_series(X * num, den, order)
+    k = (K + 1) // 2
+    num = poly.add(
+        poly.scale(u(2 * k + 2), 2),
+        u(2 * k),
+        poly.scale(u(2 * k - 2), -3),
+        poly.mul(u(k), u(k + 1), u(2 * k - 1)),
+        poly.scale(poly.mul(u(k), u(k), u(2 * k - 2)), 4),
+        poly.mul(u(k - 1), u(k), u(2 * k - 3)),
+        (2,),
+    )
+    return _counting_series(num, poly.mul(T2, u(2 * k - 1), u(2 * k), u(2 * k + 1)), order)
 
 
 def gf_D_le(h: int, order: int = 12) -> PowerSeries:
@@ -274,25 +211,18 @@ def gf_D_le(h: int, order: int = 12) -> PowerSeries:
     most h (valid for n >= 2)."""
     if h < 0:
         raise ValueError("class bound must be nonnegative")
-    if h == 0:
-        return _counting_series(X, ONE - X, order)
-    if h == 1:
-        return _counting_series(X + (X * X).scale(2), ONE - X.scale(2), order)
-    num = u_tilde(1).scale(6)
-    if h % 2 == 0:
-        for i in range(1, (h - 2) // 2 + 1):
-            num = num + u_tilde(2 * i + 1).scale(6 * i + 8)
-        num = num + u_tilde(h + 1).scale(3 * h + 4)
-        for i in range((h - 2) // 2 + 1):
-            num = num + u_tilde(2 * h + 1 - 2 * i).scale(6 * i + 5)
-    else:
-        for i in range(1, (h - 3) // 2 + 1):
-            num = num + u_tilde(2 * i + 1).scale(6 * i + 8)
-        num = num + u_tilde(h).scale(3 * h + 4)
-        for i in range((h - 1) // 2 + 1):
-            num = num + u_tilde(2 * h + 1 - 2 * i).scale(6 * i + 5)
-    num = num + u_tilde(2 * h + 3)
-    return _counting_series(X * num, u_tilde(h + 1) * u_tilde(h + 2), order)
+    if h <= 1:
+        return _counting_series(*_geometric_d(h), order)
+    # the middle term is U_(h+1) for even h and U_h for odd h
+    num = poly.add(
+        poly.scale(u_tilde(1), 6),
+        *(poly.scale(u_tilde(2 * i + 1), 6 * i + 8) for i in range(1, h // 2)),
+        poly.scale(u_tilde(h + 1 - h % 2), 3 * h + 4),
+        *(poly.scale(u_tilde(2 * h + 1 - 2 * i), 6 * i + 5) for i in range((h - 1) // 2 + 1)),
+        u_tilde(2 * h + 3),
+    )
+    # the leading factor x is a t**2 of the denominator
+    return _counting_series(num, poly.mul(T2, u_tilde(h + 1), u_tilde(h + 2)), order)
 
 
 def family_series(family: str, h: int, order: int, exact: bool = False) -> PowerSeries:
@@ -318,14 +248,13 @@ def x_power(family: str, rank: int) -> int:
 
 def _cf_series(depth: int, order: int) -> PowerSeries:
     """Bottom-up expansion of 1/(1 - x/(1 - x/(... 1 - x))) with `depth`
-    occurrences of x, as an exact rational function num/den in x."""
+    occurrences of x, as an exact rational function num/den in t: each
+    level 1/(1 - x num/den) is t**2 den / (t**2 den - num)."""
     num: poly.Poly = (1,)
     den: poly.Poly = (1,)
     for _ in range(depth):
-        num, den = den, poly.add(den, poly.mul((0, -1), num))
-    lp_num = LaurentPoly({2 * i: c for i, c in enumerate(num)})
-    lp_den = LaurentPoly({2 * i: c for i, c in enumerate(den)})
-    return series_of_ratio(lp_num, lp_den, order)
+        num, den = poly.mul(T2, den), poly.add(poly.mul(T2, den), poly.scale(num, -1))
+    return series_of_ratio(num, den, order)
 
 
 def verify_cf_identity(h: int, order: int = 20) -> bool:
@@ -334,14 +263,12 @@ def verify_cf_identity(h: int, order: int = 20) -> bool:
     U_k U_{k+1} = U_{2k+1} + U_{2k-1} + ... + U_1 and
     U_{k+1}^2 - U_k^2 = U_{2k+2} as exact polynomial equalities."""
     cf = _cf_series(h, order)
-    closed = series_of_ratio(u_tilde(h), SQRT_X * u_tilde(h + 1), order)
+    closed = series_of_ratio(poly.mul(T, u_tilde(h)), u_tilde(h + 1), order)
     if cf.coefficients != closed.coefficients:
         return False
     for k in range(13):
         lhs = poly.mul(chebyshev_u(k), chebyshev_u(k + 1))
-        rhs: poly.Poly = ()
-        for i in range(1, 2 * k + 2, 2):
-            rhs = poly.add(rhs, chebyshev_u(i))
+        rhs = poly.add(*(chebyshev_u(i) for i in range(1, 2 * k + 2, 2)))
         if lhs != rhs:
             return False
         sq = poly.add(

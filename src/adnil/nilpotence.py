@@ -184,6 +184,11 @@ def symmetric_completion(parts: Partition, family: str, n: int) -> Partition:
         raise ValueError(f"no completion for family {family!r}")
     shift = family != "C"  # B and D mirror row i to column i-1, row 1 to none
     size = _completion_size(family, n)
+    if any(parts[n:]):
+        raise ValueError(f"shifted diagram {parts} has more than {n} rows")
+    # row r of the shifted staircase has size - 2r + 2 cells
+    if any(a > size - 2 * i for i, a in enumerate(parts)):
+        raise ValueError(f"{parts} does not fit inside the shifted {n}-staircase")
     rows = [*parts] + [0] * (size - len(parts))
     mirrored = [0] * (size + 1)  # difference array of the mirrored cells per row
     lam = rows[:shift]

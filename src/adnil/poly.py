@@ -1,8 +1,9 @@
 """Integer polynomials in one variable, as coefficient tuples.
 
-Index = exponent, no trailing zeros, zero polynomial = ().  Serves the
-Gaussian binomials in t (closedform) and the Chebyshev polynomials in x
-(genfun).
+Index = exponent, no trailing zeros, zero polynomial = ().  The one
+polynomial kernel: it serves the Gaussian binomials in t (closedform),
+the Chebyshev polynomials in x and the counting series' numerators and
+denominators in t = 1/sqrt(x) (genfun).
 """
 from __future__ import annotations
 
@@ -15,24 +16,25 @@ def trim(coeffs: list[int]) -> Poly:
     return tuple(coeffs)
 
 
-def add(a: Poly, b: Poly) -> Poly:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
+def add(*terms: Poly) -> Poly:
+    out = [0] * max(map(len, terms), default=0)
+    for a in terms:
+        for i, c in enumerate(a):
+            out[i] += c
     return trim(out)
 
 
-def mul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return trim(out)
+def mul(a: Poly, *rest: Poly) -> Poly:
+    for b in rest:
+        if not a or not b:
+            return ()
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b):
+                    out[i + j] += ca * cb
+        a = trim(out)
+    return a
 
 
 def scale(a: Poly, c: int) -> Poly:

@@ -370,6 +370,7 @@ def test_preflight_refuses_huge_types(capsys: pytest.CaptureFixture) -> None:
     assert total_count_formula("A14") <= MAX_IDEALS < total_count_formula("A15")
     too_many = "ideals, more than the 10000000 a run may enumerate"
     agreement = sum(total_count_formula(f"A{n}") for n in range(1, 21))
+    gf_cap = "gf expands classes up to 500 and orders up to 2000, got class"
     cases = [
         (["table", "--type", "A20"], f"A20 has 24466267020 {too_many}"),
         (["enumerate", "--type", "A20"], f"A20 has 24466267020 {too_many}"),
@@ -377,6 +378,9 @@ def test_preflight_refuses_huge_types(capsys: pytest.CaptureFixture) -> None:
          f"the agreement suite has {agreement} {too_many}"),
         (["qt", "--type", "A30"], "qt sums over 2^30 chains; ranks above 18 are refused"),
         (["qt", "--type", "C30"], "qt sums over 2^30 chains; ranks above 18 are refused"),
+        (["gf", "--family", "D", "--exact", "3000"], f"{gf_cap} 3000 and order 12"),
+        (["gf", "--family", "B", "--le", "501"], f"{gf_cap} 501 and order 12"),
+        (["gf", "--family", "A", "--le", "1", "--order", "2001"], f"{gf_cap} 1 and order 2001"),
     ]
     for argv, message in cases:
         started = time.monotonic()

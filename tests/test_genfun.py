@@ -5,7 +5,6 @@ from math import comb
 import pytest
 
 from adnil import (
-    LaurentPoly,
     build_root_system,
     chebyshev_u,
     class_distribution,
@@ -16,11 +15,14 @@ from adnil import (
     gf_C_le,
     gf_D_K,
     gf_D_le,
+    path_count_height,
     series_of_ratio,
+    total_count_formula,
     u_tilde,
     verify_cf_identity,
 )
-from adnil.genfun import ONE, SQRT_X, X, laurent_const
+from adnil.genfun import T, T2
+from adnil.poly import add, mul, scale
 
 
 def cumulative(label: str, h: int) -> int:
@@ -48,59 +50,73 @@ def test_chebyshev_frozen() -> None:
 
 
 def test_chebyshev_recurrence() -> None:
-    from adnil.poly import add, mul, scale
-
     for k in range(-1, 11):
         lhs = chebyshev_u(k + 1)
         rhs = add(mul((0, 2), chebyshev_u(k)), scale(chebyshev_u(k - 1), -1))
         assert lhs == rhs
 
 
+def test_poly_add_and_mul_take_any_number_of_terms() -> None:
+    a, b, c = (1, 2), (0, -1), (3,)
+    assert add() == () and add(a) == a
+    assert add(a, b, c) == add(add(a, b), c) == (4, 1)
+    assert add(a, scale(a, -1)) == ()
+    assert mul(a) == a and mul(a, b, c) == mul(mul(a, b), c)
+    assert mul(a, (), c) == ()
+
+
 def test_u_tilde_frozen() -> None:
-    assert u_tilde(0) == ONE
-    assert u_tilde(1) == LaurentPoly({-1: 1})
-    assert u_tilde(2) == LaurentPoly({-2: 1, 0: -1})
-    assert u_tilde(-1).is_zero()
-    assert u_tilde(-2) == laurent_const(-1)
+    assert u_tilde(0) == (1,)
+    assert u_tilde(1) == T
+    assert u_tilde(2) == (-1, 0, 1)
+    assert u_tilde(-1) == ()
+    assert u_tilde(-2) == (-1,)
 
 
 def test_u_tilde_recurrence_and_degree() -> None:
+    # U_(k+1)(t/2) = t U_k(t/2) - U_(k-1)(t/2), monic of degree k, and
+    # each coefficient is chebyshev_u's halved once per power of t
     for k in range(11):
-        assert u_tilde(k).min_exponent() == -k
-        assert u_tilde(k + 1) == u_tilde(k).shift(-1) - u_tilde(k - 1)
+        assert len(u_tilde(k)) == k + 1 and u_tilde(k)[-1] == 1
+        assert u_tilde(k + 1) == add(mul(T, u_tilde(k)), scale(u_tilde(k - 1), -1))
+        assert u_tilde(k) == tuple(c >> i for i, c in enumerate(chebyshev_u(k)))
 
 
 # ---------------------------------------------------------------------------
-# series engine
+# series engine: num/den are polynomials in t = 1/sqrt(x)
 
 
 def test_series_of_trivial_ratios() -> None:
-    one = series_of_ratio(ONE, ONE, 5)
+    one = series_of_ratio((1,), (1,), 5)
     assert one.coefficients == (1, 0, 0, 0, 0, 0)
-    geometric = series_of_ratio(ONE, ONE - X, 5)
+    geometric = series_of_ratio(T2, add(T2, (-1,)), 5)  # 1/(1-x) = t^2/(t^2-1)
     assert geometric.coefficients == (1,) * 6
-    zero = series_of_ratio(LaurentPoly({}), ONE, 3)
+    zero = series_of_ratio((), (1,), 3)
     assert zero.coefficients == (0, 0, 0, 0)
+    same_degree = series_of_ratio(mul(T, (1, 1)), mul(T, (1, 1)), 2)
+    assert same_degree.coefficients == (1, 0, 0)
 
 
 def test_series_rejects_odd_half_powers() -> None:
-    with pytest.raises(ValueError):
+    # t/(t^2-1) = sqrt(x)/(1-x)
+    with pytest.raises(ValueError, match="odd powers"):
         series_of_ratio(u_tilde(1), u_tilde(2), 6)
 
 
 def test_series_rejects_pole() -> None:
-    with pytest.raises(ValueError):
-        series_of_ratio(ONE, SQRT_X, 4)
+    # t = 1/sqrt(x)
+    with pytest.raises(ValueError, match="pole"):
+        series_of_ratio(T, (1,), 4)
 
 
 def test_series_rejects_noninteger() -> None:
-    with pytest.raises(ValueError):
-        series_of_ratio(ONE, laurent_const(2), 4)
+    with pytest.raises(ValueError, match="noninteger"):
+        series_of_ratio((1,), (2,), 4)
 
 
 def test_series_rejects_zero_denominator() -> None:
     with pytest.raises(ZeroDivisionError):
-        series_of_ratio(ONE, LaurentPoly({}), 4)
+        series_of_ratio((1,), (), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -180,3 +196,32 @@ def test_corollary_closed_forms_via_series() -> None:
 def test_continued_fraction_identity() -> None:
     for h in range(11):
         assert verify_cf_identity(h)
+
+
+# ---------------------------------------------------------------------------
+# counting series at ranks enumeration cannot reach
+
+
+def test_type_a_and_c_series_match_path_counts_to_rank_20() -> None:
+    # class K of A_n pairs with Dyck paths of length 2n+2 and height K+1,
+    # class K of C_n with paths of length 2n (any endpoint) and height K+1
+    top = 20
+    series_a = [gf_A_le(h, top + 1) for h in range(2 * top)]
+    series_c = [gf_C_le(h, top) for h in range(2 * top)]
+    for n in range(1, top + 1):
+        paths_a = [path_count_height(2 * n + 2, K + 1, True) for K in range(2 * n)]
+        paths_c = [path_count_height(2 * n, K + 1, False) for K in range(2 * n)]
+        for h in range(2 * n):
+            assert series_a[h][n + 1] == sum(paths_a[: h + 1]), (n, h)
+            assert series_c[h][n] == sum(paths_c[: h + 1]), (n, h)
+
+
+def test_type_b_and_d_exact_series_sum_to_totals_to_rank_30() -> None:
+    # every class of a rank-n ideal is below 2n, so the exact-class series
+    # summed over K < 2*top count every ideal of every rank up to top
+    top = 30
+    series_b = [gf_B_K(K, top) for K in range(2 * top)]
+    series_d = [gf_D_K(K, top) for K in range(2 * top)]
+    for n in range(2, top + 1):
+        assert sum(s[n] for s in series_b) == total_count_formula(f"B{n}"), n
+        assert sum(s[n] for s in series_d) == total_count_formula(f"D{n}"), n

@@ -327,6 +327,18 @@ def test_symmetric_completion_matches_cell_sets(family: str) -> None:
             symmetric_completion(parts, "C", 3)
 
 
+@pytest.mark.parametrize(
+    "parts, family, n",
+    [((5,), "B", 2), ((9,), "D", 3), ((4,), "C", 2), ((1, 1, 1), "D", 2)],
+)
+def test_symmetric_completion_refuses_rows_outside_the_staircase(
+    parts: tuple[int, ...], family: str, n: int
+) -> None:
+    # more than n rows, or a row r longer than 2n-2r+1 cells (B, C) or 2n-2r (D)
+    with pytest.raises(ValueError, match="rows|does not fit"):
+        symmetric_completion(parts, family, n)
+
+
 def test_shifted_diagrams_exist_for_all_ideals() -> None:
     for label in ["B3", "C3", "D4", "D5"]:
         rs = build_root_system(label)
