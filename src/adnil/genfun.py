@@ -12,7 +12,6 @@ s; this is asserted, as is integrality of every coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from . import poly
 
@@ -48,8 +47,10 @@ def u_tilde(k: int) -> poly.Poly:
     if k == -1:
         return ()
     out = [0] * (k + 1)
-    for j in range(k // 2 + 1):
-        out[k - 2 * j] = (-1) ** j * comb(k - j, j)
+    out[k] = c = 1  # c = C(k - j, j), from j = 0
+    for j in range(1, k // 2 + 1):
+        c = c * (k - 2 * j + 2) * (k - 2 * j + 1) // (j * (k - j + 1))
+        out[k - 2 * j] = -c if j % 2 else c
     return tuple(out)
 
 

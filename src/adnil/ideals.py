@@ -44,21 +44,26 @@ def ideal_minimal_elements(rs: RootSystem, ideal: int) -> int:
     return mask
 
 
-def walk(rs: RootSystem, seed: Seed = (0, 0, 0)) -> Iterator[int]:
-    """Every ideal in the search subtree below `seed`: the ideals whose
-    antichain extends the seed's with roots of index >= start, where
-    `blocked` holds every root comparable to one already chosen.  The
-    default seed is the root of the whole tree."""
+def walk(rs: RootSystem, seed: Seed = (0, 0, 0)) -> Iterator[tuple[int, int]]:
+    """Every ideal in the search subtree below `seed`, with its antichain,
+    as (ideal mask, antichain mask) pairs: the ideals whose antichain
+    extends the seed's with roots of index >= start, where `blocked` holds
+    every root comparable to one already chosen.  The default seed is the
+    root of the whole tree."""
     filters = rs.filter_masks
     comparable = rs.comparable_masks
-    size = len(filters)
-    stack = [seed]
+    full = (1 << len(filters)) - 1
+    start, ideal, blocked = seed
+    stack = [(start, ideal, blocked, ideal_minimal_elements(rs, ideal))]
     while stack:
-        start, ideal, blocked = stack.pop()
-        yield ideal
-        for i in range(start, size):
-            if not (blocked >> i) & 1:
-                stack.append((i + 1, ideal | filters[i], blocked | comparable[i]))
+        start, ideal, blocked, anti = stack.pop()
+        yield ideal, anti
+        free = full >> start << start & ~blocked  # roots i >= start still free
+        while free:
+            bit = free & -free
+            free ^= bit
+            i = bit.bit_length() - 1
+            stack.append((i + 1, ideal | filters[i], blocked | comparable[i], anti | bit))
 
 
 def partition_seeds(rs: RootSystem) -> list[Seed]:
@@ -71,4 +76,4 @@ def partition_seeds(rs: RootSystem) -> list[Seed]:
 
 def enumerate_ideal_masks(rs: RootSystem) -> list[int]:
     """Every ideal of the root system as a bit mask, ascending."""
-    return sorted(walk(rs))
+    return sorted(ideal for ideal, _ in walk(rs))

@@ -3,10 +3,12 @@
 The reference computation ("oracle") is a decomposition DP: one pass
 over the roots of the ideal in increasing height gives each root its
 depth in the lower central series, from the decomposition table of the
-root system.  Independent routes recover the same number from diagram
-combinatorics: a staircase filling, a truncation recursion, and
-broken-ray walks on (shifted) Ferrers diagrams.  Types B, C and D are
-routed through a symmetric completion of the shifted diagram.
+root system.  `class_distribution` computes the same depths bit-sliced,
+stage by stage, for a whole block of ideals at once (`block_histogram`).
+Independent routes recover the same number from diagram combinatorics:
+a staircase filling, a truncation recursion, and broken-ray walks on
+(shifted) Ferrers diagrams.  Types B, C and D are routed through a
+symmetric completion of the shifted diagram.
 """
 from __future__ import annotations
 
@@ -14,15 +16,13 @@ import math
 import os
 import time
 from collections import Counter
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from multiprocessing import Pool
 from typing import Iterable, Iterator
 
 from .ideals import Seed, partition_seeds, walk
-from .rootsys import FAMILIES, RootSystem, build_root_system
+from .rootsys import FAMILIES, RootSystem
 
 Partition = tuple[int, ...]
 
@@ -386,9 +386,9 @@ def classify_ideal(rs: RootSystem, ideal: int, method: str = "oracle") -> int:
 _WORKER_STATE: tuple[RootSystem, str, float] | None = None
 
 
-def _worker_init(label: str, method: str, deadline: float) -> None:
+def _worker_init(rs: RootSystem, method: str, deadline: float) -> None:
     global _WORKER_STATE
-    _WORKER_STATE = (build_root_system(label), method, deadline)
+    _WORKER_STATE = (rs, method, deadline)
 
 
 def _worker_run(seed: Seed) -> Counter:
@@ -415,11 +415,74 @@ def budget_deadline(budget: float | None) -> float:
     return math.inf if budget is None else time.monotonic() + budget
 
 
-def _seed_histogram(rs: RootSystem, method: str, deadline: float, seed: Seed) -> Counter:
-    """Histogram of one search subtree, within the deadline."""
-    classify = _class_function(rs, method)
+def block_columns(rs: RootSystem, antichains: list[int]) -> list[int]:
+    """A block of ideals, given by their antichains, transposed: bit b of
+    column k is set when ideal b holds root k.  Root k is in the ideal when
+    it is in the antichain or covers a root in the ideal, so the columns
+    fill in increasing height from the antichain columns."""
+    size = len(rs)
+    # one row of `size` binary digits per antichain, the last ideal first,
+    # formatted in one call: digit size-1-k of each row is root k, so
+    # every size-th digit from there, read in binary, is a column
+    text = (f"{{:0{size}b}}" * len(antichains)).format(*reversed(antichains))
+    columns = [0] * size
+    covers = rs.covers
+    for k, _, _ in rs.decompositions:
+        col = int(text[size - 1 - k :: size], 2)
+        for j in covers[k]:
+            col |= columns[j]
+        columns[k] = col
+    return columns
+
+
+def block_histogram(rs: RootSystem, columns: list[int], count: int) -> Counter:
+    """Histogram of a block of `count` ideals in column form, bit-sliced.
+
+    `nilpotence_oracle` on every ideal of the block at once.  Stage s holds
+    per root the ideals where that root has depth at least s; stage 1 is
+    the columns, and a root gets depth s+1 in an ideal holding it and a
+    decomposition whose one summand has depth s and the other lies in the
+    ideal.  So one sweep over the roots of depth s somewhere advances the
+    whole block one step down the lower central series.  The ideals of
+    class at least s are those with some root of depth s; that the highest
+    root is among them is the oracle's guard, checked at every stage."""
     hist: Counter = Counter()
-    for block in budget_blocks(walk(rs, seed), deadline):
+    theta = rs.highest_index
+    partners = rs.partners
+    stage = columns
+    above = (1 << count) - 1  # the ideals of class >= s, from s = 0
+    s = 0
+    while above:
+        reached = 0
+        for col in stage:
+            reached |= col
+        if theta is not None and reached & ~stage[theta]:
+            raise AssertionError("the highest root does not carry the largest depth")
+        if done := above.bit_count() - reached.bit_count():
+            hist[s] = done
+        above = reached
+        s += 1
+        nxt = [0] * len(stage)
+        for i, deep in enumerate(stage):
+            if deep:
+                for j, k in partners[i]:
+                    nxt[k] |= deep & columns[j]
+        stage = [col & held for col, held in zip(nxt, columns)]
+    return hist
+
+
+def _seed_histogram(rs: RootSystem, method: str, deadline: float, seed: Seed) -> Counter:
+    """Histogram of one search subtree, within the deadline.  The oracle
+    classifies each block at once (`block_histogram`), every other route
+    ideal by ideal."""
+    hist: Counter = Counter()
+    if method == "oracle":
+        antichains = (anti for _, anti in walk(rs, seed))
+        for block in budget_blocks(antichains, deadline):
+            hist.update(block_histogram(rs, block_columns(rs, block), len(block)))
+        return hist
+    classify = _class_function(rs, method)
+    for block in budget_blocks((ideal for ideal, _ in walk(rs, seed)), deadline):
         hist.update(map(classify, block))
     return hist
 
@@ -445,6 +508,23 @@ def resolve_workers(requested: int | None) -> int:
     return os.cpu_count() or 1
 
 
+def _pooled(nworkers: int, initargs: tuple, seeds: list[Seed]) -> Iterator[Counter]:
+    """Seed histograms from a pool of `nworkers` processes, as they finish.
+    A worker that dies raises BrokenProcessPool; once anything raises, the
+    seeds not yet started are cancelled."""
+    # imported on first use: the executor's modules take over 1 MiB of
+    # memory that a serial run never needs
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
+    pool = ProcessPoolExecutor(nworkers, initializer=_worker_init, initargs=initargs)
+    try:
+        futures = [pool.submit(_worker_run, seed) for seed in seeds]
+        for future in as_completed(futures):
+            yield future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def class_distribution(
     rs: RootSystem,
     method: str = "oracle",
@@ -458,24 +538,26 @@ def class_distribution(
     fanned out across a pool of processes; results merge by addition, so
     the histogram is deterministic for any worker count.  `budget` caps
     wall time in seconds, checked in every process each `BUDGET_BLOCK`
-    ideals; `progress` is called with (done, total) seed counts.
+    ideals; `progress` is called with (done, total) seed counts.  A pool
+    worker that dies raises BrokenProcessPool.
     """
+    _class_function(rs, method)  # refuse a bad method before any work
     deadline = budget_deadline(budget)
     seeds = partition_seeds(rs)
     nworkers = min(resolve_workers(workers), len(seeds))  # a process idles without a seed
-    run = partial(_seed_histogram, rs, method, deadline)
-    initargs = (str(rs.lie_type), method, deadline)
+    if nworkers > 1:
+        parts = _pooled(nworkers, (rs, method, deadline), seeds)
+    else:
+        parts = map(partial(_seed_histogram, rs, method, deadline), seeds)
     hist: Counter = Counter()
-    with Pool(nworkers, _worker_init, initargs) if nworkers > 1 else nullcontext() as pool:
-        parts = pool.imap_unordered(_worker_run, seeds) if pool else map(run, seeds)
-        for done, part in enumerate(parts, 1):
-            hist.update(part)
-            if progress:
-                progress(done, len(seeds))
+    for done, part in enumerate(parts, 1):
+        hist.update(part)
+        if progress:
+            progress(done, len(seeds))
     return dict(sorted(hist.items()))
 
 
 def joint_histogram(rs: RootSystem, method: str = "oracle") -> dict[tuple[int, int], int]:
     """Histogram {(dimension, class): count} over every ideal."""
     classify = _class_function(rs, method)
-    return dict(Counter((mask.bit_count(), classify(mask)) for mask in walk(rs)))
+    return dict(Counter((mask.bit_count(), classify(mask)) for mask, _ in walk(rs)))

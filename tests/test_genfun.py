@@ -73,6 +73,15 @@ def test_u_tilde_frozen() -> None:
     assert u_tilde(-2) == (-1,)
 
 
+def test_u_tilde_matches_the_binomial_sum() -> None:
+    # the ratio update of C(k-j, j) against math.comb, term by term
+    for k in range(301):
+        want = [0] * (k + 1)
+        for j in range(k // 2 + 1):
+            want[k - 2 * j] = (-1) ** j * comb(k - j, j)
+        assert u_tilde(k) == tuple(want), k
+
+
 def test_u_tilde_recurrence_and_degree() -> None:
     # U_(k+1)(t/2) = t U_k(t/2) - U_(k-1)(t/2), monic of degree k, and
     # each coefficient is chebyshev_u's halved once per power of t

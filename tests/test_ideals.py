@@ -92,8 +92,16 @@ def test_partition_seeds_cover_exactly_once() -> None:
         rs = build_root_system(label)
         seeds = partition_seeds(rs)
         assert seeds[0] == (len(rs), 0, 0) and len(seeds) == len(rs) + 1, label
-        combined = [ideal for seed in seeds for ideal in walk(rs, seed)]
+        combined = [ideal for seed in seeds for ideal, _ in walk(rs, seed)]
         assert sorted(combined) == enumerate_ideal_masks(rs), label
+
+
+def test_walk_carries_each_ideals_antichain() -> None:
+    for label in SMALL_TYPES:
+        rs = build_root_system(label)
+        for seed in [(0, 0, 0), *partition_seeds(rs)]:
+            for ideal, antichain in walk(rs, seed):
+                assert antichain == ideal_minimal_elements(rs, ideal), (label, ideal)
 
 
 def test_partition_seeds_are_balanced() -> None:

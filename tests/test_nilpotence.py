@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import concurrent.futures
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
 import time
+from collections import Counter
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from functools import cache
 from itertools import product
 from operator import add
@@ -30,10 +35,14 @@ from adnil import (
 from adnil import nilpotence
 from adnil.checks import SMALL_TYPES, suite_agreement
 from adnil.cli import main
-from adnil.ideals import enumerate_ideal_masks, partition_seeds
+from adnil.ideals import enumerate_ideal_masks, partition_seeds, walk
 from adnil.nilpotence import (
+    BUDGET_BLOCK,
     ROUTES,
     _seed_histogram,
+    block_columns,
+    block_histogram,
+    budget_blocks,
     budget_deadline,
     ideal_rows,
     resolve_workers,
@@ -96,6 +105,28 @@ def test_oracle_matches_bracket_iteration(label: str) -> None:
         assert nilpotence_oracle(rs, mask) == bracket_class(rs.positive_roots, mask), mask
 
 
+@pytest.mark.parametrize("label", SMALL_TYPES)
+def test_block_oracle_matches_per_ideal_oracle(label: str) -> None:
+    # every ideal of the type in one block, and every seed in its own
+    rs = build_root_system(label)
+    masks, antichains = zip(*walk(rs))
+    want = Counter(nilpotence_oracle(rs, mask) for mask in masks)
+    columns = block_columns(rs, list(antichains))
+    assert columns == [
+        sum(1 << b for b, mask in enumerate(masks) if mask >> k & 1) for k in range(len(rs))
+    ]
+    assert block_histogram(rs, columns, len(masks)) == want
+    assert class_distribution(rs, workers=1) == dict(sorted(want.items()))
+
+
+def test_root_seed_histogram_spans_two_blocks() -> None:
+    rs = build_root_system("A8")  # 4862 ideals
+    blocks = list(budget_blocks(walk(rs), math.inf))
+    assert [len(block) for block in blocks] == [BUDGET_BLOCK, 4862 - BUDGET_BLOCK]
+    want = Counter(nilpotence_oracle(rs, mask) for block in blocks for mask, _ in block)
+    assert _seed_histogram(rs, "oracle", math.inf, (0, 0, 0)) == want
+
+
 def test_oracle_guard_rejects_non_ideal() -> None:
     # the two simple roots of A2 without their sum, the highest root
     rs = build_root_system("A2")
@@ -104,17 +135,38 @@ def test_oracle_guard_rejects_non_ideal() -> None:
         nilpotence_oracle(rs, mask)
 
 
+def _mask_columns(rs, mask: int) -> list[int]:
+    """One ideal (or any root set) as a block of one: column k is bit k."""
+    return [mask >> k & 1 for k in range(len(rs))]
+
+
+def test_block_guard_rejects_non_ideal() -> None:
+    rs = build_root_system("A2")
+    mask = sum(1 << rs.index[r] for r in rs.simple_roots)
+    with pytest.raises(AssertionError, match="highest root"):
+        block_histogram(rs, _mask_columns(rs, mask), 1)
+    # the same root set beside genuine ideals fails the whole block
+    columns = block_columns(rs, [0, 1, 2])
+    columns = [col | bit << 3 for col, bit in zip(columns, _mask_columns(rs, mask))]
+    with pytest.raises(AssertionError, match="highest root"):
+        block_histogram(rs, columns, 4)
+
+
 def test_oracle_guard_survives_optimize() -> None:
-    # a child under -O drops every bare assert; the guard must still raise
+    # a child under -O drops every bare assert; both guards must still raise
     src = str(Path(adnil.__file__).resolve().parents[1])
     code = (
         "from adnil import build_root_system, nilpotence_oracle\n"
+        "from adnil.nilpotence import block_histogram\n"
         "rs = build_root_system('A2')\n"
         "mask = sum(1 << rs.index[r] for r in rs.simple_roots)\n"
-        "try:\n"
-        "    nilpotence_oracle(rs, mask)\n"
-        "except AssertionError:\n"
-        "    print('raised')\n"
+        "columns = [mask >> k & 1 for k in range(len(rs))]\n"
+        "for check in (lambda: nilpotence_oracle(rs, mask),\n"
+        "              lambda: block_histogram(rs, columns, 1)):\n"
+        "    try:\n"
+        "        check()\n"
+        "    except AssertionError:\n"
+        "        print('raised')\n"
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code],
@@ -124,7 +176,7 @@ def test_oracle_guard_survives_optimize() -> None:
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "raised\n"
+    assert proc.stdout == "raised\nraised\n"
 
 
 def test_staircase_partition_of_full_ideal() -> None:
@@ -396,8 +448,8 @@ def test_budget_timeout() -> None:
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_budget_holds_inside_a_seed(workers: int) -> None:
-    # A10 has 58786 ideals and takes about 1 s whole
-    rs = build_root_system("A10")
+    # A12 has 742900 ideals and takes over 1 s whole, serially
+    rs = build_root_system("A12")
     started = time.monotonic()
     with pytest.raises(TimeoutError):
         class_distribution(rs, workers=workers, budget=0.05)
@@ -406,11 +458,30 @@ def test_budget_holds_inside_a_seed(workers: int) -> None:
 
 def test_budget_holds_inside_the_root_seed() -> None:
     # the whole walk as one seed: only a check between blocks can stop it
-    rs = build_root_system("A10")
+    rs = build_root_system("A12")
     started = time.monotonic()
     with pytest.raises(TimeoutError):
         _seed_histogram(rs, "oracle", started + 0.05, (0, 0, 0))
     assert time.monotonic() - started < 1.5
+
+
+def test_budget_expiring_inside_a_block_stops_the_next(monkeypatch: pytest.MonkeyPatch) -> None:
+    # the first block outlives the deadline; the clock check before the
+    # second block raises, and no second block is classified
+    rs = build_root_system("A8")  # two blocks
+    deadline = time.monotonic() + 0.3
+    classified = []
+
+    def slow_block(rs, columns, count):
+        classified.append(count)
+        while time.monotonic() <= deadline:
+            time.sleep(0.01)
+        return block_histogram(rs, columns, count)
+
+    monkeypatch.setattr(nilpotence, "block_histogram", slow_block)
+    with pytest.raises(TimeoutError):
+        _seed_histogram(rs, "oracle", deadline, (0, 0, 0))
+    assert classified == [BUDGET_BLOCK]
 
 
 def test_budget_must_be_positive() -> None:
@@ -430,25 +501,24 @@ def test_budget_must_be_positive() -> None:
 def test_pool_is_capped_at_the_seed_count(
     monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture
 ) -> None:
-    # a stand-in pool that records its size and runs in this process, so
-    # no request below starts a real process, however large
+    # a stand-in executor that records its size and runs in this process,
+    # so no request below starts a real process, however large
     requested = []
 
-    class RecordingPool:
-        def __init__(self, processes: int, initializer, initargs: tuple) -> None:
-            requested.append(processes)
+    class RecordingExecutor:
+        def __init__(self, max_workers: int, initializer, initargs: tuple) -> None:
+            requested.append(max_workers)
             initializer(*initargs)
 
-        def __enter__(self) -> "RecordingPool":
-            return self
+        def submit(self, func, *args) -> Future:
+            future: Future = Future()
+            future.set_result(func(*args))
+            return future
 
-        def __exit__(self, *exc: object) -> None:
+        def shutdown(self, cancel_futures: bool) -> None:
             pass
 
-        def imap_unordered(self, func, items):
-            return map(func, items)
-
-    monkeypatch.setattr(nilpotence, "Pool", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(nilpotence, "_WORKER_STATE", None)
     rs = build_root_system("A1")
     assert len(partition_seeds(rs)) == 2
@@ -461,6 +531,30 @@ def test_pool_is_capped_at_the_seed_count(
     # a cap of one runs serially, with no pool at all
     assert class_distribution(rs, workers=1) == {0: 1, 1: 1}
     assert requested == [2, 2, 2]
+
+
+def _die(*initargs: object) -> None:
+    os._exit(1)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="a patched initializer reaches the workers only through fork",
+)
+def test_dead_worker_raises(
+    monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture
+) -> None:
+    # every worker exits during start-up: the run must fail, not wait
+    monkeypatch.setattr(nilpotence, "_worker_init", _die)
+    rs = build_root_system("A6")
+    started = time.monotonic()
+    with pytest.raises(BrokenProcessPool):
+        class_distribution(rs, workers=2)
+    assert time.monotonic() - started < 5
+    assert main(["table", "--type", "A6", "--workers", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert time.monotonic() - started < 10
 
 
 def test_resolve_workers(monkeypatch: pytest.MonkeyPatch) -> None:

@@ -113,6 +113,24 @@ def test_sum_tables_are_consistent() -> None:
         assert set(listed) == want, label
 
 
+@pytest.mark.parametrize("label", [*ALL_SMALL, "E8"])
+def test_partners_and_covers(label: str) -> None:
+    rs = build_root_system(label)
+    directed = sorted(
+        (i, j, k) for k, _, pairs in rs.decompositions for a, b in pairs
+        for i, j in ((a, b), (b, a))
+    )
+    assert sorted((i, j, k) for i, row in enumerate(rs.partners) for j, k in row) == directed
+    # a root covers the roots below it that lie below no other root below it
+    for k, down in enumerate(rs.below_masks):
+        inner = 0
+        for j in range(len(rs)):
+            if down >> j & 1:
+                inner |= rs.below_masks[j]
+        want = [j for j in range(len(rs)) if (down & ~inner) >> j & 1]
+        assert sorted(rs.covers[k]) == want, (label, k)
+
+
 def test_order_masks() -> None:
     rs = build_root_system("C3")
     for i, ri in enumerate(rs.positive_roots):
