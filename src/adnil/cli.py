@@ -24,7 +24,7 @@ from .nilpotence import (
     ROUTES,
     budget_deadline,
     class_distribution,
-    classify_ideal,
+    classify_ideals,
     resolve_workers,
 )
 from .rootsys import LieType, RootSystem, build_root_system, total_count_formula
@@ -173,10 +173,9 @@ def _enumerable(lt: LieType) -> RootSystem:
 
 def cmd_enumerate(cfg: RunConfig) -> int:
     rs = _enumerable(cfg.lie_type)
-    rows = [
-        (mask, mask.bit_count(), classify_ideal(rs, mask, cfg.method))
-        for mask in enumerate_ideal_masks(rs)
-    ]
+    masks = enumerate_ideal_masks(rs)
+    classes = classify_ideals(rs, masks, cfg.method)
+    rows = [(mask, mask.bit_count(), k) for mask, k in zip(masks, classes)]
     if cfg.format == "json":
         doc = {
             "type": str(rs.lie_type),

@@ -91,10 +91,12 @@ def series_of_ratio(num: poly.Poly, den: poly.Poly, order: int) -> PowerSeries:
     length = 2 * order + 2
     n = ([0] * shift + list(reversed(num)) + [0] * length)[:length]
     d = den[::-1]
+    # the terms d[k] q[i-k], k >= 1, of the inner sum, over the nonzero d[k]
+    # only: every other coefficient of a Chebyshev denominator is zero
+    terms = [(k, c) for k, c in enumerate(d) if k and c]
     q: list[int] = []
     for i in range(length):
-        lo = max(0, i - len(d) + 1)  # d vanishes past its degree
-        acc = n[i] - sum(q[j] * d[i - j] for j in range(lo, i))
+        acc = n[i] - sum(c * q[i - k] for k, c in terms if k <= i)
         qi, rem = divmod(acc, d[0])
         if rem:
             raise ValueError(f"noninteger series coefficient {acc}/{d[0]}")

@@ -44,26 +44,24 @@ def ideal_minimal_elements(rs: RootSystem, ideal: int) -> int:
     return mask
 
 
-def walk(rs: RootSystem, seed: Seed = (0, 0, 0)) -> Iterator[tuple[int, int]]:
-    """Every ideal in the search subtree below `seed`, with its antichain,
-    as (ideal mask, antichain mask) pairs: the ideals whose antichain
-    extends the seed's with roots of index >= start, where `blocked` holds
-    every root comparable to one already chosen.  The default seed is the
-    root of the whole tree."""
+def walk(rs: RootSystem, seed: Seed = (0, 0, 0)) -> Iterator[int]:
+    """Every ideal mask in the search subtree below `seed`: the ideals
+    whose antichain extends the seed's with roots of index >= start,
+    where `blocked` holds every root comparable to one already chosen.
+    The default seed is the root of the whole tree."""
     filters = rs.filter_masks
     comparable = rs.comparable_masks
     full = (1 << len(filters)) - 1
-    start, ideal, blocked = seed
-    stack = [(start, ideal, blocked, ideal_minimal_elements(rs, ideal))]
+    stack = [seed]
     while stack:
-        start, ideal, blocked, anti = stack.pop()
-        yield ideal, anti
+        start, ideal, blocked = stack.pop()
+        yield ideal
         free = full >> start << start & ~blocked  # roots i >= start still free
         while free:
             bit = free & -free
             free ^= bit
             i = bit.bit_length() - 1
-            stack.append((i + 1, ideal | filters[i], blocked | comparable[i], anti | bit))
+            stack.append((i + 1, ideal | filters[i], blocked | comparable[i]))
 
 
 def partition_seeds(rs: RootSystem) -> list[Seed]:
@@ -76,4 +74,4 @@ def partition_seeds(rs: RootSystem) -> list[Seed]:
 
 def enumerate_ideal_masks(rs: RootSystem) -> list[int]:
     """Every ideal of the root system as a bit mask, ascending."""
-    return sorted(ideal for ideal, _ in walk(rs))
+    return sorted(walk(rs))

@@ -1,14 +1,14 @@
 """Class of nilpotence of an ad-nilpotent ideal, several ways.
 
-The reference computation ("oracle") is a decomposition DP: one pass
-over the roots of the ideal in increasing height gives each root its
-depth in the lower central series, from the decomposition table of the
-root system.  `class_distribution` computes the same depths bit-sliced,
-stage by stage, for a whole block of ideals at once (`block_histogram`).
-Independent routes recover the same number from diagram combinatorics:
-a staircase filling, a truncation recursion, and broken-ray walks on
-(shifted) Ferrers diagrams.  Types B, C and D are routed through a
-symmetric completion of the shifted diagram.
+The reference computation ("oracle", `block_classes`) follows the lower
+central series of a whole block of ideals at once, bit-sliced: one int
+per root holds one bit per ideal, and one sweep over the root sums
+advances every ideal of the block by one stage.  Independent routes
+recover the same number from diagram combinatorics: a staircase filling,
+a truncation recursion, and broken-ray walks on (shifted) Ferrers
+diagrams.  Types B, C and D are routed through a symmetric completion of
+the shifted diagram.  Every route classifies a block of ideals
+(`ROUTES`); `classify_ideal` asks for a block of one.
 """
 from __future__ import annotations
 
@@ -31,38 +31,56 @@ BUDGET_BLOCK = 4096  # ideals classified between two looks at the clock
 BUDGET_MESSAGE = "class distribution exceeded its budget"
 
 
-def nilpotence_oracle(rs: RootSystem, ideal: int) -> int:
-    """Length of the lower central series I = I^1, I^{k+1} = [I^k, I].
+_LANES = bytes.maketrans(b"01", b"\0\1")  # binary digits to byte lanes
 
-    Every stage is upward closed, so the depth of a root beta of the
-    ideal (the largest k with beta in I^k) is one more than the larger
-    depth of gamma and delta over the decompositions beta = gamma + delta
-    inside the ideal, and 1 when there is none.  One pass over
-    `rs.decompositions`, in increasing height, fills in every depth; a
-    root outside the ideal keeps depth 0, which rules out each pair it
-    belongs to.  The class is the depth of the highest root; that it is
-    the largest depth is checked as a guard (skipped for reducible D2,
-    which has no highest root).
-    """
-    depth = [0] * len(rs)
-    for k, bit, pairs in rs.decompositions:
-        if ideal & bit:
-            d = 0
-            for i, j in pairs:
-                x = depth[i]
-                if x:
-                    y = depth[j]
-                    if y:
-                        if y > x:
-                            x = y
-                        if x > d:
-                            d = x
-            depth[k] = d + 1
-    top = max(depth)
+
+def block_classes(rs: RootSystem, ideals: list[int]) -> list[int]:
+    """Class of nilpotence of each ideal of a block: the length of its
+    lower central series I = I^1, I^{k+1} = [I^k, I], bit-sliced.
+
+    The block is transposed to one int per root (bit b of column k is set
+    when ideal b holds root k).  Stage s holds per root the ideals whose
+    I^s contains it; root k enters I^{s+1} when k = i + j with i in I^s
+    and j in I, so one sweep over `rs.partners` advances the whole block
+    one stage.  The union of stage s over the roots marks the ideals of
+    class at least s, and these nested masks are summed into one byte
+    lane per ideal.  That the highest root lies in every nonempty stage
+    (it carries the largest depth) is checked at every stage, skipped for
+    reducible D2, which has no highest root."""
+    if not ideals:
+        return []
+    size = len(rs)
+    if min(ideals) < 0 or max(ideals) >> size:
+        raise ValueError(f"a mask of the block is no set of roots of {rs.lie_type}")
+    if rs.coxeter_number > 256:  # no class exceeds the height of the highest root
+        raise ValueError(f"classes of {rs.lie_type} do not fit in byte lanes")
+    count = len(ideals)
+    # one row per ideal, the last ideal first: "0b1" and then `size` binary
+    # digits, of which digit width-1-k is root k; so every width-th digit
+    # from there, read in binary, is a column
+    top = 1 << size
+    text = "".join([bin(ideal | top) for ideal in reversed(ideals)])
+    width = size + 3
+    columns = [int(text[width - 1 - k :: width], 2) for k in range(size)]
     theta = rs.highest_index
-    if theta is not None and depth[theta] != top:
-        raise AssertionError("the highest root does not carry the largest depth")
-    return top
+    partners = rs.partners
+    stage = columns
+    total = 0  # byte b is the class of ideal b so far
+    while True:
+        reached = 0
+        for col in stage:
+            reached |= col
+        if not reached:
+            return list(total.to_bytes(count, "little"))
+        if theta is not None and reached & ~stage[theta]:
+            raise AssertionError("the highest root does not carry the largest depth")
+        total += int.from_bytes(f"{reached:0{count}b}".encode().translate(_LANES), "big")
+        nxt = [0] * size
+        for i, deep in enumerate(stage):
+            if deep:
+                for j, k in partners[i]:
+                    nxt[k] |= deep & columns[j]
+        stage = nxt
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +362,14 @@ def two_ray_classify(parts: Partition, n: int, family: str) -> TwoRayResult:
 # distributions
 
 
+def _each(route):
+    """The block function of a route that classifies one ideal at a time."""
+    return lambda rs, ideals: [route(rs, ideal) for ideal in ideals]
+
+
 def _on_rows(diagram_class):
-    """The route of a diagram algorithm, which takes (row lengths, rank)."""
-    return lambda rs, ideal: diagram_class(ideal_rows(rs, ideal), rs.lie_type.rank)
+    """The block function of a diagram algorithm, which takes (row lengths, rank)."""
+    return _each(lambda rs, ideal: diagram_class(ideal_rows(rs, ideal), rs.lie_type.rank))
 
 
 def _tworay_class(rs: RootSystem, ideal: int) -> int:
@@ -354,20 +377,21 @@ def _tworay_class(rs: RootSystem, ideal: int) -> int:
     return two_ray_classify(ideal_rows(rs, ideal), lt.rank, lt.family).nilpotence
 
 
-# method -> (families it applies to, class of one ideal); the oracle
-# applies everywhere, every other route is checked against it
+# method -> (families it applies to, classes of a block of ideals); the
+# oracle applies everywhere, every other route is checked against it
 ROUTES = {
-    "oracle": (FAMILIES, nilpotence_oracle),
+    "oracle": (FAMILIES, block_classes),
     "filling": ("A", _on_rows(lambda parts, n: staircase_filling(parts, n)[0][0])),
     "recursion": ("A", _on_rows(nilpotence_from_partition)),
     "zigzag": ("A", _on_rows(zigzag_class)),
-    "completion": ("BCD", nilpotence_via_completion),
+    "completion": ("BCD", _each(nilpotence_via_completion)),
     "ray": ("C", _on_rows(single_ray_class)),
-    "tworay": ("BD", _tworay_class),
+    "tworay": ("BD", _each(_tworay_class)),
 }
 
 
 def _class_function(rs: RootSystem, method: str):
+    """The block function of `method` on `rs`."""
     if method not in ROUTES:
         raise ValueError(f"unknown method {method!r}")
     families, route = ROUTES[method]
@@ -380,7 +404,17 @@ def _class_function(rs: RootSystem, method: str):
 
 def classify_ideal(rs: RootSystem, ideal: int, method: str = "oracle") -> int:
     """Class of nilpotence of a single ideal by the chosen algorithm."""
-    return _class_function(rs, method)(ideal)
+    return _class_function(rs, method)([ideal])[0]
+
+
+def classify_ideals(
+    rs: RootSystem, ideals: Iterable[int], method: str = "oracle", deadline: float = math.inf
+) -> Iterator[int]:
+    """Class of each ideal in turn, classified `BUDGET_BLOCK` at a time
+    within the deadline (see `budget_blocks`)."""
+    classify = _class_function(rs, method)
+    for block in budget_blocks(ideals, deadline):
+        yield from classify(block)
 
 
 _WORKER_STATE: tuple[RootSystem, str, float] | None = None
@@ -393,6 +427,11 @@ def _worker_init(rs: RootSystem, method: str, deadline: float) -> None:
 
 def _worker_run(seed: Seed) -> Counter:
     return _seed_histogram(*_WORKER_STATE, seed)
+
+
+def _seed_histogram(rs: RootSystem, method: str, deadline: float, seed: Seed) -> Counter:
+    """Histogram of one search subtree, within the deadline."""
+    return Counter(classify_ideals(rs, walk(rs, seed), method, deadline))
 
 
 def budget_blocks(ideals: Iterable[int], deadline: float) -> Iterator[list[int]]:
@@ -413,78 +452,6 @@ def budget_deadline(budget: float | None) -> float:
     if budget is not None and not budget > 0:
         raise ValueError(f"budget must be a positive number of seconds, got {budget}")
     return math.inf if budget is None else time.monotonic() + budget
-
-
-def block_columns(rs: RootSystem, antichains: list[int]) -> list[int]:
-    """A block of ideals, given by their antichains, transposed: bit b of
-    column k is set when ideal b holds root k.  Root k is in the ideal when
-    it is in the antichain or covers a root in the ideal, so the columns
-    fill in increasing height from the antichain columns."""
-    size = len(rs)
-    # one row of `size` binary digits per antichain, the last ideal first,
-    # formatted in one call: digit size-1-k of each row is root k, so
-    # every size-th digit from there, read in binary, is a column
-    text = (f"{{:0{size}b}}" * len(antichains)).format(*reversed(antichains))
-    columns = [0] * size
-    covers = rs.covers
-    for k, _, _ in rs.decompositions:
-        col = int(text[size - 1 - k :: size], 2)
-        for j in covers[k]:
-            col |= columns[j]
-        columns[k] = col
-    return columns
-
-
-def block_histogram(rs: RootSystem, columns: list[int], count: int) -> Counter:
-    """Histogram of a block of `count` ideals in column form, bit-sliced.
-
-    `nilpotence_oracle` on every ideal of the block at once.  Stage s holds
-    per root the ideals where that root has depth at least s; stage 1 is
-    the columns, and a root gets depth s+1 in an ideal holding it and a
-    decomposition whose one summand has depth s and the other lies in the
-    ideal.  So one sweep over the roots of depth s somewhere advances the
-    whole block one step down the lower central series.  The ideals of
-    class at least s are those with some root of depth s; that the highest
-    root is among them is the oracle's guard, checked at every stage."""
-    hist: Counter = Counter()
-    theta = rs.highest_index
-    partners = rs.partners
-    stage = columns
-    above = (1 << count) - 1  # the ideals of class >= s, from s = 0
-    s = 0
-    while above:
-        reached = 0
-        for col in stage:
-            reached |= col
-        if theta is not None and reached & ~stage[theta]:
-            raise AssertionError("the highest root does not carry the largest depth")
-        if done := above.bit_count() - reached.bit_count():
-            hist[s] = done
-        above = reached
-        s += 1
-        nxt = [0] * len(stage)
-        for i, deep in enumerate(stage):
-            if deep:
-                for j, k in partners[i]:
-                    nxt[k] |= deep & columns[j]
-        stage = [col & held for col, held in zip(nxt, columns)]
-    return hist
-
-
-def _seed_histogram(rs: RootSystem, method: str, deadline: float, seed: Seed) -> Counter:
-    """Histogram of one search subtree, within the deadline.  The oracle
-    classifies each block at once (`block_histogram`), every other route
-    ideal by ideal."""
-    hist: Counter = Counter()
-    if method == "oracle":
-        antichains = (anti for _, anti in walk(rs, seed))
-        for block in budget_blocks(antichains, deadline):
-            hist.update(block_histogram(rs, block_columns(rs, block), len(block)))
-        return hist
-    classify = _class_function(rs, method)
-    for block in budget_blocks((ideal for ideal, _ in walk(rs, seed)), deadline):
-        hist.update(map(classify, block))
-    return hist
 
 
 def resolve_workers(requested: int | None) -> int:
@@ -559,5 +526,5 @@ def class_distribution(
 
 def joint_histogram(rs: RootSystem, method: str = "oracle") -> dict[tuple[int, int], int]:
     """Histogram {(dimension, class): count} over every ideal."""
-    classify = _class_function(rs, method)
-    return dict(Counter((mask.bit_count(), classify(mask)) for mask, _ in walk(rs)))
+    ideals = list(walk(rs))
+    return dict(Counter(zip(map(int.bit_count, ideals), classify_ideals(rs, ideals, method))))

@@ -296,30 +296,14 @@ class RootSystem:
         roots = self.positive_roots
         idx = self.index
         size = len(roots)
-        # each unordered pair {i, j}, i <= j, of summands under its sum k
-        pairs: list[list[tuple[int, int]]] = [[] for _ in range(size)]
         # (j, k) for every root j whose sum with root i is the root k
         self.partners: list[list[tuple[int, int]]] = [[] for _ in range(size)]
-        # the roots each root covers: those a simple root below it
-        self.covers: list[list[int]] = [[] for _ in range(size)]
-        simple = {idx[r] for r in self.simple_roots}
         for i, ri in enumerate(roots):
             for j in range(i, size):
                 k = idx.get(tuple(x + y for x, y in zip(ri, roots[j])))
                 if k is not None:
-                    pairs[k].append((i, j))
                     self.partners[i].append((j, k))
                     self.partners[j].append((i, k))
-                    if i in simple:
-                        self.covers[k].append(j)
-                    if j in simple:
-                        self.covers[k].append(i)
-        # (k, 1 << k, pairs of k) for every root k in increasing height; the
-        # classical cell order is not a height order, hence the index k
-        self.decompositions: list[tuple[int, int, tuple[tuple[int, int], ...]]] = [
-            (k, 1 << k, tuple(pairs[k]))
-            for k in sorted(range(size), key=lambda k: sum(roots[k]))
-        ]
 
         self.filter_masks: list[int] = [0] * size   # j >= i
         self.below_masks: list[int] = [0] * size    # j <= i, j != i

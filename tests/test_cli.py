@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from adnil.checks import MAX_IDEALS, CheckResult
 from adnil.cli import format_distribution, main, parse_distribution
-from adnil.nilpotence import ROUTES
-from adnil.rootsys import total_count_formula
+from adnil.nilpotence import BUDGET_BLOCK, ROUTES, classify_ideal
+from adnil.rootsys import build_root_system, total_count_formula
 
 G2_TABLE = "K,count\n0,1\n1,3\n2,2\n3,1\n4,0\n5,1\ntotal,8\n"
 
@@ -28,6 +28,22 @@ def test_table_g2_golden(capsys: pytest.CaptureFixture) -> None:
     code, out = run_cli(capsys, ["table", "--type", "G2"])
     assert code == 0
     assert out == G2_TABLE
+
+
+@pytest.mark.parametrize("method", ["oracle", "zigzag"])
+def test_enumerate_across_blocks(capsys: pytest.CaptureFixture, method: str) -> None:
+    # A8 has 4862 ideals, two blocks: every row keeps its own mask's class
+    code, out = run_cli(capsys, ["enumerate", "--type", "A8", "--method", method])
+    assert code == 0
+    header, *lines = out.splitlines()
+    assert header == "mask,dimension,class"
+    rows = [tuple(map(int, line.split(","))) for line in lines]
+    assert BUDGET_BLOCK < len(rows) == 4862 < 2 * BUDGET_BLOCK
+    masks = [mask for mask, _, _ in rows]
+    assert masks == sorted(set(masks))
+    rs = build_root_system("A8")
+    for mask, dimension, k in rows:
+        assert (dimension, k) == (mask.bit_count(), classify_ideal(rs, mask, method)), mask
 
 
 def test_table_bare_family_with_rank(capsys: pytest.CaptureFixture) -> None:

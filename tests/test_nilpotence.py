@@ -24,7 +24,6 @@ from adnil import (
     classify_ideal,
     joint_histogram,
     nilpotence_from_partition,
-    nilpotence_oracle,
     nilpotence_via_completion,
     staircase_filling,
     symmetric_completion,
@@ -40,10 +39,10 @@ from adnil.nilpotence import (
     BUDGET_BLOCK,
     ROUTES,
     _seed_histogram,
-    block_columns,
-    block_histogram,
+    block_classes,
     budget_blocks,
     budget_deadline,
+    classify_ideals,
     ideal_rows,
     resolve_workers,
 )
@@ -71,10 +70,12 @@ def test_low_rank_coincidences() -> None:
 
 def test_oracle_requires_ideal_through_highest_root() -> None:
     rs = build_root_system("A2")
-    assert nilpotence_oracle(rs, 0) == 0
-    assert nilpotence_oracle(rs, 7) == 2
+    assert classify_ideal(rs, 0) == 0
+    assert classify_ideal(rs, 7) == 2
     # bracketing the two simple roots reaches the highest root
-    assert nilpotence_oracle(rs, 1) == 1
+    assert classify_ideal(rs, 1) == 1
+    assert block_classes(rs, [0, 7, 1]) == [0, 2, 1]
+    assert block_classes(rs, []) == []
 
 
 @cache
@@ -100,69 +101,69 @@ def bracket_class(roots: list[tuple[int, ...]], ideal: int) -> int:
 
 @pytest.mark.parametrize("label", SMALL_TYPES)
 def test_oracle_matches_bracket_iteration(label: str) -> None:
+    # every ideal of the type in one block, and every seed in its own
     rs = build_root_system(label)
-    for mask in enumerate_ideal_masks(rs):
-        assert nilpotence_oracle(rs, mask) == bracket_class(rs.positive_roots, mask), mask
+    masks = list(walk(rs))
+    want = {mask: bracket_class(rs.positive_roots, mask) for mask in masks}
+    assert block_classes(rs, masks) == list(want.values())
+    for seed in partition_seeds(rs):
+        block = list(walk(rs, seed))
+        assert block_classes(rs, block) == [want[mask] for mask in block], seed
+    assert class_distribution(rs, workers=1) == dict(sorted(Counter(want.values()).items()))
 
 
 @pytest.mark.parametrize("label", SMALL_TYPES)
 def test_block_oracle_matches_per_ideal_oracle(label: str) -> None:
-    # every ideal of the type in one block, and every seed in its own
+    # an ideal alone in a block of one (`classify_ideal`) gets the class
+    # it gets beside every other ideal of the type: no lane leaks
     rs = build_root_system(label)
-    masks, antichains = zip(*walk(rs))
-    want = Counter(nilpotence_oracle(rs, mask) for mask in masks)
-    columns = block_columns(rs, list(antichains))
-    assert columns == [
-        sum(1 << b for b, mask in enumerate(masks) if mask >> k & 1) for k in range(len(rs))
-    ]
-    assert block_histogram(rs, columns, len(masks)) == want
-    assert class_distribution(rs, workers=1) == dict(sorted(want.items()))
+    masks = list(walk(rs))
+    assert [classify_ideal(rs, mask) for mask in masks] == block_classes(rs, masks)
 
 
 def test_root_seed_histogram_spans_two_blocks() -> None:
     rs = build_root_system("A8")  # 4862 ideals
     blocks = list(budget_blocks(walk(rs), math.inf))
     assert [len(block) for block in blocks] == [BUDGET_BLOCK, 4862 - BUDGET_BLOCK]
-    want = Counter(nilpotence_oracle(rs, mask) for block in blocks for mask, _ in block)
-    assert _seed_histogram(rs, "oracle", math.inf, (0, 0, 0)) == want
+    want = [bracket_class(rs.positive_roots, mask) for block in blocks for mask in block]
+    assert list(classify_ideals(rs, walk(rs))) == want
+    assert _seed_histogram(rs, "oracle", math.inf, (0, 0, 0)) == Counter(want)
+
+
+def _non_ideal(rs) -> int:
+    """The simple roots alone: no ideal, since it misses the highest root."""
+    return sum(1 << rs.index[r] for r in rs.simple_roots)
 
 
 def test_oracle_guard_rejects_non_ideal() -> None:
     # the two simple roots of A2 without their sum, the highest root
     rs = build_root_system("A2")
-    mask = sum(1 << rs.index[r] for r in rs.simple_roots)
     with pytest.raises(AssertionError, match="highest root"):
-        nilpotence_oracle(rs, mask)
-
-
-def _mask_columns(rs, mask: int) -> list[int]:
-    """One ideal (or any root set) as a block of one: column k is bit k."""
-    return [mask >> k & 1 for k in range(len(rs))]
+        classify_ideal(rs, _non_ideal(rs))
 
 
 def test_block_guard_rejects_non_ideal() -> None:
-    rs = build_root_system("A2")
-    mask = sum(1 << rs.index[r] for r in rs.simple_roots)
-    with pytest.raises(AssertionError, match="highest root"):
-        block_histogram(rs, _mask_columns(rs, mask), 1)
     # the same root set beside genuine ideals fails the whole block
-    columns = block_columns(rs, [0, 1, 2])
-    columns = [col | bit << 3 for col, bit in zip(columns, _mask_columns(rs, mask))]
+    rs = build_root_system("A2")
+    assert block_classes(rs, [0, 1, 3]) == [0, 1, 1]
     with pytest.raises(AssertionError, match="highest root"):
-        block_histogram(rs, columns, 4)
+        block_classes(rs, [0, 1, 3, _non_ideal(rs)])
+    # a mask with a bit past the roots is no root set at all
+    for mask in (-1, 1 << len(rs)):
+        with pytest.raises(ValueError, match="no set of roots"):
+            block_classes(rs, [0, mask])
 
 
 def test_oracle_guard_survives_optimize() -> None:
     # a child under -O drops every bare assert; both guards must still raise
     src = str(Path(adnil.__file__).resolve().parents[1])
     code = (
-        "from adnil import build_root_system, nilpotence_oracle\n"
-        "from adnil.nilpotence import block_histogram\n"
+        "from adnil import build_root_system, classify_ideal\n"
+        "from adnil.nilpotence import block_classes\n"
         "rs = build_root_system('A2')\n"
         "mask = sum(1 << rs.index[r] for r in rs.simple_roots)\n"
-        "columns = [mask >> k & 1 for k in range(len(rs))]\n"
-        "for check in (lambda: nilpotence_oracle(rs, mask),\n"
-        "              lambda: block_histogram(rs, columns, 1)):\n"
+        "for check in (lambda: classify_ideal(rs, mask),\n"
+        "              lambda: block_classes(rs, [0, 1, 3, mask])):\n"
         "    try:\n"
         "        check()\n"
         "    except AssertionError:\n"
@@ -279,29 +280,29 @@ def test_zigzag_empty_and_full() -> None:
 def test_type_a_methods_agree_with_oracle() -> None:
     for n in range(1, 6):
         rs = build_root_system(f"A{n}")
-        for mask in enumerate_ideal_masks(rs):
-            want = nilpotence_oracle(rs, mask)
-            for method in ("filling", "recursion", "zigzag"):
-                assert classify_ideal(rs, mask, method) == want, (n, mask, method)
+        masks = enumerate_ideal_masks(rs)
+        want = block_classes(rs, masks)
+        for method in ("filling", "recursion", "zigzag"):
+            assert list(classify_ideals(rs, masks, method)) == want, (n, method)
 
 
 def test_completion_agrees_with_oracle() -> None:
     for label in ["B2", "B3", "B4", "C2", "C3", "C4", "D3", "D4"]:
         rs = build_root_system(label)
-        for mask in enumerate_ideal_masks(rs):
-            want = nilpotence_oracle(rs, mask)
-            assert nilpotence_via_completion(rs, mask) == want, (label, mask)
+        masks = enumerate_ideal_masks(rs)
+        got = [nilpotence_via_completion(rs, mask) for mask in masks]
+        assert got == block_classes(rs, masks), label
 
 
 def test_ray_methods_agree_with_oracle() -> None:
-    for label in ["C2", "C3", "C4", "C5"]:
-        rs = build_root_system(label)
-        for mask in enumerate_ideal_masks(rs):
-            assert classify_ideal(rs, mask, "ray") == nilpotence_oracle(rs, mask)
-    for label in ["B2", "B3", "B4", "D3", "D4", "D5"]:
-        rs = build_root_system(label)
-        for mask in enumerate_ideal_masks(rs):
-            assert classify_ideal(rs, mask, "tworay") == nilpotence_oracle(rs, mask)
+    for method, labels in [
+        ("ray", ["C2", "C3", "C4", "C5"]),
+        ("tworay", ["B2", "B3", "B4", "D3", "D4", "D5"]),
+    ]:
+        for label in labels:
+            rs = build_root_system(label)
+            masks = enumerate_ideal_masks(rs)
+            assert list(classify_ideals(rs, masks, method)) == block_classes(rs, masks), label
 
 
 def test_two_ray_cases_are_total() -> None:
@@ -414,10 +415,9 @@ def test_upward_ray_is_class_rounded_up_to_even() -> None:
     for label in ["C2", "C3", "C4", "C5"]:
         rs = build_root_system(label)
         n = rs.lie_type.rank
-        for mask in enumerate_ideal_masks(rs):
-            parts = ideal_rows(rs, mask)
-            k = nilpotence_oracle(rs, mask)
-            assert upward_ray_bound(parts, n) == k + (k % 2)
+        masks = enumerate_ideal_masks(rs)
+        for mask, k in zip(masks, block_classes(rs, masks)):
+            assert upward_ray_bound(ideal_rows(rs, mask), n) == k + (k % 2)
 
 
 def test_method_family_validation() -> None:
@@ -472,13 +472,13 @@ def test_budget_expiring_inside_a_block_stops_the_next(monkeypatch: pytest.Monke
     deadline = time.monotonic() + 0.3
     classified = []
 
-    def slow_block(rs, columns, count):
-        classified.append(count)
+    def slow_block(rs, ideals):
+        classified.append(len(ideals))
         while time.monotonic() <= deadline:
             time.sleep(0.01)
-        return block_histogram(rs, columns, count)
+        return block_classes(rs, ideals)
 
-    monkeypatch.setattr(nilpotence, "block_histogram", slow_block)
+    monkeypatch.setitem(nilpotence.ROUTES, "oracle", (nilpotence.FAMILIES, slow_block))
     with pytest.raises(TimeoutError):
         _seed_histogram(rs, "oracle", deadline, (0, 0, 0))
     assert classified == [BUDGET_BLOCK]

@@ -86,49 +86,29 @@ def test_cells_match_roots_for_classical() -> None:
     assert build_root_system("F4").cells is None
 
 
-def test_sum_tables_are_consistent() -> None:
-    # B3 lists its roots in cell order, which is not a height order
-    for label in ("B3", "D4", "G2"):
-        rs = build_root_system(label)
-        roots = rs.positive_roots
-        order = [k for k, _, _ in rs.decompositions]
-        assert sorted(order) == list(range(len(roots))), label
-        heights = [sum(roots[k]) for k in order]
-        assert heights == sorted(heights), label
-        listed = []
-        for k, bit, pairs in rs.decompositions:
-            assert bit == 1 << k
-            for i, j in pairs:
-                assert i <= j
-                assert tuple(a + b for a, b in zip(roots[i], roots[j])) == roots[k]
-                listed.append((i, j))
-        # each unordered pair once, and no pair summing to a root missing
-        assert len(listed) == len(set(listed)), label
-        want = {
-            (i, j)
-            for i in range(len(roots))
-            for j in range(i, len(roots))
-            if tuple(a + b for a, b in zip(roots[i], roots[j])) in rs.index
-        }
-        assert set(listed) == want, label
-
-
 @pytest.mark.parametrize("label", [*ALL_SMALL, "E8"])
 def test_partners_and_covers(label: str) -> None:
+    # partners: every ordered pair of roots whose sum is a root, and the sum
     rs = build_root_system(label)
-    directed = sorted(
-        (i, j, k) for k, _, pairs in rs.decompositions for a, b in pairs
-        for i, j in ((a, b), (b, a))
+    roots = rs.positive_roots
+    sums = sorted(
+        (i, j, rs.index[s])
+        for i, ri in enumerate(roots)
+        for j, rj in enumerate(roots)
+        if (s := tuple(a + b for a, b in zip(ri, rj))) in rs.index
     )
-    assert sorted((i, j, k) for i, row in enumerate(rs.partners) for j, k in row) == directed
-    # a root covers the roots below it that lie below no other root below it
+    assert sorted((i, j, k) for i, row in enumerate(rs.partners) for j, k in row) == sums
+    # a root covers the roots below it that lie below no other root below
+    # it, which are exactly the roots a simple root below it
+    simple = set(rs.simple_roots)
     for k, down in enumerate(rs.below_masks):
         inner = 0
         for j in range(len(rs)):
             if down >> j & 1:
                 inner |= rs.below_masks[j]
         want = [j for j in range(len(rs)) if (down & ~inner) >> j & 1]
-        assert sorted(rs.covers[k]) == want, (label, k)
+        steps = [tuple(a - b for a, b in zip(roots[k], r)) for r in roots]
+        assert [j for j, step in enumerate(steps) if step in simple] == want, (label, k)
 
 
 def test_order_masks() -> None:
