@@ -92,18 +92,18 @@ def series_of_ratio(num: poly.Poly, den: poly.Poly, order: int) -> PowerSeries:
     n = ([0] * shift + list(reversed(num)) + [0] * length)[:length]
     d = den[::-1]
     # the terms d[k] q[i-k], k >= 1, of the inner sum, over the nonzero d[k]
-    # only: every other coefficient of a Chebyshev denominator is zero
-    terms = [(k, c) for k, c in enumerate(d) if k and c]
+    # of the parity of i only: each odd q is checked to be zero as it is
+    # computed (and a Chebyshev denominator has no nonzero odd d[k])
+    terms = [[(k, c) for k, c in enumerate(d) if k and c and k % 2 == p] for p in (0, 1)]
     q: list[int] = []
     for i in range(length):
-        acc = n[i] - sum(c * q[i - k] for k, c in terms if k <= i)
+        acc = n[i] - sum(c * q[i - k] for k, c in terms[i % 2] if k <= i)
         qi, rem = divmod(acc, d[0])
         if rem:
             raise ValueError(f"noninteger series coefficient {acc}/{d[0]}")
+        if i % 2 and qi:
+            raise ValueError(f"odd powers of sqrt(x) survive: {[qi]}")
         q.append(qi)
-    residue = [c for c in q[1::2] if c]
-    if residue:
-        raise ValueError(f"odd powers of sqrt(x) survive: {residue[:3]}")
     return PowerSeries(tuple(q[0::2][: order + 1]))
 
 

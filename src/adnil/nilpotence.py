@@ -34,34 +34,47 @@ BUDGET_MESSAGE = "class distribution exceeded its budget"
 _LANES = bytes.maketrans(b"01", b"\0\1")  # binary digits to byte lanes
 
 
-def block_classes(rs: RootSystem, ideals: list[int]) -> list[int]:
-    """Class of nilpotence of each ideal of a block: the length of its
-    lower central series I = I^1, I^{k+1} = [I^k, I], bit-sliced.
-
-    The block is transposed to one int per root (bit b of column k is set
-    when ideal b holds root k).  Stage s holds per root the ideals whose
-    I^s contains it; root k enters I^{s+1} when k = i + j with i in I^s
-    and j in I, so one sweep over `rs.partners` advances the whole block
-    one stage.  The union of stage s over the roots marks the ideals of
-    class at least s, and these nested masks are summed into one byte
-    lane per ideal.  That the highest root lies in every nonempty stage
-    (it carries the largest depth) is checked at every stage, skipped for
-    reducible D2, which has no highest root."""
-    if not ideals:
-        return []
+def block_columns(rs: RootSystem, ideals: list[int]) -> list[int]:
+    """Transpose a nonempty block of ideal masks to one int per root: bit b
+    of column k is set when ideal b holds root k.  A mask that is negative
+    or wider than the roots raises ValueError."""
     size = len(rs)
     if min(ideals) < 0 or max(ideals) >> size:
         raise ValueError(f"a mask of the block is no set of roots of {rs.lie_type}")
-    if rs.coxeter_number > 256:  # no class exceeds the height of the highest root
-        raise ValueError(f"classes of {rs.lie_type} do not fit in byte lanes")
-    count = len(ideals)
     # one row per ideal, the last ideal first: "0b1" and then `size` binary
     # digits, of which digit width-1-k is root k; so every width-th digit
     # from there, read in binary, is a column
     top = 1 << size
     text = "".join([bin(ideal | top) for ideal in reversed(ideals)])
     width = size + 3
-    columns = [int(text[width - 1 - k :: width], 2) for k in range(size)]
+    return [int(text[width - 1 - k :: width], 2) for k in range(size)]
+
+
+def byte_lanes(bits: int, count: int) -> int:
+    """Byte b of the result is bit b of `bits`, for b < count."""
+    return int.from_bytes(f"{bits:0{count}b}".encode().translate(_LANES), "big")
+
+
+def block_classes(rs: RootSystem, ideals: list[int]) -> list[int]:
+    """Class of nilpotence of each ideal of a block: the length of its
+    lower central series I = I^1, I^{k+1} = [I^k, I], bit-sliced.
+
+    The block is transposed to one int per root (`block_columns`).  Stage
+    s holds per root the ideals whose I^s contains it; root k enters
+    I^{s+1} when k = i + j with i in I^s and j in I, so one sweep over
+    `rs.partners` advances the whole block one stage.  The union of stage
+    s over the roots marks the ideals of class at least s, and these
+    nested masks are summed into one byte lane per ideal.  That the
+    highest root lies in every nonempty stage (it carries the largest
+    depth) is checked at every stage, skipped for reducible D2, which has
+    no highest root."""
+    if not ideals:
+        return []
+    if rs.coxeter_number > 256:  # no class exceeds the height of the highest root
+        raise ValueError(f"classes of {rs.lie_type} do not fit in byte lanes")
+    columns = block_columns(rs, ideals)
+    count = len(ideals)
+    size = len(rs)
     theta = rs.highest_index
     partners = rs.partners
     stage = columns
@@ -74,7 +87,7 @@ def block_classes(rs: RootSystem, ideals: list[int]) -> list[int]:
             return list(total.to_bytes(count, "little"))
         if theta is not None and reached & ~stage[theta]:
             raise AssertionError("the highest root does not carry the largest depth")
-        total += int.from_bytes(f"{reached:0{count}b}".encode().translate(_LANES), "big")
+        total += byte_lanes(reached, count)
         nxt = [0] * size
         for i, deep in enumerate(stage):
             if deep:
@@ -128,28 +141,59 @@ def _pad(parts: tuple[int, ...] | list[int], n: int) -> list[int]:
     return parts
 
 
+def _block_filling(n: int, rows: Iterable[list[int]], count: int) -> list[list[int]]:
+    """Staircase fillings of a block of Ferrers diagrams, one byte lane per
+    diagram, lane b of rows[i][j] being 1 when diagram b holds cell (i, j).
+    An entry t[i][j] is at most n-i-j (a split sums to at most
+    (n-i-k) + (k-j)), so 7 bits under a guard bit hold every lane."""
+    if n > 127:
+        raise ValueError(f"entries of the {n}-staircase do not fit in 7-bit lanes")
+    inside = [[*cells, 0] for cells in rows] + [[0]]  # a 0 past each edge
+    guard = int.from_bytes(b"\x80" * count, "little")
+    t = [[0] * (n - i) for i in range(n)]
+    # 0-based: t[i][j] reads row i right of j and column j below row i
+    for i in range(n - 1, -1, -1):
+        row, cells, below = t[i], inside[i], inside[i + 1]
+        for j in range(n - i - 1, -1, -1):
+            corner = cells[j] & ~cells[j + 1] & ~below[j]
+            # 0 from the splits of a corner, and of a cell outside the diagram
+            best = 0
+            for k in range(j + 1, n - i):
+                a = row[k] + t[n - k][j]
+                ge = ((a | guard) - best) & guard  # 0x80 in the lanes where a >= best
+                best ^= (a ^ best) & (ge - (ge >> 7))
+            row[j] = best | corner
+    return t
+
+
 def staircase_filling(parts: Partition, n: int) -> list[list[int]]:
     """Fill the n-staircase: cells outside the diagram get 0, outer corners
     get 1, and every other diagram cell takes the best split
     t[i][k] + t[n-k+2][j] over k > j.  Entry (1,1) is the class of
-    nilpotence of the corresponding type-A ideal.
+    nilpotence of the corresponding type-A ideal.  Filled as a block of one.
     """
-    lam = _pad(parts, n) + [0]
-    t = [[0] * (n - i) for i in range(n)]
-    # 0-based: t[i][j] reads row i right of j and column j below row i
-    for i in range(n - 1, -1, -1):
-        row = t[i]
-        for j in range(lam[i] - 1, -1, -1):
-            if j == lam[i] - 1 and lam[i + 1] <= j:
-                row[j] = 1  # outer corner
-                continue
-            best = 0
-            for k in range(j + 1, n - i):
-                cand = row[k] + t[n - k][j]
-                if cand > best:
-                    best = cand
-            row[j] = best
-    return t
+    lam = _pad(parts, n)
+    return _block_filling(n, ([int(j < a) for j in range(n - i)] for i, a in enumerate(lam)), 1)
+
+
+def _filling_classes(rs: RootSystem, ideals: list[int]) -> list[int]:
+    """Entry (1,1) of the filling of each ideal of a type-A block.  Cell
+    (i, j) is root `first + j` of row i; one held without its left or
+    upper neighbour is no ideal."""
+    if not ideals:
+        return []
+    n = rs.lie_type.rank
+    columns = block_columns(rs, ideals)
+    rows = [columns[first : first + n - i] for i, (first, _, _) in enumerate(rs.rows)]
+    for i, cells in enumerate(rows):
+        for j, cell in enumerate(cells):
+            bad = (j and cell & ~cells[j - 1]) | (i and cell & ~rows[i - 1][j])
+            if bad:
+                mask = ideals[(bad & -bad).bit_length() - 1]
+                raise ValueError(f"mask {mask} is not an ideal of {rs.lie_type}")
+    count = len(ideals)
+    lanes = ([byte_lanes(cell, count) for cell in cells] for cells in rows)
+    return list(_block_filling(n, lanes, count)[0][0].to_bytes(count, "little"))
 
 
 def nilpotence_from_partition(parts: Partition, n: int) -> int:
@@ -381,7 +425,7 @@ def _tworay_class(rs: RootSystem, ideal: int) -> int:
 # oracle applies everywhere, every other route is checked against it
 ROUTES = {
     "oracle": (FAMILIES, block_classes),
-    "filling": ("A", _on_rows(lambda parts, n: staircase_filling(parts, n)[0][0])),
+    "filling": ("A", _filling_classes),
     "recursion": ("A", _on_rows(nilpotence_from_partition)),
     "zigzag": ("A", _on_rows(zigzag_class)),
     "completion": ("BCD", _each(nilpotence_via_completion)),

@@ -4,6 +4,7 @@ import concurrent.futures
 import math
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 import time
@@ -40,6 +41,7 @@ from adnil.nilpotence import (
     ROUTES,
     _seed_histogram,
     block_classes,
+    block_columns,
     budget_blocks,
     budget_deadline,
     classify_ideals,
@@ -275,6 +277,69 @@ def test_zigzag_large_diagram() -> None:
 def test_zigzag_empty_and_full() -> None:
     assert zigzag_class((), 4) == 0
     assert zigzag_class((4, 3, 2, 1), 4) == 4
+
+
+def _blocks(masks: list[int]) -> list[list[int]]:
+    return [masks[start : start + BUDGET_BLOCK] for start in range(0, len(masks), BUDGET_BLOCK)]
+
+
+def test_filling_route_matches_oracle_in_blocks() -> None:
+    # every ideal of A1..A9 in blocks of 4096; A8 and A9 end on a partial block
+    filling = ROUTES["filling"][1]
+    for n in range(1, 10):
+        rs = build_root_system(f"A{n}")
+        for block in _blocks(list(walk(rs))):
+            assert filling(rs, block) == block_classes(rs, block), (n, len(block))
+
+
+def test_filling_route_rejects_non_ideal_mid_block() -> None:
+    # one non-ideal among 4095 ideals fails the block, and is named
+    rs = build_root_system("A8")
+    block = list(walk(rs))[:BUDGET_BLOCK]
+    bad = (1 << len(rs)) - 1 ^ 1 << rs.highest_index  # every root but the highest
+    block[BUDGET_BLOCK // 2] = bad
+    with pytest.raises(ValueError, match=f"mask {bad} is not an ideal"):
+        ROUTES["filling"][1](rs, block)
+
+
+def test_filling_route_accepts_exactly_the_ideals() -> None:
+    # every mask of A4 alone in a block, and all of its ideals in one block
+    rs = build_root_system("A4")
+    ideals = set(enumerate_ideal_masks(rs))
+    for mask in range(1 << len(rs)):
+        if mask in ideals:
+            assert classify_ideal(rs, mask, "filling") == block_classes(rs, [mask])[0]
+        else:
+            with pytest.raises(ValueError, match="not an ideal"):
+                classify_ideal(rs, mask, "filling")
+    assert ROUTES["filling"][1](rs, sorted(ideals)) == block_classes(rs, sorted(ideals))
+
+
+@pytest.mark.parametrize("method", ["oracle", "filling"])
+def test_block_routes_refuse_masks_outside_the_roots(method: str) -> None:
+    rs = build_root_system("A3")
+    for mask in (-1, 1 << len(rs)):
+        with pytest.raises(ValueError, match="no set of roots"):
+            ROUTES[method][1](rs, [0, mask])
+
+
+@pytest.mark.parametrize("count", [1, BUDGET_BLOCK - 1, BUDGET_BLOCK])
+def test_block_columns_transpose_the_masks(count: int) -> None:
+    # checked bit by bit, apart from the routes that read the columns
+    rs = build_root_system("E8")
+    block = random.Random(count).sample(list(walk(rs)), count)
+    columns = block_columns(rs, block)
+    assert len(columns) == len(rs)
+    for k, column in enumerate(columns):
+        assert column >> count == 0
+        assert [column >> b & 1 for b in range(count)] == [mask >> k & 1 for mask in block]
+
+
+def test_staircase_filling_refuses_entries_wider_than_lanes() -> None:
+    # entries up to n in 7-bit lanes: n = 127 is the largest staircase
+    with pytest.raises(ValueError, match="7-bit lanes"):
+        staircase_filling((), 200)
+    assert staircase_filling((), 127)[0][0] == 0
 
 
 def test_type_a_methods_agree_with_oracle() -> None:
