@@ -42,7 +42,6 @@ from .closedform import (
 )
 from .genfun import (
     PowerSeries,
-    chebyshev_u,
     gf_A_le,
     gf_B_K,
     gf_B_le,

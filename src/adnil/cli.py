@@ -29,9 +29,10 @@ from .nilpotence import (
 )
 from .rootsys import LieType, RootSystem, build_root_system, total_count_formula
 
-# `qt` sums over 2^rank chains: A16 takes about 12 s and each further rank
-# doubles that, so rank 18 (about a minute for A18) is the last one run
-MAX_QT_RANK = 18
+# `qt` runs one transfer DP over chain tails.  Type C is the slower family:
+# C22 takes about 12 s on a 2-CPU host (A22 under 3 s), and the cost grows
+# about 1.4x per rank, so rank 22 is the last one run
+MAX_QT_RANK = 22
 
 # `gf` at class 500 and order 2000 takes about 4 s in its slowest family
 # (B or D, exact class); the cost grows with the square of the class and
@@ -266,7 +267,7 @@ def cmd_gf(cfg: RunConfig) -> int:
 def cmd_qt(cfg: RunConfig) -> int:
     n = cfg.lie_type.rank
     if n > MAX_QT_RANK:
-        raise ValueError(f"qt sums over 2^{n} chains; ranks above {MAX_QT_RANK} are refused")
+        raise ValueError(f"qt refuses ranks above {MAX_QT_RANK}, got rank {n}")
     coeffs = catalan_qt(n) if cfg.lie_type.family == "A" else gamma_qt(n)
     terms = sorted(coeffs.items())
     if cfg.format == "json":

@@ -10,8 +10,9 @@ tuples of adnil.poly.
 """
 from __future__ import annotations
 
-from itertools import combinations
+from functools import lru_cache
 from math import comb
+import operator
 
 from . import poly
 from .rootsys import LieType
@@ -27,134 +28,132 @@ def t_binomial(m: int, n: int) -> poly.Poly:
     num: poly.Poly = (1,)
     for i in range(1, n + 1):
         factor = poly.trim([1] + [0] * (m - n + i - 1) + [-1])
-        num = poly.mul(num, factor)
+        num = poly.mul(factor, num)
     for i in range(1, n + 1):
         num = poly.exact_div(num, poly.trim([1] + [0] * (i - 1) + [-1]))
     return num
 
 
+def _chain_layers(top: int, depth: int, weight, one, add, mul, exact: bool = False) -> list[dict]:
+    """Transfer DP over the tails (b, c, ..., top, top+1) of the chains
+    whose entries before top increase from 1 (Stanley, EC1 4.7): layer m
+    (m = 0..depth) maps each first pair (b, c) to the sum, over the tails
+    with m entries before top, of the product of weight(a, b, c) over
+    their consecutive triples.  `add` sums a list, `mul` multiplies two
+    values.  With `exact` only the last layer is complete: a tail is
+    dropped once its first entry leaves no room for the ones it lacks."""
+    layers = [{(top, top + 1): one}]
+    for m in range(depth):
+        tails: dict[int, list] = {}
+        for (b, c), v in layers[-1].items():
+            tails.setdefault(b, []).append((c, v))
+        layers.append({
+            (a, b): add([mul(weight(a, b, c), v) for c, v in cv])
+            for b, cv in tails.items()
+            for a in range(depth - m if exact else 1, b)
+        })
+    return layers
+
+
+def _weight(a: int, b: int, c: int) -> int:
+    return comb(c - a - 1, b - a)
+
+
+def _head(i1: int, i2: int) -> int:
+    return sum(comb(i1 + i2 - 1, ell) for ell in range(i2 - i1))
+
+
+def _t_weights(o: int):
+    """_weight and _head in t, sharing one Gaussian-binomial memo: the
+    triple weight t^((a+o)(c-b)) [c-a-1 choose b-a]_t, with o = 0 in type
+    A and o = n in type C, and the sum over l < i2-i1 of [i1+i2-1 choose
+    l]_t t^C(l+1, 2), whose factor t^(-C(n-i2+1, 2)) the caller adds."""
+    binom = lru_cache(maxsize=None)(t_binomial)
+
+    def weight(a: int, b: int, c: int) -> poly.Poly:
+        return (0,) * ((a + o) * (c - b)) + binom(c - a - 1, b - a)
+
+    @lru_cache(maxsize=None)
+    def head(i1: int, i2: int) -> poly.Poly:
+        terms = [(0,) * comb(ell + 1, 2) + binom(i1 + i2 - 1, ell) for ell in range(i2 - i1)]
+        return _poly_sum(terms)
+
+    return weight, head
+
+
+def _poly_sum(terms: list[poly.Poly]) -> poly.Poly:
+    return poly.add(*terms)
+
+
+def _emit(out: dict[tuple[int, int], int], q: int, p: poly.Poly, shift: int) -> None:
+    for e, c in enumerate(p):
+        if c:
+            out[(q, e + shift)] = out.get((q, e + shift), 0) + c
+
+
 def alpha_A(n: int, K: int) -> int:
     """Number of type-A_n ideals with class exactly K: the chain multisum
-    over 0 = i_0 < i_1 < ... < i_K < i_{K+1} = n+1."""
-    total = 0
-    for chain in combinations(range(1, n + 1), K):
-        seq = (0,) + chain + (n + 1,)
-        prod = 1
-        for j in range(K):
-            prod *= comb(seq[j + 2] - seq[j] - 1, seq[j + 1] - seq[j])
-            if prod == 0:
-                break
-        total += prod
-    return total
+    over 0 < s_1 < ... < s_K < n+1 of the product of _weight over the
+    consecutive triples of (0, s_1, ..., s_K, n+1, n+2)."""
+    if K < 0:
+        raise ValueError("class must be nonnegative")
+    if K > n:
+        return 0
+    layer = _chain_layers(n + 1, K, _weight, 1, sum, operator.mul, exact=True)[K]
+    return sum(v * _weight(0, b, c) for (b, c), v in layer.items())
 
 
 def catalan_qt(n: int) -> dict[tuple[int, int], int]:
     """(q,t)-Catalan refinement for type A_n, as a map (q-degree,
     t-degree) -> coefficient: q marks the class, t the dimension.  Every
-    coefficient is positive, and they sum to the (n+1)st Catalan number."""
+    coefficient is positive, and they sum to the (n+1)st Catalan number.
+    The chains are alpha_A's; a chain of K entries has q-degree K."""
+    weight, _ = _t_weights(0)
     out: dict[tuple[int, int], int] = {}
-    for K in range(n + 1):
-        for chain in combinations(range(1, n + 1), K):
-            seq = (0,) + chain + (n + 1, n + 2)
-            tp: poly.Poly = (1,)
-            shift = 0
-            for j in range(K):
-                shift += seq[j + 1] * (seq[j + 3] - seq[j + 2])
-                tp = poly.mul(tp, t_binomial(seq[j + 2] - seq[j] - 1, seq[j + 1] - seq[j]))
-                if not tp:
-                    break
-            for e, c in enumerate(tp):
-                if c:
-                    key = (K, e + shift)
-                    out[key] = out.get(key, 0) + c
+    for K, layer in enumerate(_chain_layers(n + 1, n, weight, (1,), _poly_sum, poly.mul)):
+        _emit(out, K, _poly_sum([poly.mul(weight(0, b, c), v) for (b, c), v in layer.items()]), 0)
     return out
 
 
 def gamma_C(n: int, K: int) -> int:
-    """Number of type-C_n ideals with class exactly K, by the even/odd
-    chain multisums (indices i_{k+1} = n, i_{k+2} = n+1)."""
-    if K < 0:
-        return 0
-    total = 0
-    if K % 2 == 0:
-        k = K // 2
-        for chain in combinations(range(1, n), k):
-            seq = chain + (n, n + 1)
-            prod = 1
-            for j in range(1, k):
-                prod *= comb(seq[j + 1] - seq[j - 1] - 1, seq[j] - seq[j - 1])
-            inner = sum(
-                comb(seq[0] + seq[1] - 1, ell) for ell in range(seq[1] - seq[0])
-            )
-            total += prod * inner
-    else:
-        k = (K + 1) // 2
-        for chain in combinations(range(1, n), k - 1):
-            tail = chain + (n, n + 1)
-            i2 = tail[0]
-            for i1 in range(-i2 + 1, 1):
-                seq = (i1,) + tail
-                prod = 1
-                for j in range(1, k):
-                    prod *= comb(seq[j + 1] - seq[j - 1] - 1, seq[j] - seq[j - 1])
-                total += prod * 2 ** (i1 + i2 - 1)
-    return total
+    """Number of type-C_n ideals with class exactly K: the chain multisum
+    over (i_1, ..., i_k, n, n+1) with 0 < i_2 < ... < i_k < n and
+    -i_2 < i_1 < i_2, where K = 2k - [i_1 <= 0], of _head(i_1, i_2) times
+    the product of _weight over the consecutive triples.  For K even the
+    tail's first pair is (i_1, i_2); for K odd i_1 comes before the tail."""
+    if not 0 < K < 2 * n:
+        return int(K == 0)
+    m, odd = divmod(K, 2)
+    layer = _chain_layers(n, m, _weight, 1, sum, operator.mul, exact=True)[m]
+    return sum(
+        v * (sum(_weight(a, b, c) * _head(a, b) for a in range(1 - b, 1)) if odd else _head(b, c))
+        for (b, c), v in layer.items()
+    )
 
 
 def gamma_qt(n: int) -> dict[tuple[int, int], int]:
     """(q,t)-analogue of the central binomial C(2n,n) for type C_n, as a
     map (q-degree, t-degree) -> positive coefficient: q marks the class,
-    t the dimension.  The chain sum allows the first index to go
-    nonpositive; those terms carry an odd q-power."""
-    out: dict[tuple[int, int], int] = {(0, 0): 1}
-    for k in range(1, n + 1):
-        for chain in combinations(range(1, n), k - 1):
-            tail = chain + (n, n + 1)
-            i2 = tail[0]
-            for i1 in range(-i2 + 1, i2):
-                seq = (i1,) + tail
-                q_deg = 2 * k - (1 if i1 <= 0 else 0)
-                tp: poly.Poly = (1,)
-                shift = 0
-                for j in range(1, k):
-                    shift += (seq[j] + n) * (seq[j + 2] - seq[j + 1])
-                    tp = poly.mul(
-                        tp, t_binomial(seq[j + 1] - seq[j - 1] - 1, seq[j] - seq[j - 1])
-                    )
-                    if not tp:
-                        break
-                if not tp:
-                    continue
-                base = (i1 + n) * (seq[2] - seq[1]) - comb(n - i2 + 1, 2)
-                inner: dict[int, int] = {}
-                for ell in range(i2 - i1):
-                    for e, c in enumerate(t_binomial(i1 + i2 - 1, ell)):
-                        if c:
-                            exp = base + comb(ell + 1, 2) + e
-                            inner[exp] = inner.get(exp, 0) + c
-                for exp, c in inner.items():
-                    for e, ct in enumerate(tp):
-                        if ct:
-                            key = (q_deg, exp + e + shift)
-                            out[key] = out.get(key, 0) + c * ct
+    t the dimension.  The chains are gamma_C's; the first entry may go
+    nonpositive, and those terms carry an odd q-power."""
+    weight, head = _t_weights(n)
+    out: dict[tuple[int, int], int] = {}
+    for m, layer in enumerate(_chain_layers(n, n - 1, weight, (1,), _poly_sum, poly.mul)):
+        for (b, c), v in layer.items():
+            _emit(out, 2 * m, poly.mul(head(b, c), v), -comb(n - c + 1, 2))
+            odd = _poly_sum([poly.mul(weight(a, b, c), head(a, b)) for a in range(1 - b, 1)])
+            _emit(out, 2 * m + 1, poly.mul(odd, v), -comb(n - b + 1, 2))
     if any(kt < 0 for (_, kt) in out):
         raise AssertionError("negative t-degree")
     return out
 
 
 def odd_sum_product(i1: int, i2: int) -> tuple[poly.Poly, poly.Poly]:
-    """Both sides of the collapse of the inner sum for i1 <= 0: the
+    """Both sides of the collapse of the head sum for i1 <= 0: the
     triangular-weighted Gaussian sum and the product (1+t)...(1+t^(i1+i2-1))."""
-    lhs = poly.add(
-        *(poly.mul(t_binomial(i1 + i2 - 1, ell), _t_monomial(comb(ell + 1, 2)))
-          for ell in range(i2 - i1))
-    )
+    _, head = _t_weights(0)
     rhs = poly.mul((1,), *(poly.trim([1] + [0] * (r - 1) + [1]) for r in range(1, i1 + i2)))
-    return lhs, rhs
-
-
-def _t_monomial(e: int) -> poly.Poly:
-    return tuple([0] * e + [1])
+    return head(i1, i2), rhs
 
 
 def c4_count(n: int, h: int) -> int:

@@ -19,23 +19,6 @@ T: poly.Poly = (0, 1)  # t = 1/sqrt(x)
 T2: poly.Poly = (0, 0, 1)  # t**2 = 1/x
 
 
-def chebyshev_u(n: int) -> poly.Poly:
-    """Chebyshev polynomial of the second kind, as x-coefficients.
-    Extended backwards so that U(-1) = 0 and U(-2) = -1 keep the
-    recurrence U(n+1) = 2x*U(n) - U(n-1) valid."""
-    if n < -2:
-        raise ValueError("index must be at least -2")
-    if n == -2:
-        return (-1,)
-    if n == -1:
-        return ()
-    prev: poly.Poly = ()
-    cur: poly.Poly = (1,)
-    for _ in range(n):
-        prev, cur = cur, poly.add(poly.mul((0, 2), cur), poly.scale(prev, -1))
-    return cur
-
-
 def u_tilde(k: int) -> poly.Poly:
     """U_k(t/2) with t = 1/sqrt(x): sum over j of (-1)^j C(k-j, j) t^(k-2j).
     Degree k with leading coefficient 1 for k >= 0; negative indices
@@ -264,20 +247,21 @@ def verify_cf_identity(h: int, order: int = 20) -> bool:
     """Check the depth-h continued fraction against u_tilde(h) /
     (sqrt(x) u_tilde(h+1)), plus the two product identities
     U_k U_{k+1} = U_{2k+1} + U_{2k-1} + ... + U_1 and
-    U_{k+1}^2 - U_k^2 = U_{2k+2} as exact polynomial equalities."""
+    U_{k+1}^2 - U_k^2 = U_{2k+2} as exact polynomial equalities on
+    u_tilde, the image of U_k under x -> t/2."""
     cf = _cf_series(h, order)
     closed = series_of_ratio(poly.mul(T, u_tilde(h)), u_tilde(h + 1), order)
     if cf.coefficients != closed.coefficients:
         return False
     for k in range(13):
-        lhs = poly.mul(chebyshev_u(k), chebyshev_u(k + 1))
-        rhs = poly.add(*(chebyshev_u(i) for i in range(1, 2 * k + 2, 2)))
+        lhs = poly.mul(u_tilde(k), u_tilde(k + 1))
+        rhs = poly.add(*(u_tilde(i) for i in range(1, 2 * k + 2, 2)))
         if lhs != rhs:
             return False
         sq = poly.add(
-            poly.mul(chebyshev_u(k + 1), chebyshev_u(k + 1)),
-            poly.scale(poly.mul(chebyshev_u(k), chebyshev_u(k)), -1),
+            poly.mul(u_tilde(k + 1), u_tilde(k + 1)),
+            poly.scale(poly.mul(u_tilde(k), u_tilde(k)), -1),
         )
-        if sq != chebyshev_u(2 * k + 2):
+        if sq != u_tilde(2 * k + 2):
             return False
     return True

@@ -1,8 +1,8 @@
 """Integer polynomials in one variable, as coefficient tuples.
 
 Index = exponent, no trailing zeros, zero polynomial = ().  The one
-polynomial kernel: it serves the Gaussian binomials in t (closedform),
-the Chebyshev polynomials in x and the counting series' numerators and
+polynomial kernel: it serves the Gaussian binomials in t (closedform)
+and the Chebyshev polynomials and counting series' numerators and
 denominators in t = 1/sqrt(x) (genfun).
 """
 from __future__ import annotations

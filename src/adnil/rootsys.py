@@ -275,22 +275,15 @@ class RootSystem:
             r: k for k, r in enumerate(self.positive_roots)
         }
 
-        maxima = [
-            r
-            for r in self.positive_roots
-            if not any(root_leq(r, s) and r != s for s in self.positive_roots)
-        ]
-        # D2 = A1 x A1 is the one permitted type without a highest root
-        self.highest_root: Root | None = maxima[0] if len(maxima) == 1 else None
-        if self.highest_root is None and str(lie_type) != "D2":
-            raise AssertionError(f"{lie_type}: no unique highest root")
-
         self.exponents = exponents(lie_type)
         self.coxeter_number = self.exponents[-1] + 1
         if self.coxeter_number * n != 2 * len(self.positive_roots):
             raise AssertionError(f"{lie_type}: h*n != 2*#positive roots")
 
         self._build_tables()
+        # D2 = A1 x A1 is the one permitted type without a highest root
+        if self.highest_index is None and str(lie_type) != "D2":
+            raise AssertionError(f"{lie_type}: no unique highest root")
 
     def _build_tables(self) -> None:
         roots = self.positive_roots
@@ -305,24 +298,27 @@ class RootSystem:
                     self.partners[i].append((j, k))
                     self.partners[j].append((i, k))
 
-        self.filter_masks: list[int] = [0] * size   # j >= i
+        # covers k -> k + alpha_i, one index lookup per simple root; filters
+        # are filled from the top height down, strict lower sets bottom up
+        ups = [
+            [idx[u] for i in range(len(r)) if (u := r[:i] + (r[i] + 1,) + r[i + 1:]) in idx]
+            for r in roots
+        ]
+        by_height = sorted(range(size), key=lambda k: sum(roots[k]))
+        self.filter_masks: list[int] = [1 << k for k in range(size)]   # j >= i
         self.below_masks: list[int] = [0] * size    # j <= i, j != i
-        for i, ri in enumerate(roots):
-            up = 0
-            down = 0
-            for j, rj in enumerate(roots):
-                if root_leq(ri, rj):
-                    up |= 1 << j
-                if root_leq(rj, ri) and i != j:
-                    down |= 1 << j
-            self.filter_masks[i] = up
-            self.below_masks[i] = down
+        for k in reversed(by_height):
+            for j in ups[k]:
+                self.filter_masks[k] |= self.filter_masks[j]
+        for k in by_height:
+            for j in ups[k]:
+                self.below_masks[j] |= self.below_masks[k] | 1 << k
         self.comparable_masks: list[int] = [
             self.filter_masks[i] | self.below_masks[i] for i in range(size)
         ]
-        self.highest_index: int | None = (
-            idx[self.highest_root] if self.highest_root is not None else None
-        )
+        tops = [k for k in range(size) if self.filter_masks[k] == 1 << k]
+        self.highest_index: int | None = tops[0] if len(tops) == 1 else None
+        self.highest_root: Root | None = roots[tops[0]] if len(tops) == 1 else None
 
     def __len__(self) -> int:
         return len(self.positive_roots)

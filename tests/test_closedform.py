@@ -85,6 +85,9 @@ def test_alpha_hand_values() -> None:
     assert alpha_A(2, 1) == 3
     assert alpha_A(2, 2) == 1
     assert alpha_A(3, 2) == 5
+    assert alpha_A(3, 4) == 0
+    with pytest.raises(ValueError):
+        alpha_A(3, -1)
 
 
 def test_alpha_sums_to_catalan() -> None:
@@ -100,11 +103,12 @@ def test_alpha_matches_enumeration() -> None:
 
 
 def test_catalan_qt_rank_one() -> None:
+    assert catalan_qt(0) == gamma_qt(0) == {(0, 0): 1}
     assert catalan_qt(1) == {(0, 0): 1, (1, 1): 1}
 
 
 def test_catalan_qt_specializations() -> None:
-    for n in range(1, 8):
+    for n in range(1, 15):
         coeffs = catalan_qt(n)
         assert sum(coeffs.values()) == catalan(n + 1)
         # q alone recovers the class counts
@@ -113,7 +117,7 @@ def test_catalan_qt_specializations() -> None:
 
 
 def test_catalan_qt_matches_joint_enumeration() -> None:
-    for n in range(1, 5):
+    for n in range(1, 9):
         rs = build_root_system(f"A{n}")
         joint = joint_histogram(rs)
         want = {(K, d): c for (d, K), c in joint.items()}
@@ -128,6 +132,7 @@ def test_gamma_totals_and_abelian() -> None:
     for n in range(1, 7):
         assert gamma_C(n, 0) == 1
         assert gamma_C(n, 1) == 2**n - 1
+        assert gamma_C(n, -1) == gamma_C(n, 2 * n) == 0
         assert sum(gamma_C(n, K) for K in range(2 * n)) == comb(2 * n, n)
 
 
@@ -139,17 +144,21 @@ def test_gamma_matches_enumeration() -> None:
 
 
 def test_gamma_qt_specializations() -> None:
-    for n in range(1, 7):
+    for n in range(1, 13):
         coeffs = gamma_qt(n)
         assert sum(coeffs.values()) == comb(2 * n, n)
         assert max(t for _, t in coeffs) == n * n
+        # q alone recovers the class counts, as free-path heights
+        for K in range(2 * n):
+            got = sum(c for (q, _), c in coeffs.items() if q == K)
+            assert got == path_count_height(2 * n, K + 1, return_to_axis=False), (n, K)
 
 
 def test_gamma_qt_matches_joint_enumeration() -> None:
     # C1 = A1, then honest type C
     want = {(K, d): c for (d, K), c in joint_histogram(build_root_system("A1")).items()}
     assert gamma_qt(1) == want
-    for n in range(2, 5):
+    for n in range(2, 7):
         rs = build_root_system(f"C{n}")
         joint = {(K, d): c for (d, K), c in joint_histogram(rs).items()}
         assert gamma_qt(n) == joint, n
@@ -201,13 +210,13 @@ def test_path_totals() -> None:
 
 
 def test_dyck_heights_match_class_counts() -> None:
-    for n in range(1, 7):
+    for n in (*range(1, 11), 40):
         for K in range(n + 1):
             assert path_count_height(2 * n + 2, K + 1) == alpha_A(n, K), (n, K)
 
 
 def test_free_path_heights_match_class_counts() -> None:
-    for n in range(1, 6):
+    for n in (*range(1, 11), 30):
         for K in range(2 * n):
             got = path_count_height(2 * n, K + 1, return_to_axis=False)
             assert got == gamma_C(n, K), (n, K)

@@ -6,7 +6,6 @@ import pytest
 
 from adnil import (
     build_root_system,
-    chebyshev_u,
     class_distribution,
     corollary_values,
     gf_A_le,
@@ -38,24 +37,6 @@ def exact(label: str, K: int) -> int:
 # Chebyshev polynomials
 
 
-def test_chebyshev_frozen() -> None:
-    assert chebyshev_u(0) == (1,)
-    assert chebyshev_u(1) == (0, 2)
-    assert chebyshev_u(2) == (-1, 0, 4)
-    assert chebyshev_u(3) == (0, -4, 0, 8)
-    assert chebyshev_u(-1) == ()
-    assert chebyshev_u(-2) == (-1,)
-    with pytest.raises(ValueError):
-        chebyshev_u(-3)
-
-
-def test_chebyshev_recurrence() -> None:
-    for k in range(-1, 11):
-        lhs = chebyshev_u(k + 1)
-        rhs = add(mul((0, 2), chebyshev_u(k)), scale(chebyshev_u(k - 1), -1))
-        assert lhs == rhs
-
-
 def test_poly_add_and_mul_take_any_number_of_terms() -> None:
     a, b, c = (1, 2), (0, -1), (3,)
     assert add() == () and add(a) == a
@@ -71,6 +52,8 @@ def test_u_tilde_frozen() -> None:
     assert u_tilde(2) == (-1, 0, 1)
     assert u_tilde(-1) == ()
     assert u_tilde(-2) == (-1,)
+    with pytest.raises(ValueError):
+        u_tilde(-3)
 
 
 def test_u_tilde_matches_the_binomial_sum() -> None:
@@ -83,12 +66,10 @@ def test_u_tilde_matches_the_binomial_sum() -> None:
 
 
 def test_u_tilde_recurrence_and_degree() -> None:
-    # U_(k+1)(t/2) = t U_k(t/2) - U_(k-1)(t/2), monic of degree k, and
-    # each coefficient is chebyshev_u's halved once per power of t
+    # U_(k+1)(t/2) = t U_k(t/2) - U_(k-1)(t/2), monic of degree k
     for k in range(11):
         assert len(u_tilde(k)) == k + 1 and u_tilde(k)[-1] == 1
         assert u_tilde(k + 1) == add(mul(T, u_tilde(k)), scale(u_tilde(k - 1), -1))
-        assert u_tilde(k) == tuple(c >> i for i, c in enumerate(chebyshev_u(k)))
 
 
 # ---------------------------------------------------------------------------

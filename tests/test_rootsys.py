@@ -112,13 +112,19 @@ def test_partners_and_covers(label: str) -> None:
 
 
 def test_order_masks() -> None:
-    rs = build_root_system("C3")
-    for i, ri in enumerate(rs.positive_roots):
-        for j, rj in enumerate(rs.positive_roots):
-            up = bool(rs.filter_masks[i] >> j & 1)
-            assert up == root_leq(ri, rj)
-            down = bool(rs.below_masks[i] >> j & 1)
-            assert down == (root_leq(rj, ri) and i != j)
+    for label in [*ALL_SMALL, "E8", *(f"{f}{n}" for f in "BCD" for n in range(7, 11))]:
+        rs = build_root_system(label)
+        roots = rs.positive_roots
+        for i, ri in enumerate(roots):
+            for j, rj in enumerate(roots):
+                up = bool(rs.filter_masks[i] >> j & 1)
+                assert up == root_leq(ri, rj), (label, i, j)
+                down = bool(rs.below_masks[i] >> j & 1)
+                assert down == (root_leq(rj, ri) and i != j), (label, i, j)
+            assert rs.comparable_masks[i] == rs.filter_masks[i] | rs.below_masks[i]
+        maxima = [i for i, ri in enumerate(roots) if not any(
+            root_leq(ri, rj) and ri != rj for rj in roots)]
+        assert rs.highest_index == (maxima[0] if len(maxima) == 1 else None), label
 
 
 def test_total_count_formula() -> None:
