@@ -21,7 +21,6 @@ from .nilpotence import (
     ideal_rows,
     joint_histogram,
     nilpotence_from_partition,
-    nilpotence_via_completion,
     single_ray_class,
     staircase_filling,
     symmetric_completion,

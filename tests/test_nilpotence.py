@@ -25,7 +25,6 @@ from adnil import (
     classify_ideal,
     joint_histogram,
     nilpotence_from_partition,
-    nilpotence_via_completion,
     staircase_filling,
     symmetric_completion,
     two_ray_classify,
@@ -42,6 +41,7 @@ from adnil.nilpotence import (
     _seed_histogram,
     block_classes,
     block_columns,
+    block_rows,
     budget_blocks,
     budget_deadline,
     classify_ideals,
@@ -202,14 +202,46 @@ def test_ideal_rows_accepts_exactly_the_ideals(label: str) -> None:
                 ideal_rows(rs, mask)
 
 
+def rows_by_cells(rs, masks: list[int]) -> list[tuple[int, ...]]:
+    """Reference: how many cells of each staircase row each mask holds, the
+    rows read off `rs.cells`."""
+    rows = range(1, max(i for i, _ in rs.cells) + 1)
+    row_masks = [sum(1 << k for k, (i, _) in enumerate(rs.cells) if i == row) for row in rows]
+    return [tuple((mask & row_mask).bit_count() for row_mask in row_masks) for mask in masks]
+
+
+@pytest.mark.parametrize(
+    "label", [label for label in SMALL_TYPES if label[0] in "ABCD"] + ["A10", "B8", "C8", "D8"]
+)
+def test_block_rows_count_the_cells_of_each_row(label: str) -> None:
+    # every ideal of the type, in blocks of 4096
+    rs = build_root_system(label)
+    masks = list(walk(rs))
+    got = [rows for block in _blocks(masks) for rows in block_rows(rs, block)]
+    assert got == rows_by_cells(rs, masks)
+
+
+def _mixed_fork(rs) -> int:
+    """A type-D mask whose rows 1 and 2 hold different fork columns: row 1
+    columns 1..n-1, row 2 columns 2..n-2 and n.  Each row alone is the
+    row of an ideal; together they are none, as root (2, n) lacks its
+    cover (1, n)."""
+    n = rs.lie_type.rank
+    held = {(1, j) for j in range(1, n)} | {(2, j) for j in range(2, n - 1)} | {(2, n)}
+    return sum(1 << k for k, cell in enumerate(rs.cells) if cell in held)
+
+
 def test_diagram_routes_reject_non_ideal() -> None:
-    # the simple roots alone, and every root of A3 but the highest
+    # the simple roots alone, every root of A3 but the highest, and D5
+    # rows that disagree on their fork column
     cases = []
     for label in ("A2", "B3", "C3", "D4"):
         rs = build_root_system(label)
         cases.append((rs, sum(1 << rs.index[r] for r in rs.simple_roots)))
     rs = build_root_system("A3")
     cases.append((rs, (1 << len(rs)) - 1 ^ 1 << rs.highest_index))
+    rs = build_root_system("D5")
+    cases.append((rs, _mixed_fork(rs)))
     for rs, mask in cases:
         family = rs.lie_type.family
         methods = [m for m, (fams, _) in ROUTES.items() if m != "oracle" and family in fams]
@@ -292,14 +324,29 @@ def test_filling_route_matches_oracle_in_blocks() -> None:
             assert filling(rs, block) == block_classes(rs, block), (n, len(block))
 
 
-def test_filling_route_rejects_non_ideal_mid_block() -> None:
-    # one non-ideal among 4095 ideals fails the block, and is named
-    rs = build_root_system("A8")
-    block = list(walk(rs))[:BUDGET_BLOCK]
-    bad = (1 << len(rs)) - 1 ^ 1 << rs.highest_index  # every root but the highest
-    block[BUDGET_BLOCK // 2] = bad
-    with pytest.raises(ValueError, match=f"mask {bad} is not an ideal"):
-        ROUTES["filling"][1](rs, block)
+@pytest.mark.parametrize(
+    "method, label",
+    [
+        (method, label)
+        for label in ("A8", "B6", "C6", "D6")
+        for method, (families, _) in ROUTES.items()
+        if method != "oracle" and label[0] in families
+    ],
+)
+def test_diagram_routes_reject_non_ideal_mid_block(method: str, label: str) -> None:
+    # one non-ideal among 4095 ideals fails the block, and is named; with a
+    # second one later in the block, the first is named
+    rs = build_root_system(label)
+    ideals = list(walk(rs))
+    block = [ideals[b % len(ideals)] for b in range(BUDGET_BLOCK)]
+    bads = [(1 << len(rs)) - 1 ^ 1 << rs.highest_index]  # every root but the highest
+    if rs.lie_type.family == "D":
+        bads.append(_mixed_fork(rs))
+    for bad in bads:
+        block[BUDGET_BLOCK // 2] = bad
+        block[-1] = _non_ideal(rs)
+        with pytest.raises(ValueError, match=f"^mask {bad} is not an ideal of {label}$"):
+            ROUTES[method][1](rs, block)
 
 
 def test_filling_route_accepts_exactly_the_ideals() -> None:
@@ -315,9 +362,9 @@ def test_filling_route_accepts_exactly_the_ideals() -> None:
     assert ROUTES["filling"][1](rs, sorted(ideals)) == block_classes(rs, sorted(ideals))
 
 
-@pytest.mark.parametrize("method", ["oracle", "filling"])
+@pytest.mark.parametrize("method", list(ROUTES))
 def test_block_routes_refuse_masks_outside_the_roots(method: str) -> None:
-    rs = build_root_system("A3")
+    rs = build_root_system(f"{ROUTES[method][0][0]}3")  # rank 3 of its first family
     for mask in (-1, 1 << len(rs)):
         with pytest.raises(ValueError, match="no set of roots"):
             ROUTES[method][1](rs, [0, mask])
@@ -352,11 +399,34 @@ def test_type_a_methods_agree_with_oracle() -> None:
 
 
 def test_completion_agrees_with_oracle() -> None:
-    for label in ["B2", "B3", "B4", "C2", "C3", "C4", "D3", "D4"]:
-        rs = build_root_system(label)
+    # every ideal of B/C/D 2-7, in blocks of 4096
+    for family, n in product("BCD", range(2, 8)):
+        rs = build_root_system(f"{family}{n}")
         masks = enumerate_ideal_masks(rs)
-        got = [nilpotence_via_completion(rs, mask) for mask in masks]
-        assert got == block_classes(rs, masks), label
+        got = list(classify_ideals(rs, masks, "completion"))
+        assert got == block_classes(rs, masks), rs
+
+
+def test_completion_guard_survives_optimize() -> None:
+    # a child under -O drops every bare assert; the Ferrers guard of the
+    # completion must still raise
+    src = str(Path(adnil.__file__).resolve().parents[1])
+    code = (
+        "from adnil import symmetric_completion\n"
+        "try:\n"
+        "    symmetric_completion((1, 3), 'C', 3)\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "completion is not a Ferrers diagram\n"
 
 
 def test_ray_methods_agree_with_oracle() -> None:
@@ -455,6 +525,13 @@ def test_symmetric_completion_refuses_rows_outside_the_staircase(
     # more than n rows, or a row r longer than 2n-2r+1 cells (B, C) or 2n-2r (D)
     with pytest.raises(ValueError, match="rows|does not fit"):
         symmetric_completion(parts, family, n)
+
+
+def test_symmetric_completion_refuses_rows_wider_than_lanes() -> None:
+    # completed rows of up to 2n-1 cells in byte lanes: n = 128 is the largest rank
+    assert symmetric_completion((255,), "C", 128) == (255,) + (1,) * 254
+    with pytest.raises(ValueError, match="byte lanes"):
+        symmetric_completion((), "C", 129)
 
 
 def test_shifted_diagrams_exist_for_all_ideals() -> None:
