@@ -29,10 +29,11 @@ from .nilpotence import (
 )
 from .rootsys import LieType, RootSystem, build_root_system, total_count_formula
 
-# `qt` runs one transfer DP over chain tails.  Type C is the slower family:
-# C22 takes about 12 s on a 2-CPU host (A22 under 3 s), and the cost grows
-# about 1.4x per rank, so rank 22 is the last one run
-MAX_QT_RANK = 22
+# `qt` runs one transfer DP over chain tails, on packed ints.  Type C is
+# the slower family: end to end on a 2-CPU host, C36 took 7-9.5 s, C37
+# 9-10 s and C38 11-15 s (A37 about 4 s); the cost grows about 1.2x per
+# rank, so rank 37 is the last one run
+MAX_QT_RANK = 37
 
 # `gf` at class 500 and order 2000 takes about 4 s in its slowest family
 # (B or D, exact class); the cost grows with the square of the class and
@@ -65,24 +66,32 @@ class RunConfig:
 # distribution serialization
 
 
+def _format(fmt: str, doc, header: list[str], rows) -> str:
+    """The one CSV/JSON writer of the commands: ``doc()`` as indented
+    JSON, or CSV, the header and then the rows.  Only one side is built."""
+    if fmt == "json":
+        return json.dumps(doc(), indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def format_distribution(dist: dict[int, int], fmt: str, label: str = "") -> str:
     """Render {class: count} as CSV (``K,count`` rows plus a total row) or
     JSON (counts as decimal strings)."""
     total = sum(dist.values())
-    if fmt == "json":
-        doc = {
+    return _format(
+        fmt,
+        lambda: {
             "type": label,
             "counts": {str(k): str(dist[k]) for k in sorted(dist)},
             "total": str(total),
-        }
-        return json.dumps(doc, indent=2) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["K", "count"])
-    for k in sorted(dist):
-        writer.writerow([k, dist[k]])
-    writer.writerow(["total", total])
-    return buf.getvalue()
+        },
+        ["K", "count"],
+        [*((k, dist[k]) for k in sorted(dist)), ("total", total)],
+    )
 
 
 def _decimal(text: object) -> int:
@@ -145,23 +154,19 @@ def _emit(text: str, output: str | None) -> None:
 
 def cmd_roots(cfg: RunConfig) -> int:
     rs = build_root_system(cfg.lie_type)
-    if cfg.format == "json":
-        doc = {
+    _emit(_format(
+        cfg.format,
+        lambda: {
             "type": str(rs.lie_type),
             "rank": rs.lie_type.rank,
             "positive_roots": [list(r) for r in rs.positive_roots],
             "highest_root": list(rs.highest_root) if rs.highest_root else None,
             "exponents": list(rs.exponents),
             "coxeter_number": rs.coxeter_number,
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", cfg.output)
-        return 0
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["index", "height", "coefficients"])
-    for i, root in enumerate(rs.positive_roots):
-        writer.writerow([i, sum(root), " ".join(map(str, root))])
-    _emit(buf.getvalue(), cfg.output)
+        },
+        ["index", "height", "coefficients"],
+        ((i, sum(r), " ".join(map(str, r))) for i, r in enumerate(rs.positive_roots)),
+    ), cfg.output)
     return 0
 
 
@@ -177,21 +182,18 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     masks = enumerate_ideal_masks(rs)
     classes = classify_ideals(rs, masks, cfg.method)
     rows = [(mask, mask.bit_count(), k) for mask, k in zip(masks, classes)]
-    if cfg.format == "json":
-        doc = {
+    _emit(_format(
+        cfg.format,
+        lambda: {
             "type": str(rs.lie_type),
             "method": cfg.method,
             "ideals": [
                 {"mask": str(m), "dimension": d, "class": k} for m, d, k in rows
             ],
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", cfg.output)
-        return 0
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["mask", "dimension", "class"])
-    writer.writerows(rows)
-    _emit(buf.getvalue(), cfg.output)
+        },
+        ["mask", "dimension", "class"],
+        rows,
+    ), cfg.output)
     return 0
 
 
@@ -246,21 +248,17 @@ def cmd_gf(cfg: RunConfig) -> int:
         )
     series = family_series(cfg.family, bound, cfg.order, exact=kind == "exact")
     coeffs = [series[n] for n in range(cfg.order + 1)]
-    if cfg.format == "json":
-        doc = {
+    _emit(_format(
+        cfg.format,
+        lambda: {
             "family": cfg.family,
             kind: bound,
             "order": cfg.order,
             "coefficients": [str(c) for c in coeffs],
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", cfg.output)
-        return 0
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "coefficient"])
-    for n, c in enumerate(coeffs):
-        writer.writerow([n, c])
-    _emit(buf.getvalue(), cfg.output)
+        },
+        ["n", "coefficient"],
+        enumerate(coeffs),
+    ), cfg.output)
     return 0
 
 
@@ -270,21 +268,15 @@ def cmd_qt(cfg: RunConfig) -> int:
         raise ValueError(f"qt refuses ranks above {MAX_QT_RANK}, got rank {n}")
     coeffs = catalan_qt(n) if cfg.lie_type.family == "A" else gamma_qt(n)
     terms = sorted(coeffs.items())
-    if cfg.format == "json":
-        doc = {
+    _emit(_format(
+        cfg.format,
+        lambda: {
             "type": str(cfg.lie_type),
-            "terms": [
-                {"q": q, "t": t, "coeff": str(c)} for (q, t), c in terms
-            ],
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", cfg.output)
-        return 0
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["q", "t", "coeff"])
-    for (q, t), c in terms:
-        writer.writerow([q, t, c])
-    _emit(buf.getvalue(), cfg.output)
+            "terms": [{"q": q, "t": t, "coeff": str(c)} for (q, t), c in terms],
+        },
+        ["q", "t", "coeff"],
+        ((q, t, c) for (q, t), c in terms),
+    ), cfg.output)
     return 0
 
 

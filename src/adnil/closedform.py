@@ -5,14 +5,16 @@ bivariate (q,t) refinements by dimension, Gaussian binomials, the
 reflection-principle count for bounded type-C classes, lattice-path
 counts by height, and the small-class Fibonacci/power closed forms.
 
-Everything is integer arithmetic; polynomials in t are the coefficient
-tuples of adnil.poly.
+Everything is integer arithmetic.  A polynomial in t is one int, its
+value at t = 2^w: + and * act on ints, t^k is a shift by wk.  The class
+counts take w = 0 (t = 1), the (q,t) sums the bit length of the t = 1
+total, which no coefficient exceeds (all are nonnegative, and every
+closing factor is at least 1).  Results unpack to adnil.poly tuples.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-from math import comb
-import operator
+from functools import cache
+from math import comb, prod
 
 from . import poly
 from .rootsys import LieType
@@ -21,95 +23,81 @@ from .rootsys import LieType
 def t_binomial(m: int, n: int) -> poly.Poly:
     """Gaussian binomial in t: zero unless n=0 (then 1) or m >= n > 0,
     in which case prod (1-t^(m-n+i))/(1-t^i) over i=1..n."""
-    return _t_binomials()(m, n)
+    if not 0 <= n <= m:
+        return (1,) if n == 0 else ()
+    w = comb(m, n).bit_length()
+    return _unpack(_binomials(w, m)[m][n], w)
 
 
-def _t_binomials():
-    """`t_binomial` read off one q-Pascal triangle, grown by rows as calls
-    need them: [m, k] = [m-1, k-1] + t^k [m-1, k]."""
-    rows: list[list[poly.Poly]] = [[(1,)]]
-
-    def binom(m: int, n: int) -> poly.Poly:
-        if n == 0:
-            return (1,)
-        if not 0 < n <= m:
-            return ()
-        while len(rows) <= m:
-            prev = rows[-1]
-            inner = [poly.add(prev[k - 1], (0,) * k + prev[k]) for k in range(1, len(prev))]
-            rows.append([(1,), *inner, (1,)])
-        return rows[m][n]
-
-    return binom
+def _binomials(w: int, size: int) -> list[list[int]]:
+    """Rows 0..size of the q-Pascal triangle at t = 2^w, [m, k] = [m-1,
+    k-1] + t^k [m-1, k]: Pascal's triangle at w = 0."""
+    rows = [[1]]
+    for _ in range(size):
+        prev = rows[-1]
+        rows.append([1, *(prev[k - 1] + (prev[k] << w * k) for k in range(1, len(prev))), 1])
+    return rows
 
 
-def _chain_layers(top: int, depth: int, weight, one, add, mul, exact: bool = False) -> list[dict]:
+def _unpack(p: int, w: int) -> poly.Poly:
+    """The polynomial whose value at t = 2^w is p, when every coefficient
+    lies in [0, 2^w)."""
+    bits = format(p, "b")
+    return poly.trim([int(bits[max(i - w, 0):i], 2) for i in range(len(bits), 0, -w)])
+
+
+def _weights(w: int, o: int, size: int):
+    """The triple weight t^((a+o)(c-b)) [c-a-1 choose b-a]_t, with o = 0
+    in type A and o = n in type C, and the type-C head, the sum over l <
+    i2-i1 of [i1+i2-1 choose l]_t t^C(l+1, 2), whose factor t^(-C(n-i2+1,
+    2)) the closing adds; both at t = 2^w, binomials up to [size, *]."""
+    binom = _binomials(w, size)
+
+    def weight(a: int, b: int, c: int) -> int:
+        return binom[c - a - 1][b - a] << w * (a + o) * (c - b)
+
+    @cache
+    def head(i1: int, i2: int) -> int:
+        row = binom[max(i1 + i2 - 1, 0)]
+        return sum(row[ell] << w * comb(ell + 1, 2) for ell in range(min(i2 - i1, len(row))))
+
+    return weight, head
+
+
+def _chain_layers(top: int, depth: int, weight, exact: bool = False) -> list[dict]:
     """Transfer DP over the tails (b, c, ..., top, top+1) of the chains
     whose entries before top increase from 1 (Stanley, EC1 4.7): layer m
     (m = 0..depth) maps each first pair (b, c) to the sum, over the tails
     with m entries before top, of the product of weight(a, b, c) over
-    their consecutive triples.  `add` sums a list, `mul` multiplies two
-    values.  With `exact` only the last layer is complete: a tail is
-    dropped once its first entry leaves no room for the ones it lacks."""
-    layers = [{(top, top + 1): one}]
+    their consecutive triples.  With `exact` it returns the last layer
+    alone, dropping each tail whose first entry leaves too little room."""
+    layers = [{(top, top + 1): 1}]
     for m in range(depth):
         tails: dict[int, list] = {}
         for (b, c), v in layers[-1].items():
             tails.setdefault(b, []).append((c, v))
         layers.append({
-            (a, b): add([mul(weight(a, b, c), v) for c, v in cv])
+            (a, b): sum(weight(a, b, c) * v for c, v in cv)
             for b, cv in tails.items()
             for a in range(depth - m if exact else 1, b)
         })
-    return layers
+    return layers[-1:] if exact else layers
 
 
-def _weight(a: int, b: int, c: int) -> int:
-    return comb(c - a - 1, b - a)
-
-
-def _head(i1: int, i2: int) -> int:
-    return sum(comb(i1 + i2 - 1, ell) for ell in range(i2 - i1))
-
-
-def _t_weights(o: int):
-    """_weight and _head in t, sharing one Gaussian-binomial memo: the
-    triple weight t^((a+o)(c-b)) [c-a-1 choose b-a]_t, with o = 0 in type
-    A and o = n in type C, and the sum over l < i2-i1 of [i1+i2-1 choose
-    l]_t t^C(l+1, 2), whose factor t^(-C(n-i2+1, 2)) the caller adds."""
-    binom = _t_binomials()
-
-    def weight(a: int, b: int, c: int) -> poly.Poly:
-        return (0,) * ((a + o) * (c - b)) + binom(c - a - 1, b - a)
-
-    @lru_cache(maxsize=None)
-    def head(i1: int, i2: int) -> poly.Poly:
-        terms = [(0,) * comb(ell + 1, 2) + binom(i1 + i2 - 1, ell) for ell in range(i2 - i1)]
-        return _poly_sum(terms)
-
-    return weight, head
-
-
-def _poly_sum(terms: list[poly.Poly]) -> poly.Poly:
-    return poly.add(*terms)
-
-
-def _emit(out: dict[tuple[int, int], int], q: int, p: poly.Poly, shift: int) -> None:
-    for e, c in enumerate(p):
-        if c:
-            out[(q, e + shift)] = out.get((q, e + shift), 0) + c
+def _sums_A(n: int, w: int, depth: int, exact: bool = False) -> list[int]:
+    """Each layer's type-A_n sum at t = 2^w: every tail closes with entry 0."""
+    weight, _ = _weights(w, 0, n + 1)
+    layers = _chain_layers(n + 1, depth, weight, exact)
+    return [sum(v * weight(0, b, c) for (b, c), v in layer.items()) for layer in layers]
 
 
 def alpha_A(n: int, K: int) -> int:
     """Number of type-A_n ideals with class exactly K: the chain multisum
-    over 0 < s_1 < ... < s_K < n+1 of the product of _weight over the
-    consecutive triples of (0, s_1, ..., s_K, n+1, n+2)."""
+    over 0 < s_1 < ... < s_K < n+1 of the product of the triple weight
+    over the consecutive triples of (0, s_1, ..., s_K, n+1, n+2)."""
     if K < 0:
         raise ValueError("class must be nonnegative")
-    if K > n:
-        return 0
-    layer = _chain_layers(n + 1, K, _weight, 1, sum, operator.mul, exact=True)[K]
-    return sum(v * _weight(0, b, c) for (b, c), v in layer.items())
+    return _sums_A(n, 0, K, exact=True)[0] if K <= n else 0
 
 
 def catalan_qt(n: int) -> dict[tuple[int, int], int]:
@@ -117,27 +105,42 @@ def catalan_qt(n: int) -> dict[tuple[int, int], int]:
     t-degree) -> coefficient: q marks the class, t the dimension.  Every
     coefficient is positive, and they sum to the (n+1)st Catalan number.
     The chains are alpha_A's; a chain of K entries has q-degree K."""
-    weight, _ = _t_weights(0)
-    out: dict[tuple[int, int], int] = {}
-    for K, layer in enumerate(_chain_layers(n + 1, n, weight, (1,), _poly_sum, poly.mul)):
-        _emit(out, K, _poly_sum([poly.mul(weight(0, b, c), v) for (b, c), v in layer.items()]), 0)
-    return out
+    w = (comb(2 * n + 2, n + 1) // (n + 2)).bit_length()
+    return _terms(_sums_A(n, w, n), w)
+
+
+def _sums_C(n: int, w: int, depth: int, exact: bool = False) -> list[int]:
+    """The type-C_n sums of classes 2m and 2m+1 of each layer m at t = 2^w:
+    a tail (b, c, ...) closes with head(b, c), or with i_1 = a <= 0 before
+    it.  The head's t^(-C(n-i2+1, 2)) drops w-bit slots that must be 0."""
+    weight, head = _weights(w, n, 2 * n)
+    odd_heads: dict[tuple[int, int], int] = {}
+
+    def drop(p: int, i2: int) -> int:
+        slots = w * comb(n - i2 + 1, 2)
+        if p & ((1 << slots) - 1):
+            raise AssertionError("negative t-degree")
+        return p >> slots
+
+    sums = []
+    for layer in _chain_layers(n, depth, weight, exact):
+        even = odd = 0
+        for (b, c), v in layer.items():
+            if (b, c) not in odd_heads:
+                odd_heads[b, c] = sum(weight(a, b, c) * head(a, b) for a in range(1 - b, 1))
+            even += drop(head(b, c) * v, c)
+            odd += drop(odd_heads[b, c] * v, b)
+        sums += even, odd
+    return sums
 
 
 def gamma_C(n: int, K: int) -> int:
     """Number of type-C_n ideals with class exactly K: the chain multisum
-    over (i_1, ..., i_k, n, n+1) with 0 < i_2 < ... < i_k < n and
-    -i_2 < i_1 < i_2, where K = 2k - [i_1 <= 0], of _head(i_1, i_2) times
-    the product of _weight over the consecutive triples.  For K even the
-    tail's first pair is (i_1, i_2); for K odd i_1 comes before the tail."""
-    if not 0 < K < 2 * n:
-        return int(K == 0)
-    m, odd = divmod(K, 2)
-    layer = _chain_layers(n, m, _weight, 1, sum, operator.mul, exact=True)[m]
-    return sum(
-        v * (sum(_weight(a, b, c) * _head(a, b) for a in range(1 - b, 1)) if odd else _head(b, c))
-        for (b, c), v in layer.items()
-    )
+    over (i_1, ..., i_k, n, n+1) with 0 < i_2 < ... < i_k < n and -i_2 <
+    i_1 < i_2, where K = 2k - [i_1 <= 0], of the head at (i_1, i_2) times
+    the product of the triple weight over the consecutive triples: the
+    tail's first pair is (i_1, i_2) for K even, (i_2, i_3) for K odd."""
+    return _sums_C(n, 0, K // 2, exact=True)[K % 2] if 0 < K < 2 * n else int(K == 0)
 
 
 def gamma_qt(n: int) -> dict[tuple[int, int], int]:
@@ -145,24 +148,21 @@ def gamma_qt(n: int) -> dict[tuple[int, int], int]:
     map (q-degree, t-degree) -> positive coefficient: q marks the class,
     t the dimension.  The chains are gamma_C's; the first entry may go
     nonpositive, and those terms carry an odd q-power."""
-    weight, head = _t_weights(n)
-    out: dict[tuple[int, int], int] = {}
-    for m, layer in enumerate(_chain_layers(n, n - 1, weight, (1,), _poly_sum, poly.mul)):
-        for (b, c), v in layer.items():
-            _emit(out, 2 * m, poly.mul(head(b, c), v), -comb(n - c + 1, 2))
-            odd = _poly_sum([poly.mul(weight(a, b, c), head(a, b)) for a in range(1 - b, 1)])
-            _emit(out, 2 * m + 1, poly.mul(odd, v), -comb(n - b + 1, 2))
-    if any(kt < 0 for (_, kt) in out):
-        raise AssertionError("negative t-degree")
-    return out
+    w = comb(2 * n, n).bit_length()
+    return _terms(_sums_C(n, w, n - 1), w)
+
+
+def _terms(sums: list[int], w: int) -> dict[tuple[int, int], int]:
+    """{(q, t-degree): coefficient} of the sums packed at w, by q."""
+    return {(q, e): c for q, p in enumerate(sums) for e, c in enumerate(_unpack(p, w)) if c}
 
 
 def odd_sum_product(i1: int, i2: int) -> tuple[poly.Poly, poly.Poly]:
     """Both sides of the collapse of the head sum for i1 <= 0: the
     triangular-weighted Gaussian sum and the product (1+t)...(1+t^(i1+i2-1))."""
-    _, head = _t_weights(0)
-    rhs = poly.mul((1,), *(poly.trim([1] + [0] * (r - 1) + [1]) for r in range(1, i1 + i2)))
-    return head(i1, i2), rhs
+    w = max(i1 + i2, 1)  # both sides are 2^(i1+i2-1) at t = 1
+    rhs = prod(1 + (1 << w * r) for r in range(1, i1 + i2))
+    return _unpack(_weights(w, 0, i1 + i2 - 1)[1](i1, i2), w), _unpack(rhs, w)
 
 
 def c4_count(n: int, h: int) -> int:

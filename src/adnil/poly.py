@@ -1,9 +1,10 @@
 """Integer polynomials in one variable, as coefficient tuples.
 
 Index = exponent, no trailing zeros, zero polynomial = ().  The one
-polynomial kernel: it serves the Gaussian binomials in t (closedform)
-and the Chebyshev polynomials and counting series' numerators and
-denominators in t = 1/sqrt(x) (genfun).
+polynomial kernel: its arithmetic serves the Chebyshev polynomials and
+counting series' numerators and denominators in t = 1/sqrt(x) (genfun).
+closedform computes on ints at t = 2^w and only unpacks its results into
+this tuple form.
 """
 from __future__ import annotations
 

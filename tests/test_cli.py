@@ -392,8 +392,8 @@ def test_preflight_refuses_huge_types(capsys: pytest.CaptureFixture) -> None:
         (["enumerate", "--type", "A20"], f"A20 has 24466267020 {too_many}"),
         (["verify", "--suite", "agreement", "--family", "A", "--max-rank", "20"],
          f"the agreement suite has {agreement} {too_many}"),
-        (["qt", "--type", "A30"], "qt refuses ranks above 22, got rank 30"),
-        (["qt", "--type", "C30"], "qt refuses ranks above 22, got rank 30"),
+        (["qt", "--type", "A40"], "qt refuses ranks above 37, got rank 40"),
+        (["qt", "--type", "C40"], "qt refuses ranks above 37, got rank 40"),
         (["gf", "--family", "D", "--exact", "3000"], f"{gf_cap} 3000 and order 12"),
         (["gf", "--family", "B", "--le", "501"], f"{gf_cap} 501 and order 12"),
         (["gf", "--family", "A", "--le", "1", "--order", "2001"], f"{gf_cap} 1 and order 2001"),

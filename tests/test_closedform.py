@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import adnil
 from adnil import (
     alpha_A,
     build_root_system,
@@ -95,12 +100,13 @@ def test_catalan_qt_rank_one() -> None:
 
 
 def test_catalan_qt_specializations() -> None:
-    for n in range(1, 15):
+    for n in (*range(1, 15), 24):
         coeffs = catalan_qt(n)
         assert sum(coeffs.values()) == catalan(n + 1)
-        # q alone recovers the class counts
+        # q alone recovers the class counts, as closed-path heights
         for K in range(n + 1):
-            assert sum(c for (q, _), c in coeffs.items() if q == K) == alpha_A(n, K)
+            got = sum(c for (q, _), c in coeffs.items() if q == K)
+            assert got == alpha_A(n, K) == path_count_height(2 * n + 2, K + 1), (n, K)
 
 
 def test_catalan_qt_matches_joint_enumeration() -> None:
@@ -131,7 +137,7 @@ def test_gamma_matches_enumeration() -> None:
 
 
 def test_gamma_qt_specializations() -> None:
-    for n in range(1, 13):
+    for n in (*range(1, 13), 24):
         coeffs = gamma_qt(n)
         assert sum(coeffs.values()) == comb(2 * n, n)
         assert max(t for _, t in coeffs) == n * n
@@ -149,6 +155,32 @@ def test_gamma_qt_matches_joint_enumeration() -> None:
         rs = build_root_system(f"C{n}")
         joint = {(K, d): c for (d, K), c in joint_histogram(rs).items()}
         assert gamma_qt(n) == joint, n
+
+
+def test_slot_guard_survives_optimize() -> None:
+    # a child under -O drops every bare assert; weights that lose their
+    # t-powers leave a type-C head term below t^0, and the guard on the
+    # slots the head's shift drops must still raise
+    src = str(Path(adnil.__file__).resolve().parents[1])
+    code = (
+        "from adnil import closedform\n"
+        "weights = closedform._weights\n"
+        "closedform._weights = lambda w, o, size: (\n"
+        "    lambda a, b, c: 1, weights(w, o, size)[1])\n"
+        "try:\n"
+        "    closedform.gamma_qt(3)\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "negative t-degree\n"
 
 
 def test_odd_sum_collapses_to_product() -> None:
