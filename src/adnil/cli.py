@@ -198,7 +198,7 @@ def cmd_enumerate(cfg: RunConfig) -> int:
 
 
 def _stderr_progress(done: int, total: int) -> None:
-    sys.stderr.write(f"\rseeds {done}/{total}")
+    sys.stderr.write(f"\rideals {done}/{total}")
     sys.stderr.flush()
     if done == total:
         sys.stderr.write("\n")

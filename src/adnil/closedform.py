@@ -84,6 +84,12 @@ def _chain_layers(top: int, depth: int, weight, exact: bool = False) -> list[dic
     return layers[-1:] if exact else layers
 
 
+def _check_rank(n: int) -> None:
+    """Refuse a negative rank; rank 0 is the empty chain."""
+    if n < 0:
+        raise ValueError(f"rank must be nonnegative, got {n}")
+
+
 def _sums_A(n: int, w: int, depth: int, exact: bool = False) -> list[int]:
     """Each layer's type-A_n sum at t = 2^w: every tail closes with entry 0."""
     weight, _ = _weights(w, 0, n + 1)
@@ -95,6 +101,7 @@ def alpha_A(n: int, K: int) -> int:
     """Number of type-A_n ideals with class exactly K: the chain multisum
     over 0 < s_1 < ... < s_K < n+1 of the product of the triple weight
     over the consecutive triples of (0, s_1, ..., s_K, n+1, n+2)."""
+    _check_rank(n)
     if K < 0:
         raise ValueError("class must be nonnegative")
     return _sums_A(n, 0, K, exact=True)[0] if K <= n else 0
@@ -105,6 +112,7 @@ def catalan_qt(n: int) -> dict[tuple[int, int], int]:
     t-degree) -> coefficient: q marks the class, t the dimension.  Every
     coefficient is positive, and they sum to the (n+1)st Catalan number.
     The chains are alpha_A's; a chain of K entries has q-degree K."""
+    _check_rank(n)
     w = (comb(2 * n + 2, n + 1) // (n + 2)).bit_length()
     return _terms(_sums_A(n, w, n), w)
 
@@ -140,6 +148,7 @@ def gamma_C(n: int, K: int) -> int:
     i_1 < i_2, where K = 2k - [i_1 <= 0], of the head at (i_1, i_2) times
     the product of the triple weight over the consecutive triples: the
     tail's first pair is (i_1, i_2) for K even, (i_2, i_3) for K odd."""
+    _check_rank(n)
     return _sums_C(n, 0, K // 2, exact=True)[K % 2] if 0 < K < 2 * n else int(K == 0)
 
 
@@ -148,6 +157,7 @@ def gamma_qt(n: int) -> dict[tuple[int, int], int]:
     map (q-degree, t-degree) -> positive coefficient: q marks the class,
     t the dimension.  The chains are gamma_C's; the first entry may go
     nonpositive, and those terms carry an odd q-power."""
+    _check_rank(n)
     w = comb(2 * n, n).bit_length()
     return _terms(_sums_C(n, w, n - 1), w)
 
@@ -172,6 +182,7 @@ def c4_count(n: int, h: int) -> int:
     The underlying path count is over the strip of height h+1 (class K
     pairs with path height K+1), so the strip period is h+3.
     """
+    _check_rank(n)
     period = h + 3
     total = 0
     for s in range((h + 1) // 2 + 1):

@@ -24,13 +24,14 @@ from itertools import accumulate, islice
 from typing import Iterable, Iterator, NamedTuple
 
 from .ideals import Seed, partition_seeds, walk
-from .rootsys import FAMILIES, RootSystem
+from .rootsys import FAMILIES, RootSystem, total_count_formula
 
 Partition = tuple[int, ...]
 
 WORKER_ENV = "ADNIL_WORKERS"
 BUDGET_BLOCK = 4096  # ideals classified between two looks at the clock
 BUDGET_MESSAGE = "class distribution exceeded its budget"
+POOL_MIN_IDEALS = 100_000  # fewest ideals that the default worker count pools
 
 
 _LANES = bytes.maketrans(b"01", b"\0\1")  # binary digits to byte lanes
@@ -529,12 +530,19 @@ def _worker_init(rs: RootSystem, method: str, deadline: float) -> None:
 
 
 def _worker_run(seed: Seed) -> Counter:
-    return _seed_histogram(*_WORKER_STATE, seed)
-
-
-def _seed_histogram(rs: RootSystem, method: str, deadline: float, seed: Seed) -> Counter:
     """Histogram of one search subtree, within the deadline."""
+    rs, method, deadline = _WORKER_STATE
     return Counter(classify_ideals(rs, walk(rs, seed), method, deadline))
+
+
+def _block_histograms(
+    rs: RootSystem, method: str, deadline: float, ideals: Iterable[int]
+) -> Iterator[Counter]:
+    """Histogram of each block of `BUDGET_BLOCK` ideals in turn, classified
+    by `classify_ideals` within the deadline."""
+    classes = classify_ideals(rs, ideals, method, deadline)
+    while part := Counter(islice(classes, BUDGET_BLOCK)):
+        yield part
 
 
 def budget_blocks(ideals: Iterable[int], deadline: float) -> Iterator[list[int]]:
@@ -557,9 +565,10 @@ def budget_deadline(budget: float | None) -> float:
     return math.inf if budget is None else time.monotonic() + budget
 
 
-def resolve_workers(requested: int | None) -> int:
-    """Worker count: explicit request, then the environment, then every
-    core this process may run on."""
+def resolve_workers(requested: int | None, ideals: int | None = None) -> int:
+    """Worker count: explicit request, then the environment, then one
+    worker for a run of fewer than `POOL_MIN_IDEALS` ideals (where a pool
+    costs more than it saves), then every core this process may run on."""
     if requested is not None:
         if requested < 1:
             raise ValueError(f"workers must be a positive integer, got {requested}")
@@ -573,6 +582,8 @@ def resolve_workers(requested: int | None) -> int:
         if count < 1:
             raise ValueError(f"{WORKER_ENV} must be a positive integer, got {env!r}")
         return count
+    if ideals is not None and ideals < POOL_MIN_IDEALS:
+        return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -604,26 +615,32 @@ def class_distribution(
 ) -> dict[int, int]:
     """Histogram {class: count} over every ideal of the root system.
 
-    The walk's first-level subtrees (seeds) are classified one by one, or
-    fanned out across a pool of processes; results merge by addition, so
-    the histogram is deterministic for any worker count.  `budget` caps
-    wall time in seconds, checked in every process each `BUDGET_BLOCK`
-    ideals; `progress` is called with (done, total) seed counts.  A pool
-    worker that dies raises BrokenProcessPool.
+    One worker classifies the whole walk as one chain of full blocks of
+    `BUDGET_BLOCK` ideals.  More workers (`resolve_workers`) take one task
+    per first-level subtree of the walk (a seed), each walked and
+    classified in a pool process.  Each block or seed is histogrammed on
+    its own and the parts merge by addition, so the histogram is the same
+    for any worker count.  `budget` caps wall time in seconds, checked in
+    every process each `BUDGET_BLOCK` ideals; `progress` is called after
+    each part with (done, total) ideal counts, total being the product
+    formula's.  A pool worker that dies raises BrokenProcessPool.
     """
     _class_function(rs, method)  # refuse a bad method before any work
     deadline = budget_deadline(budget)
-    seeds = partition_seeds(rs)
-    nworkers = min(resolve_workers(workers), len(seeds))  # a process idles without a seed
+    total = total_count_formula(rs)
+    nworkers = resolve_workers(workers, total)
     if nworkers > 1:
-        parts = _pooled(nworkers, (rs, method, deadline), seeds)
+        seeds = partition_seeds(rs)  # a process idles without a seed
+        parts = _pooled(min(nworkers, len(seeds)), (rs, method, deadline), seeds)
     else:
-        parts = map(partial(_seed_histogram, rs, method, deadline), seeds)
+        parts = _block_histograms(rs, method, deadline, walk(rs))
     hist: Counter = Counter()
-    for done, part in enumerate(parts, 1):
+    done = 0
+    for part in parts:
         hist.update(part)
+        done += part.total()
         if progress:
-            progress(done, len(seeds))
+            progress(done, total)
     return dict(sorted(hist.items()))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import mul
 
 Root = tuple[int, ...]
 
@@ -110,8 +111,10 @@ def cartan_matrix(lt: LieType) -> list[list[int]]:
 
 
 def _reflection_closure(a: list[list[int]]) -> set[Root]:
-    """All positive roots, generated from the simple roots by simple
-    reflections (discarding anything that leaves the positive cone)."""
+    """All positive roots, generated from the simple roots by the simple
+    reflections that raise the height: s_i(beta) = beta - t alpha_i with
+    t = <beta, alpha_i^vee> < 0.  Every positive root that is not simple
+    is the image of a lower one under such a reflection."""
     n = len(a)
     simples = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     roots: set[Root] = set(simples)
@@ -119,15 +122,13 @@ def _reflection_closure(a: list[list[int]]) -> set[Root]:
     while frontier:
         nxt: list[Root] = []
         for beta in frontier:
-            for i in range(n):
-                t = sum(a[i][j] * beta[j] for j in range(n))
-                ci = beta[i] - t
-                if ci < 0:
-                    continue
-                img = beta[:i] + (ci,) + beta[i + 1 :]
-                if any(img) and img not in roots:
-                    roots.add(img)
-                    nxt.append(img)
+            for i, row in enumerate(a):
+                t = sum(map(mul, row, beta))
+                if t < 0:
+                    img = beta[:i] + (beta[i] - t,) + beta[i + 1 :]
+                    if img not in roots:
+                        roots.add(img)
+                        nxt.append(img)
         frontier = nxt
     return roots
 
@@ -225,6 +226,16 @@ def _cells_d(n: int) -> list[tuple[tuple[int, int], Root]]:
 _CELL_BUILDERS = {"A": _cells_a, "B": _cells_b, "C": _cells_c, "D": _cells_d}
 
 
+def _packed_roots(roots: list[Root]) -> list[int]:
+    """Each root as one int, coefficient i in bits 4i to 4i+3.  Every
+    coefficient must be at most 7, or ValueError is raised: then the sum of
+    two packed roots is the packed sum of their coefficients, since no
+    field carries into the next."""
+    if max(map(max, roots)) > 7:
+        raise ValueError("a root coefficient exceeds 7 and does not fit in 4 bits")
+    return [sum(c << 4 * i for i, c in enumerate(r)) for r in roots]
+
+
 def root_leq(a: Root, b: Root) -> bool:
     """Dominance order: b - a has nonnegative coefficients."""
     return all(x <= y for x, y in zip(a, b))
@@ -278,24 +289,24 @@ class RootSystem:
 
     def _build_tables(self) -> None:
         roots = self.positive_roots
-        idx = self.index
         size = len(roots)
+        # each root as one int (`_packed_roots`), so that a sum of two roots
+        # is one int addition and one dict lookup
+        packed = _packed_roots(roots)
+        idx = {p: k for k, p in enumerate(packed)}.get
         # (j, k) for every root j whose sum with root i is the root k
-        self.partners: list[list[tuple[int, int]]] = [[] for _ in range(size)]
-        for i, ri in enumerate(roots):
-            for j in range(i, size):
-                k = idx.get(tuple(x + y for x, y in zip(ri, roots[j])))
-                if k is not None:
-                    self.partners[i].append((j, k))
-                    self.partners[j].append((i, k))
+        self.partners: list[list[tuple[int, int]]] = [
+            [(j, k) for j, q in enumerate(packed) if (k := idx(p + q)) is not None]
+            for p in packed
+        ]
 
         # covers k -> k + alpha_i, one index lookup per simple root (a mask
         # is an ideal when it holds every cover of each root it holds);
         # filters are filled from the top height down, strict lower sets
         # bottom up
+        simples = _packed_roots(self.simple_roots)
         self.covers: list[list[int]] = [
-            [idx[u] for i in range(len(r)) if (u := r[:i] + (r[i] + 1,) + r[i + 1:]) in idx]
-            for r in roots
+            [k for s in simples if (k := idx(p + s)) is not None] for p in packed
         ]
         by_height = sorted(range(size), key=lambda k: sum(roots[k]))
         self.filter_masks: list[int] = [1 << k for k in range(size)]   # j >= i

@@ -161,6 +161,15 @@ def test_workers_flag_is_deterministic(capsys: pytest.CaptureFixture) -> None:
     assert serial == pooled
 
 
+def test_table_progress_counts_ideals(capsys: pytest.CaptureFixture) -> None:
+    # E8 (120 roots) reports progress on stderr: one update per block
+    assert main(["table", "--type", "E8", "--workers", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert out.endswith("total,25080\n")
+    assert err.startswith("\rideals 4096/25080") and err.endswith("\rideals 25080/25080\n")
+    assert err.count("\r") == 7
+
+
 def test_output_file(tmp_path, capsys: pytest.CaptureFixture) -> None:
     target = tmp_path / "g2.csv"
     code, out = run_cli(capsys, ["table", "--type", "G2", "--output", str(target)])

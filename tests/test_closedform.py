@@ -94,6 +94,19 @@ def test_alpha_matches_enumeration() -> None:
             assert alpha_A(n, K) == dist.get(K, 0), (n, K)
 
 
+def test_negative_rank_is_refused() -> None:
+    # rank 0 keeps its answers; a negative rank is named, not answered
+    assert alpha_A(0, 0) == gamma_C(0, 0) == c4_count(0, 2) == 1
+    assert catalan_qt(0) == gamma_qt(0) == {(0, 0): 1}
+    for call in (
+        lambda n: alpha_A(n, 0), lambda n: gamma_C(n, 0), lambda n: c4_count(n, 2),
+        catalan_qt, gamma_qt,
+    ):
+        for n in (-1, -2):
+            with pytest.raises(ValueError, match=f"rank must be nonnegative, got {n}"):
+                call(n)
+
+
 def test_catalan_qt_rank_one() -> None:
     assert catalan_qt(0) == gamma_qt(0) == {(0, 0): 1}
     assert catalan_qt(1) == {(0, 0): 1, (1, 1): 1}

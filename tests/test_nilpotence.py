@@ -37,8 +37,9 @@ from adnil.cli import main
 from adnil.ideals import enumerate_ideal_masks, partition_seeds, walk
 from adnil.nilpotence import (
     BUDGET_BLOCK,
+    POOL_MIN_IDEALS,
     ROUTES,
-    _seed_histogram,
+    _block_histograms,
     block_classes,
     block_columns,
     block_rows,
@@ -129,7 +130,9 @@ def test_root_seed_histogram_spans_two_blocks() -> None:
     assert [len(block) for block in blocks] == [BUDGET_BLOCK, 4862 - BUDGET_BLOCK]
     want = [bracket_class(rs.positive_roots, mask) for block in blocks for mask in block]
     assert list(classify_ideals(rs, walk(rs))) == want
-    assert _seed_histogram(rs, "oracle", math.inf, (0, 0, 0)) == Counter(want)
+    parts = list(_block_histograms(rs, "oracle", math.inf, walk(rs)))
+    assert [part.total() for part in parts] == [BUDGET_BLOCK, 4862 - BUDGET_BLOCK]
+    assert sum(parts, Counter()) == Counter(want)
 
 
 def _non_ideal(rs) -> int:
@@ -603,7 +606,7 @@ def test_budget_holds_inside_the_root_seed() -> None:
     rs = build_root_system("A12")
     started = time.monotonic()
     with pytest.raises(TimeoutError):
-        _seed_histogram(rs, "oracle", started + 0.05, (0, 0, 0))
+        list(_block_histograms(rs, "oracle", started + 0.05, walk(rs)))
     assert time.monotonic() - started < 1.5
 
 
@@ -622,7 +625,7 @@ def test_budget_expiring_inside_a_block_stops_the_next(monkeypatch: pytest.Monke
 
     monkeypatch.setitem(nilpotence.ROUTES, "oracle", (nilpotence.FAMILIES, slow_block))
     with pytest.raises(TimeoutError):
-        _seed_histogram(rs, "oracle", deadline, (0, 0, 0))
+        list(_block_histograms(rs, "oracle", deadline, walk(rs)))
     assert classified == [BUDGET_BLOCK]
 
 
@@ -640,19 +643,20 @@ def test_budget_must_be_positive() -> None:
     assert all(row.passed for row in suite_agreement("A", 2, budget=math.inf))
 
 
-def test_pool_is_capped_at_the_seed_count(
-    monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture
-) -> None:
-    # a stand-in executor that records its size and runs in this process,
-    # so no request below starts a real process, however large
-    requested = []
+@pytest.fixture
+def inline_pool(monkeypatch: pytest.MonkeyPatch) -> dict[str, list]:
+    """A stand-in executor that runs each task in this process and records
+    its size and its tasks, so no request starts a real process, however
+    large."""
+    record: dict[str, list] = {"sizes": [], "tasks": []}
 
-    class RecordingExecutor:
+    class InlineExecutor:
         def __init__(self, max_workers: int, initializer, initargs: tuple) -> None:
-            requested.append(max_workers)
+            record["sizes"].append(max_workers)
             initializer(*initargs)
 
         def submit(self, func, *args) -> Future:
+            record["tasks"].append(args)
             future: Future = Future()
             future.set_result(func(*args))
             return future
@@ -660,8 +664,15 @@ def test_pool_is_capped_at_the_seed_count(
         def shutdown(self, cancel_futures: bool) -> None:
             pass
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     monkeypatch.setattr(nilpotence, "_WORKER_STATE", None)
+    return record
+
+
+def test_pool_is_capped_at_the_seed_count(
+    monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture, inline_pool: dict
+) -> None:
+    requested = inline_pool["sizes"]
     rs = build_root_system("A1")
     assert len(partition_seeds(rs)) == 2
     assert class_distribution(rs, workers=10**9) == {0: 1, 1: 1}
@@ -673,6 +684,60 @@ def test_pool_is_capped_at_the_seed_count(
     # a cap of one runs serially, with no pool at all
     assert class_distribution(rs, workers=1) == {0: 1, 1: 1}
     assert requested == [2, 2, 2]
+
+
+def test_serial_run_classifies_full_blocks(monkeypatch: pytest.MonkeyPatch) -> None:
+    # one chain over the whole walk: E8's 25080 ideals in 7 blocks, where
+    # a block per seed made 122
+    rs = build_root_system("E8")
+    sizes = []
+
+    def counted(rs, ideals):
+        sizes.append(len(ideals))
+        return block_classes(rs, ideals)
+
+    monkeypatch.setitem(nilpotence.ROUTES, "oracle", (nilpotence.FAMILIES, counted))
+    assert sum(class_distribution(rs, workers=1).values()) == 25080
+    assert sizes == [BUDGET_BLOCK] * 6 + [25080 - 6 * BUDGET_BLOCK]
+
+
+def test_pool_takes_one_task_per_seed(inline_pool: dict) -> None:
+    rs = build_root_system("E6")
+    assert class_distribution(rs, workers=2) == class_distribution(rs, workers=1)
+    assert inline_pool["sizes"] == [2]
+    assert inline_pool["tasks"] == [(seed,) for seed in partition_seeds(rs)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_progress_counts_ideals(workers: int) -> None:
+    # serial parts are blocks, pooled parts are seeds; either way the
+    # ideals done rise to the product formula's total
+    rs = build_root_system("E7")
+    calls = []
+    class_distribution(rs, workers=workers, progress=lambda done, total: calls.append((done, total)))
+    done = [d for d, _ in calls]
+    assert all(a < b for a, b in zip(done, done[1:]))
+    assert done[-1] == 4160 and {t for _, t in calls} == {4160}
+    assert len(calls) == (2 if workers == 1 else len(partition_seeds(rs)))
+
+
+def test_default_workers_stay_serial_below_the_pool_threshold(
+    monkeypatch: pytest.MonkeyPatch, inline_pool: dict
+) -> None:
+    monkeypatch.delenv("ADNIL_WORKERS", raising=False)
+    cores = resolve_workers(None)
+    assert resolve_workers(None, POOL_MIN_IDEALS - 1) == 1
+    assert resolve_workers(None, POOL_MIN_IDEALS) == cores
+    # an explicit count, or one from the environment, is honoured
+    assert resolve_workers(2, 1) == 2
+    rs = build_root_system("E6")
+    serial = class_distribution(rs, workers=1)
+    assert class_distribution(rs) == serial
+    assert inline_pool["sizes"] == []
+    monkeypatch.setenv("ADNIL_WORKERS", "2")
+    assert resolve_workers(None, 1) == 2
+    assert class_distribution(rs) == serial
+    assert inline_pool["sizes"] == [2]
 
 
 def _die(*initargs: object) -> None:

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from adnil import LieType, build_root_system, root_leq, total_count_formula
+from adnil.rootsys import _CELL_BUILDERS, _packed_roots
 
 ALL_SMALL = (
     ["A1", "A2", "A3", "A4", "A5"]
@@ -109,6 +110,72 @@ def test_partners_and_covers(label: str) -> None:
         want = [j for j in range(len(rs)) if (down & ~inner) >> j & 1]
         steps = [tuple(a - b for a, b in zip(roots[k], r)) for r in roots]
         assert [j for j, step in enumerate(steps) if step in simple] == want, (label, k)
+
+
+def _tuple_sum_tables(rs) -> dict:
+    """The order and sum tables of `rs`, built from its Cartan matrix the
+    slow way: every reflection that keeps a root positive, one tuple per
+    sum of two roots, and the order read off the dominance test."""
+    a, n = rs.cartan, rs.lie_type.rank
+    closure = {tuple(int(i == j) for j in range(n)) for i in range(n)}
+    frontier = list(closure)
+    while frontier:
+        nxt = []
+        for beta in frontier:
+            for i in range(n):
+                ci = beta[i] - sum(a[i][j] * beta[j] for j in range(n))
+                img = beta[:i] + (ci,) + beta[i + 1:]
+                if ci >= 0 and any(img) and img not in closure:
+                    closure.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    if rs.lie_type.is_classical:
+        roots = [r for _, r in _CELL_BUILDERS[rs.lie_type.family](n)]
+        assert set(roots) == closure
+    else:
+        roots = sorted(closure, key=lambda r: (sum(r), r))
+    index = {r: k for k, r in enumerate(roots)}
+    size = len(roots)
+    partners = [[] for _ in range(size)]
+    for i, ri in enumerate(roots):
+        for j in range(i, size):
+            k = index.get(tuple(x + y for x, y in zip(ri, roots[j])))
+            if k is not None:
+                partners[i].append((j, k))
+                partners[j].append((i, k))
+    covers = [[index[u] for i in range(n) if (u := r[:i] + (r[i] + 1,) + r[i + 1:]) in index]
+              for r in roots]
+    up = [sum(1 << j for j, rj in enumerate(roots) if root_leq(ri, rj)) for ri in roots]
+    below = [sum(1 << j for j, rj in enumerate(roots) if root_leq(rj, ri) and j != i)
+             for i, ri in enumerate(roots)]
+    return {
+        "positive_roots": roots,
+        "partners": partners,
+        "covers": covers,
+        "filter_masks": up,
+        "below_masks": below,
+        "comparable_masks": [f | b for f, b in zip(up, below)],
+    }
+
+
+@pytest.mark.parametrize("label", [
+    *(f"A{n}" for n in range(1, 16)),
+    *(f"{f}{n}" for f in "BCD" for n in range(2, 13)),
+    "E6", "E7", "E8", "F4", "G2",
+])
+def test_tables_match_the_tuple_sum_reference(label: str) -> None:
+    # the packed-int build gives the same lists, in the same order
+    rs = build_root_system(label)
+    for name, want in _tuple_sum_tables(rs).items():
+        assert getattr(rs, name) == want, (label, name)
+
+
+def test_packed_roots_refuse_a_coefficient_above_seven() -> None:
+    # 7 + 7 still fits a 4-bit field; 8 would let a sum carry
+    assert _packed_roots([(1, 0), (7, 3)]) == [1, 0x37]
+    for roots in ([(8,)], [(1, 2), (0, 9)]):
+        with pytest.raises(ValueError, match="exceeds 7"):
+            _packed_roots(roots)
 
 
 def test_order_masks() -> None:
