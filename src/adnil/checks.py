@@ -9,6 +9,7 @@ paths.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from . import closedform, genfun
@@ -61,13 +62,21 @@ def _distribution_to_row(dist: dict[int, int]) -> tuple[int, ...]:
     return tuple(dist.get(k, 0) for k in range(top + 1))
 
 
-def refuse_huge(what: str, count: int) -> None:
-    """Refuse a run over more than MAX_IDEALS ideals, counted before
-    anything is built."""
+def refuse_huge(what: str, types: Iterable[LieType]) -> None:
+    """Refuse a run over the ideals of `types`, more than MAX_IDEALS in
+    all, counted before anything is built.  A type has at least 2^rank
+    ideals (those of class at most 1), so the first type of a rank with
+    2^rank > MAX_IDEALS is refused at once: neither the product formula,
+    whose count has thousands of digits by rank 20000, nor the types after
+    it are reached."""
+    limit = f"more than the {MAX_IDEALS} a run may enumerate"
+    count = 0
+    for lt in types:
+        if lt.rank >= MAX_IDEALS.bit_length():
+            raise ValueError(f"{what} has at least 2^{lt.rank} ideals, {limit}")
+        count += total_count_formula(lt)
     if count > MAX_IDEALS:
-        raise ValueError(
-            f"{what} has {count} ideals, more than the {MAX_IDEALS} a run may enumerate"
-        )
+        raise ValueError(f"{what} has {count} ideals, {limit}")
 
 
 def suite_agreement(
@@ -80,15 +89,17 @@ def suite_agreement(
     if max_rank is not None and max_rank < 1:
         raise ValueError(f"max rank must be at least 1, got {max_rank}")
     tops = {"A": 8, "B": 6, "C": 7, "D": 6}
-    labels = []
-    for fam in family or "ABCD":
-        top = tops[fam] if max_rank is None else max_rank
-        labels += [f"{fam}{n}" for n in range(1 if fam == "A" else 2, top + 1)]
-    refuse_huge("the agreement suite", sum(map(total_count_formula, labels)))
+
+    def types() -> Iterator[LieType]:
+        for fam in family or "ABCD":
+            top = tops[fam] if max_rank is None else max_rank
+            yield from (LieType(fam, n) for n in range(1 if fam == "A" else 2, top + 1))
+
+    refuse_huge("the agreement suite", types())
     deadline = budget_deadline(budget)
     results = []
-    for label in labels:
-        rs = build_root_system(label)
+    for lt in types():
+        rs = build_root_system(lt)
         # every route that applies, the oracle among them
         routes = [route for families, route in ROUTES.values() if rs.lie_type.family in families]
         mismatches = count = 0
@@ -98,7 +109,7 @@ def suite_agreement(
             mismatches += sum(len(set(row)) > 1 for row in rows)
         results.append(
             CheckResult(
-                f"agreement {label}",
+                f"agreement {lt}",
                 mismatches == 0,
                 f"{len(routes)} routes over {count} ideals, {mismatches} mismatches",
             )

@@ -14,20 +14,21 @@ import io
 import json
 import re
 import sys
-from dataclasses import dataclass
 
 from .checks import SUITES, refuse_huge, run_suite
 from .closedform import catalan_qt, gamma_qt
 from .genfun import family_series
 from .ideals import enumerate_ideal_masks
 from .nilpotence import (
+    POOL_MIN_IDEALS,
     ROUTES,
+    WORKER_ENV,
     budget_deadline,
     class_distribution,
     classify_ideals,
     resolve_workers,
 )
-from .rootsys import LieType, RootSystem, build_root_system, total_count_formula
+from .rootsys import LieType, RootSystem, build_root_system, positive_root_count
 
 # `qt` runs one transfer DP over chain tails, on packed ints.  Type C is
 # the slower family: end to end on a 2-CPU host, C36 took 7-9.5 s, C37
@@ -41,25 +42,11 @@ MAX_QT_RANK = 37
 MAX_GF_CLASS = 500
 MAX_GF_ORDER = 2000
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a command run depends on; output is a function of this."""
-
-    command: str
-    lie_type: LieType | None = None
-    method: str = "oracle"
-    order: int = 12
-    format: str = "csv"
-    workers: int | None = None
-    output: str | None = None
-    budget: float | None = None
-    suite: str | None = None
-    family: str | None = None
-    max_rank: int | None = None
-    keep_going: bool = False
-    le: int | None = None
-    exact: int | None = None
+# `roots` builds the root sum tables, whose cost grows with the square of
+# the number of positive roots: end to end on a 2-CPU host, A84 (3570
+# roots; type A, of the highest rank for its count, is the slowest) took
+# 3.1-4.1 s and B60 (3600) 2.8-3.1 s, so 3600 roots are the most listed
+MAX_ROOTS = 3600
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +139,15 @@ def _emit(text: str, output: str | None) -> None:
 # commands
 
 
-def cmd_roots(cfg: RunConfig) -> int:
-    rs = build_root_system(cfg.lie_type)
+def cmd_roots(args: argparse.Namespace) -> int:
+    size = positive_root_count(args.lie_type)
+    if size > MAX_ROOTS:
+        raise ValueError(
+            f"roots lists at most {MAX_ROOTS} positive roots, {args.lie_type} has {size}"
+        )
+    rs = build_root_system(args.lie_type)
     _emit(_format(
-        cfg.format,
+        args.format,
         lambda: {
             "type": str(rs.lie_type),
             "rank": rs.lie_type.rank,
@@ -166,34 +158,34 @@ def cmd_roots(cfg: RunConfig) -> int:
         },
         ["index", "height", "coefficients"],
         ((i, sum(r), " ".join(map(str, r))) for i, r in enumerate(rs.positive_roots)),
-    ), cfg.output)
+    ), args.output)
     return 0
 
 
 def _enumerable(lt: LieType) -> RootSystem:
     """The root system of a type with at most MAX_IDEALS ideals, counted
-    exactly by the product formula before anything is built."""
-    refuse_huge(str(lt), total_count_formula(lt))
+    before anything is built (`refuse_huge`)."""
+    refuse_huge(str(lt), [lt])
     return build_root_system(lt)
 
 
-def cmd_enumerate(cfg: RunConfig) -> int:
-    rs = _enumerable(cfg.lie_type)
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    rs = _enumerable(args.lie_type)
     masks = enumerate_ideal_masks(rs)
-    classes = classify_ideals(rs, masks, cfg.method)
+    classes = classify_ideals(rs, masks, args.method)
     rows = [(mask, mask.bit_count(), k) for mask, k in zip(masks, classes)]
     _emit(_format(
-        cfg.format,
+        args.format,
         lambda: {
             "type": str(rs.lie_type),
-            "method": cfg.method,
+            "method": args.method,
             "ideals": [
                 {"mask": str(m), "dimension": d, "class": k} for m, d, k in rows
             ],
         },
         ["mask", "dimension", "class"],
         rows,
-    ), cfg.output)
+    ), args.output)
     return 0
 
 
@@ -204,79 +196,79 @@ def _stderr_progress(done: int, total: int) -> None:
         sys.stderr.write("\n")
 
 
-def cmd_table(cfg: RunConfig) -> int:
-    rs = _enumerable(cfg.lie_type)
+def cmd_table(args: argparse.Namespace) -> int:
+    rs = _enumerable(args.lie_type)
     progress = _stderr_progress if len(rs) >= 100 else None
     dist = class_distribution(
-        rs, cfg.method, workers=cfg.workers, budget=cfg.budget, progress=progress
+        rs, args.method, workers=args.workers, budget=args.budget, progress=progress
     )
     full = {k: dist.get(k, 0) for k in range(max(dist) + 1)}
-    _emit(format_distribution(full, cfg.format, str(rs.lie_type)), cfg.output)
+    _emit(format_distribution(full, args.format, str(rs.lie_type)), args.output)
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     results = run_suite(
-        cfg.suite,
-        family=cfg.family,
-        max_rank=cfg.max_rank,
-        workers=cfg.workers,
-        budget=cfg.budget,
+        args.suite,
+        family=args.family,
+        max_rank=args.max_rank,
+        workers=args.workers,
+        budget=args.budget,
     )
     if not results:
-        raise ValueError(f"suite {cfg.suite} ran no checks")
+        raise ValueError(f"suite {args.suite} ran no checks")
     lines = []
     failed = 0
     for res in results:
         lines.append(str(res))
         if not res.passed:
             failed += 1
-            if not cfg.keep_going:
+            if not args.keep_going:
                 break
     shown = len(lines)
-    lines.append(f"{shown - failed}/{shown} checks passed ({cfg.suite})")
-    _emit("\n".join(lines) + "\n", cfg.output)
+    lines.append(f"{shown - failed}/{shown} checks passed ({args.suite})")
+    _emit("\n".join(lines) + "\n", args.output)
     return 1 if failed else 0
 
 
-def cmd_gf(cfg: RunConfig) -> int:
-    kind, bound = ("exact", cfg.exact) if cfg.le is None else ("le", cfg.le)
-    if bound > MAX_GF_CLASS or cfg.order > MAX_GF_ORDER:
+def cmd_gf(args: argparse.Namespace) -> int:
+    kind, bound = ("exact", args.exact) if args.le is None else ("le", args.le)
+    if bound > MAX_GF_CLASS or args.order > MAX_GF_ORDER:
         raise ValueError(
             f"gf expands classes up to {MAX_GF_CLASS} and orders up to {MAX_GF_ORDER}, "
-            f"got class {bound} and order {cfg.order}"
+            f"got class {bound} and order {args.order}"
         )
-    series = family_series(cfg.family, bound, cfg.order, exact=kind == "exact")
-    coeffs = [series[n] for n in range(cfg.order + 1)]
+    series = family_series(args.family, bound, args.order, exact=kind == "exact")
+    coeffs = [series[n] for n in range(args.order + 1)]
     _emit(_format(
-        cfg.format,
+        args.format,
         lambda: {
-            "family": cfg.family,
+            "family": args.family,
             kind: bound,
-            "order": cfg.order,
+            "order": args.order,
             "coefficients": [str(c) for c in coeffs],
         },
         ["n", "coefficient"],
         enumerate(coeffs),
-    ), cfg.output)
+    ), args.output)
     return 0
 
 
-def cmd_qt(cfg: RunConfig) -> int:
-    n = cfg.lie_type.rank
+def cmd_qt(args: argparse.Namespace) -> int:
+    n = args.lie_type.rank
     if n > MAX_QT_RANK:
         raise ValueError(f"qt refuses ranks above {MAX_QT_RANK}, got rank {n}")
-    coeffs = catalan_qt(n) if cfg.lie_type.family == "A" else gamma_qt(n)
+    coeffs = catalan_qt(n) if args.lie_type.family == "A" else gamma_qt(n)
     terms = sorted(coeffs.items())
     _emit(_format(
-        cfg.format,
+        args.format,
         lambda: {
-            "type": str(cfg.lie_type),
+            "type": str(args.lie_type),
             "terms": [{"q": q, "t": t, "coeff": str(c)} for (q, t), c in terms],
         },
         ["q", "t", "coeff"],
         ((q, t, c) for (q, t), c in terms),
-    ), cfg.output)
+    ), args.output)
     return 0
 
 
@@ -340,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_type_args(p)
     _add_output_args(p)
     p.add_argument("--method", choices=list(ROUTES), default="oracle")
-    p.add_argument("--workers", type=int, help="process count (default: env, then all cores)")
+    p.add_argument("--workers", type=int, help=f"process count (default: ${WORKER_ENV}, then "
+                   f"one for a type under {POOL_MIN_IDEALS} ideals, else all cores)")
     p.add_argument("--budget", type=float, help="wall-time cap in seconds")
 
     p = sub.add_parser("verify", help="run a cross-check suite")
@@ -351,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="report every failure instead of stopping at the first")
     p.add_argument("--workers", type=int)
     p.add_argument("--budget", type=float)
-    _add_output_args(p)
+    # plain text only, so no --format
+    p.add_argument("--output", help="write to this path instead of stdout")
 
     p = sub.add_parser("gf", help="expand a counting series")
     p.add_argument("--family", choices=list("ABCD"), required=True)
@@ -367,35 +361,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_config(argv: list[str] | None = None) -> RunConfig:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = {"command": args.command, "format": getattr(args, "format", "csv")}
-    for field in ("method", "order", "workers", "output", "budget", "suite",
-                  "family", "max_rank", "keep_going", "le", "exact"):
-        if getattr(args, field, None) is not None:
-            cfg[field] = getattr(args, field)
     if args.command in ("roots", "enumerate", "table", "qt"):
-        cfg["lie_type"] = _resolve_type(parser, args)
-        if args.command == "qt" and cfg["lie_type"].family not in "AC":
+        args.lie_type = _resolve_type(parser, args)
+        if args.command == "qt" and args.lie_type.family not in "AC":
             parser.error("qt polynomials are defined for families A and C")
     if args.command == "gf":
         if (args.le if args.le is not None else args.exact) < 0:
             parser.error("class bound must be nonnegative")
         if args.order < 1:
             parser.error("--order must be at least 1")
-    return RunConfig(**cfg)
-
-
-def main(argv: list[str] | None = None) -> int:
-    cfg = parse_config(argv)
     try:
         # refuse a bad count or budget for every command, also where unused
-        if cfg.workers is not None:
-            resolve_workers(cfg.workers)
-        if cfg.budget is not None:
-            budget_deadline(cfg.budget)
-        return COMMANDS[cfg.command](cfg)
+        if getattr(args, "workers", None) is not None:
+            resolve_workers(args.workers)
+        if getattr(args, "budget", None) is not None:
+            budget_deadline(args.budget)
+        return COMMANDS[args.command](args)
     except TimeoutError as exc:  # an OSError, so caught before the others
         print(f"error: {exc}", file=sys.stderr)
         return 1

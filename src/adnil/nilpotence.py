@@ -538,11 +538,10 @@ def _worker_run(seed: Seed) -> Counter:
 def _block_histograms(
     rs: RootSystem, method: str, deadline: float, ideals: Iterable[int]
 ) -> Iterator[Counter]:
-    """Histogram of each block of `BUDGET_BLOCK` ideals in turn, classified
-    by `classify_ideals` within the deadline."""
-    classes = classify_ideals(rs, ideals, method, deadline)
-    while part := Counter(islice(classes, BUDGET_BLOCK)):
-        yield part
+    """Histogram of each block of `budget_blocks` in turn."""
+    classify = _class_function(rs, method)
+    for block in budget_blocks(ideals, deadline):
+        yield Counter(classify(block))
 
 
 def budget_blocks(ideals: Iterable[int], deadline: float) -> Iterator[list[int]]:

@@ -1,9 +1,10 @@
 """Root systems in simple-root coordinates.
 
 Every root is a tuple of integer coefficients with respect to the simple
-roots.  Positive roots of the classical families are listed in the cell
-order of their (shifted) staircase arrangements, so that ideal bitmasks
-translate directly into diagrams; exceptional types are listed by height.
+roots.  Positive roots of the classical families are sorted into the cell
+order of their (shifted) staircase arrangements (`_staircase_key`), so
+that ideal bitmasks translate directly into diagrams; exceptional types
+are listed by height.
 """
 from __future__ import annotations
 
@@ -157,73 +158,23 @@ def exponents(lt: LieType) -> tuple[int, ...]:
     return _EXCEPTIONAL_EXPONENTS[(lt.family, n)]
 
 
-def _interval_root(n: int, lo: int, hi: int) -> list[int]:
-    """Coefficient vector of alpha_lo + ... + alpha_hi (1-based, empty if lo > hi)."""
-    c = [0] * n
-    for t in range(lo, hi + 1):
-        c[t - 1] = 1
-    return c
+def _staircase_key(lt: LieType, root: Root) -> tuple[int, int, Root]:
+    """Sort key placing a classical root in its staircase cell: row, then
+    height falling, then the root.  The row is the least simple root with a
+    nonzero coefficient, where in type D only alpha_1..alpha_{n-1} count
+    (alpha_n alone sits in row n-1).  D's fork pair ties on height; the
+    tuple puts the root holding alpha_n first."""
+    counted = lt.rank - (lt.family == "D")
+    row = next((i for i in range(counted) if root[i]), counted - 1)
+    return row, -sum(root), root
 
 
-def _cells_a(n: int) -> list[tuple[tuple[int, int], Root]]:
-    # cell (i, j) of the staircase carries alpha_i + ... + alpha_{n-j+1}
-    out = []
-    for i in range(1, n + 1):
-        for j in range(1, n - i + 2):
-            out.append(((i, j), tuple(_interval_root(n, i, n - j + 1))))
-    return out
-
-
-def _cells_b(n: int) -> list[tuple[tuple[int, int], Root]]:
-    # shifted staircase rows i..2n-i; doubled tail starts after column j
-    out = []
-    for i in range(1, n + 1):
-        for j in range(i, 2 * n - i + 1):
-            if j <= n - 1:
-                c = _interval_root(n, i, j)
-                for t in range(j + 1, n + 1):
-                    c[t - 1] = 2
-            else:
-                c = _interval_root(n, i, 2 * n - j)
-            out.append(((i, j), tuple(c)))
-    return out
-
-
-def _cells_c(n: int) -> list[tuple[tuple[int, int], Root]]:
-    out = []
-    for i in range(1, n + 1):
-        for j in range(i, 2 * n - i + 1):
-            if j <= n - 1:
-                c = _interval_root(n, i, j - 1)
-                for t in range(j, n):
-                    c[t - 1] = 2
-                c[n - 1] = 1
-            else:
-                c = _interval_root(n, i, 2 * n - j)
-            out.append(((i, j), tuple(c)))
-    return out
-
-
-def _cells_d(n: int) -> list[tuple[tuple[int, int], Root]]:
-    out = []
-    for i in range(1, n + 1):
-        for j in range(i, 2 * n - i):
-            if j <= n - 2:
-                c = _interval_root(n, i, j)
-                for t in range(j + 1, n - 1):
-                    c[t - 1] = 2
-                c[n - 2] += 1
-                c[n - 1] += 1
-            elif j == n - 1:
-                c = _interval_root(n, i, n - 2)
-                c[n - 1] = 1
-            else:
-                c = _interval_root(n, i, 2 * n - j - 1)
-            out.append(((i, j), tuple(c)))
-    return out
-
-
-_CELL_BUILDERS = {"A": _cells_a, "B": _cells_b, "C": _cells_c, "D": _cells_d}
+def _staircase_widths(lt: LieType) -> list[int]:
+    """Row widths: n, n-1, ..., 1 for A; 2n-1, 2n-3, ..., 1 for B and C;
+    2n-2, 2n-4, ..., 2 for D."""
+    n = lt.rank
+    top = {"A": n, "B": 2 * n - 1, "C": 2 * n - 1, "D": 2 * n - 2}[lt.family]
+    return list(range(top, 0, -1 if lt.family == "A" else -2))
 
 
 def _packed_roots(roots: list[Root]) -> list[int]:
@@ -249,8 +200,7 @@ class RootSystem:
     def __init__(self, lie_type: LieType):
         self.lie_type = lie_type
         n = lie_type.rank
-        self.cartan = cartan_matrix(lie_type)
-        closure = _reflection_closure(self.cartan)
+        closure = _reflection_closure(cartan_matrix(lie_type))
         if len(closure) != positive_root_count(lie_type):
             raise AssertionError(
                 f"{lie_type}: closure produced {len(closure)} positive roots"
@@ -259,23 +209,18 @@ class RootSystem:
         self.simple_roots: list[Root] = [
             tuple(int(i == j) for j in range(n)) for i in range(n)
         ]
-        self.cells: list[tuple[int, int]] | None = None
         self.rows: list[tuple[int, int]] | None = None
         if lie_type.is_classical:
-            labelled = _CELL_BUILDERS[lie_type.family](n)
-            if {r for _, r in labelled} != closure:
-                raise AssertionError(f"{lie_type}: cell labels disagree with closure")
-            self.cells = [cell for cell, _ in labelled]
-            self.positive_roots: list[Root] = [r for _, r in labelled]
+            keyed = sorted(_staircase_key(lie_type, r) for r in closure)
+            self.positive_roots: list[Root] = [r for *_, r in keyed]
             # (first bit, width) per row of the (shifted) staircase, whose
             # cells are consecutive bits
-            widths = Counter(i for i, _ in self.cells).values()
+            widths = list(Counter(row for row, *_ in keyed).values())
+            if widths != _staircase_widths(lie_type):
+                raise AssertionError(f"{lie_type}: rows {widths} are not the staircase widths")
             self.rows = list(zip(accumulate(widths, initial=0), widths))
         else:
             self.positive_roots = sorted(closure, key=lambda r: (sum(r), r))
-        self.index: dict[Root, int] = {
-            r: k for k, r in enumerate(self.positive_roots)
-        }
 
         self.exponents = exponents(lie_type)
         self.coxeter_number = self.exponents[-1] + 1

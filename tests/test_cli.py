@@ -333,6 +333,7 @@ def test_verify_agreement_budget_exit_code(capsys: pytest.CaptureFixture) -> Non
         ["gf", "--family", "A", "--le", "1", "--order", "0"],
         ["verify"],
         ["nonsense"],
+        ["verify", "--suite", "series", "--format", "json"],
     ],
 )
 def test_usage_errors_exit_two(argv: list[str]) -> None:
@@ -401,6 +402,19 @@ def test_preflight_refuses_huge_types(capsys: pytest.CaptureFixture) -> None:
         (["enumerate", "--type", "A20"], f"A20 has 24466267020 {too_many}"),
         (["verify", "--suite", "agreement", "--family", "A", "--max-rank", "20"],
          f"the agreement suite has {agreement} {too_many}"),
+        # a type has at least 2^rank ideals, so rank 24 is refused unsummed
+        (["table", "--type", "D24"], f"D24 has at least 2^24 {too_many}"),
+        (["table", "--type", "A20000"], f"A20000 has at least 2^20000 {too_many}"),
+        (["enumerate", "--type", "A200000"], f"A200000 has at least 2^200000 {too_many}"),
+        # the suite stops at its first type of rank 24, the types after it unbuilt
+        (["verify", "--suite", "agreement", "--family", "A", "--max-rank", "3000"],
+         f"the agreement suite has at least 2^24 {too_many}"),
+        (["verify", "--suite", "agreement", "--max-rank", "12000"],
+         f"the agreement suite has at least 2^24 {too_many}"),
+        (["verify", "--suite", "agreement", "--family", "D", "--max-rank", "100000"],
+         f"the agreement suite has at least 2^24 {too_many}"),
+        (["roots", "--type", "A300"], "roots lists at most 3600 positive roots, A300 has 45150"),
+        (["roots", "--type", "B61"], "roots lists at most 3600 positive roots, B61 has 3721"),
         (["qt", "--type", "A40"], "qt refuses ranks above 37, got rank 40"),
         (["qt", "--type", "C40"], "qt refuses ranks above 37, got rank 40"),
         (["gf", "--family", "D", "--exact", "3000"], f"{gf_cap} 3000 and order 12"),
@@ -462,7 +476,7 @@ ARGV = st.one_of(
         | st.integers(1, 30).map(lambda k: ["--order", str(k)]),
         FORMAT,
     ),
-    _argv("verify", st.just(["--suite", "series"]), WORKERS, BUDGET, FORMAT),
+    _argv("verify", st.just(["--suite", "series"]), WORKERS, BUDGET),
     _argv(
         "verify",
         st.just(["--suite", "agreement"]),

@@ -137,7 +137,7 @@ def test_root_seed_histogram_spans_two_blocks() -> None:
 
 def _non_ideal(rs) -> int:
     """The simple roots alone: no ideal, since it misses the highest root."""
-    return sum(1 << rs.index[r] for r in rs.simple_roots)
+    return sum(1 << rs.positive_roots.index(r) for r in rs.simple_roots)
 
 
 def test_oracle_guard_rejects_non_ideal() -> None:
@@ -166,7 +166,7 @@ def test_oracle_guard_survives_optimize() -> None:
         "from adnil import build_root_system, classify_ideal\n"
         "from adnil.nilpotence import block_classes\n"
         "rs = build_root_system('A2')\n"
-        "mask = sum(1 << rs.index[r] for r in rs.simple_roots)\n"
+        "mask = sum(1 << rs.positive_roots.index(r) for r in rs.simple_roots)\n"
         "for check in (lambda: classify_ideal(rs, mask),\n"
         "              lambda: block_classes(rs, [0, 1, 3, mask])):\n"
         "    try:\n"
@@ -205,12 +205,20 @@ def test_ideal_rows_accepts_exactly_the_ideals(label: str) -> None:
                 ideal_rows(rs, mask)
 
 
-def rows_by_cells(rs, masks: list[int]) -> list[tuple[int, ...]]:
-    """Reference: how many cells of each staircase row each mask holds, the
-    rows read off `rs.cells`."""
-    rows = range(1, max(i for i, _ in rs.cells) + 1)
-    row_masks = [sum(1 << k for k, (i, _) in enumerate(rs.cells) if i == row) for row in rows]
+def rows_by_roots(rs, masks: list[int]) -> list[tuple[int, ...]]:
+    """Reference: how many roots of each staircase row each mask holds, a
+    root's row being its first simple root with a nonzero coefficient (in
+    type D only alpha_1..alpha_{n-1} count, and alpha_n alone is in row n-1)."""
+    last = rs.lie_type.rank - (rs.lie_type.family == "D")
+    row_of = [next((i for i in range(last) if r[i]), last - 1) for r in rs.positive_roots]
+    row_masks = [sum(1 << k for k, i in enumerate(row_of) if i == row) for row in range(last)]
     return [tuple((mask & row_mask).bit_count() for row_mask in row_masks) for mask in masks]
+
+
+def shifted_cells(rs) -> list[tuple[int, int]]:
+    """(row, column) of each bit of a shifted staircase (B, C, D), 1-based:
+    row i holds columns i, i+1, ..."""
+    return [(i, j) for i, (_, width) in enumerate(rs.rows, 1) for j in range(i, i + width)]
 
 
 @pytest.mark.parametrize(
@@ -221,7 +229,7 @@ def test_block_rows_count_the_cells_of_each_row(label: str) -> None:
     rs = build_root_system(label)
     masks = list(walk(rs))
     got = [rows for block in _blocks(masks) for rows in block_rows(rs, block)]
-    assert got == rows_by_cells(rs, masks)
+    assert got == rows_by_roots(rs, masks)
 
 
 def _mixed_fork(rs) -> int:
@@ -231,7 +239,7 @@ def _mixed_fork(rs) -> int:
     cover (1, n)."""
     n = rs.lie_type.rank
     held = {(1, j) for j in range(1, n)} | {(2, j) for j in range(2, n - 1)} | {(2, n)}
-    return sum(1 << k for k, cell in enumerate(rs.cells) if cell in held)
+    return sum(1 << k for k, cell in enumerate(shifted_cells(rs)) if cell in held)
 
 
 def test_diagram_routes_reject_non_ideal() -> None:
@@ -240,7 +248,7 @@ def test_diagram_routes_reject_non_ideal() -> None:
     cases = []
     for label in ("A2", "B3", "C3", "D4"):
         rs = build_root_system(label)
-        cases.append((rs, sum(1 << rs.index[r] for r in rs.simple_roots)))
+        cases.append((rs, _non_ideal(rs)))
     rs = build_root_system("A3")
     cases.append((rs, (1 << len(rs)) - 1 ^ 1 << rs.highest_index))
     rs = build_root_system("D5")
@@ -548,7 +556,7 @@ def test_shifted_diagrams_exist_for_all_ideals() -> None:
             assert 0 not in parts and all(a > b for a, b in zip(parts, parts[1:]))
             # a type-D row holding fork column n without column n-1
             rows: dict[int, set[int]] = {}
-            for k, (i, j) in enumerate(rs.cells):
+            for k, (i, j) in enumerate(shifted_cells(rs)):
                 if mask >> k & 1:
                     rows.setdefault(i, set()).add(j)
             forked += any(n in cols and n - 1 not in cols for cols in rows.values())

@@ -5,7 +5,8 @@ from math import comb
 import pytest
 
 from adnil import LieType, build_root_system, root_leq, total_count_formula
-from adnil.rootsys import _CELL_BUILDERS, _packed_roots
+from adnil import rootsys
+from adnil.rootsys import _packed_roots, cartan_matrix
 
 ALL_SMALL = (
     ["A1", "A2", "A3", "A4", "A5"]
@@ -78,13 +79,43 @@ def test_exponents_and_coxeter_number() -> None:
     assert build_root_system("G2").coxeter_number == 6
 
 
-def test_cells_match_roots_for_classical() -> None:
-    for label in ["A4", "B4", "C4", "D4"]:
-        rs = build_root_system(label)
-        assert rs.cells is not None
-        assert len(rs.cells) == len(rs.positive_roots)
-        assert len(set(rs.cells)) == len(rs.cells)
-    assert build_root_system("F4").cells is None
+# the staircase layouts of the classical types, row by row: each root as
+# its coefficient digits, in bit order
+LAYOUTS = {
+    "D2": ["01 10"],
+    "A3": ["111 110 100", "011 010", "001"],
+    "B3": ["122 112 111 110 100", "012 011 010", "001"],
+    "C3": ["221 121 111 110 100", "021 011 010", "001"],
+    "D4": ["1211 1111 1101 1110 1100 1000", "0111 0101 0110 0100", "0001 0010"],
+}
+
+
+@pytest.mark.parametrize("label", LAYOUTS)
+def test_staircase_layouts(label: str) -> None:
+    rs = build_root_system(label)
+    digits = ["".join(map(str, r)) for r in rs.positive_roots]
+    assert [" ".join(digits[first : first + width]) for first, width in rs.rows] == LAYOUTS[label]
+    assert sum(width for _, width in rs.rows) == len(digits)
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_rows_have_the_staircase_widths(family: str) -> None:
+    # consecutive rows of n, n-1, ..., 1 cells (A), of 2n-1, 2n-3, ..., 1
+    # (B, C) or of 2n-2, 2n-4, ..., 2 (D)
+    for n in range(1 if family == "A" else 2, 21):
+        rs = build_root_system(f"{family}{n}")
+        top, step = (n, 1) if family == "A" else (2 * n - 1 - (family == "D"), 2)
+        assert [w for _, w in rs.rows] == list(range(top, 0, -step)), (family, n)
+        assert [s for s, _ in rs.rows] == [sum(w for _, w in rs.rows[:i]) for i in range(len(rs.rows))]
+    assert build_root_system("F4").rows is None
+
+
+def test_rows_off_the_staircase_widths_raise(monkeypatch: pytest.MonkeyPatch) -> None:
+    # every root in one row: the widths check refuses the build, by an
+    # explicit raise that `python -O` keeps
+    monkeypatch.setattr(rootsys, "_staircase_key", lambda lt, r: (0, -sum(r), r))
+    with pytest.raises(AssertionError, match="not the staircase widths"):
+        build_root_system("B3")
 
 
 @pytest.mark.parametrize("label", [*ALL_SMALL, "E8"])
@@ -92,11 +123,12 @@ def test_partners_and_covers(label: str) -> None:
     # partners: every ordered pair of roots whose sum is a root, and the sum
     rs = build_root_system(label)
     roots = rs.positive_roots
+    index = {r: k for k, r in enumerate(roots)}
     sums = sorted(
-        (i, j, rs.index[s])
+        (i, j, index[s])
         for i, ri in enumerate(roots)
         for j, rj in enumerate(roots)
-        if (s := tuple(a + b for a, b in zip(ri, rj))) in rs.index
+        if (s := tuple(a + b for a, b in zip(ri, rj))) in index
     )
     assert sorted((i, j, k) for i, row in enumerate(rs.partners) for j, k in row) == sums
     # a root covers the roots below it that lie below no other root below
@@ -116,7 +148,7 @@ def _tuple_sum_tables(rs) -> dict:
     """The order and sum tables of `rs`, built from its Cartan matrix the
     slow way: every reflection that keeps a root positive, one tuple per
     sum of two roots, and the order read off the dominance test."""
-    a, n = rs.cartan, rs.lie_type.rank
+    a, n = cartan_matrix(rs.lie_type), rs.lie_type.rank
     closure = {tuple(int(i == j) for j in range(n)) for i in range(n)}
     frontier = list(closure)
     while frontier:
@@ -129,9 +161,10 @@ def _tuple_sum_tables(rs) -> dict:
                     closure.add(img)
                     nxt.append(img)
         frontier = nxt
+    # the classical order is pinned by `test_staircase_layouts`
     if rs.lie_type.is_classical:
-        roots = [r for _, r in _CELL_BUILDERS[rs.lie_type.family](n)]
-        assert set(roots) == closure
+        roots = rs.positive_roots
+        assert sorted(roots) == sorted(closure)
     else:
         roots = sorted(closure, key=lambda r: (sum(r), r))
     index = {r: k for k, r in enumerate(roots)}
