@@ -20,7 +20,7 @@ import os
 import time
 from collections import Counter
 from functools import partial
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 from typing import Iterable, Iterator, NamedTuple
 
 from .ideals import Seed, partition_seeds, walk
@@ -32,6 +32,7 @@ WORKER_ENV = "ADNIL_WORKERS"
 BUDGET_BLOCK = 4096  # ideals classified between two looks at the clock
 BUDGET_MESSAGE = "class distribution exceeded its budget"
 POOL_MIN_IDEALS = 100_000  # fewest ideals that the default worker count pools
+POOL_GROUPS_PER_WORKER = 4  # pool tasks per worker, so that the workers finish close together
 
 
 _LANES = bytes.maketrans(b"01", b"\0\1")  # binary digits to byte lanes
@@ -529,10 +530,15 @@ def _worker_init(rs: RootSystem, method: str, deadline: float) -> None:
     _WORKER_STATE = (rs, method, deadline)
 
 
-def _worker_run(seed: Seed) -> Counter:
-    """Histogram of one search subtree, within the deadline."""
+def _worker_run(group: list[Seed]) -> Counter:
+    """Histogram of a group of search subtrees, walked as one chain and
+    classified in full blocks within the deadline."""
     rs, method, deadline = _WORKER_STATE
-    return Counter(classify_ideals(rs, walk(rs, seed), method, deadline))
+    ideals = chain.from_iterable(walk(rs, seed) for seed in group)
+    hist: Counter = Counter()
+    for part in _block_histograms(rs, method, deadline, ideals):
+        hist.update(part)
+    return hist
 
 
 def _block_histograms(
@@ -588,17 +594,17 @@ def resolve_workers(requested: int | None, ideals: int | None = None) -> int:
     return os.cpu_count() or 1
 
 
-def _pooled(nworkers: int, initargs: tuple, seeds: list[Seed]) -> Iterator[Counter]:
-    """Seed histograms from a pool of `nworkers` processes, as they finish.
-    A worker that dies raises BrokenProcessPool; once anything raises, the
-    seeds not yet started are cancelled."""
+def _pooled(nworkers: int, initargs: tuple, groups: list[list[Seed]]) -> Iterator[Counter]:
+    """Histograms of seed groups from a pool of `nworkers` processes, as
+    they finish.  A worker that dies raises BrokenProcessPool; once
+    anything raises, the groups not yet started are cancelled."""
     # imported on first use: the executor's modules take over 1 MiB of
     # memory that a serial run never needs
     from concurrent.futures import ProcessPoolExecutor, as_completed
 
     pool = ProcessPoolExecutor(nworkers, initializer=_worker_init, initargs=initargs)
     try:
-        futures = [pool.submit(_worker_run, seed) for seed in seeds]
+        futures = [pool.submit(_worker_run, group) for group in groups]
         for future in as_completed(futures):
             yield future.result()
     finally:
@@ -615,22 +621,26 @@ def class_distribution(
     """Histogram {class: count} over every ideal of the root system.
 
     One worker classifies the whole walk as one chain of full blocks of
-    `BUDGET_BLOCK` ideals.  More workers (`resolve_workers`) take one task
-    per first-level subtree of the walk (a seed), each walked and
-    classified in a pool process.  Each block or seed is histogrammed on
-    its own and the parts merge by addition, so the histogram is the same
-    for any worker count.  `budget` caps wall time in seconds, checked in
-    every process each `BUDGET_BLOCK` ideals; `progress` is called after
-    each part with (done, total) ideal counts, total being the product
-    formula's.  A pool worker that dies raises BrokenProcessPool.
+    `BUDGET_BLOCK` ideals.  More workers (`resolve_workers`) share the
+    first-level subtrees of the walk (the seeds), dealt out in turn into
+    k = min(seeds, `POOL_GROUPS_PER_WORKER` x workers) groups; each group
+    is one pool task, walked as one chain and classified in full blocks
+    too.  Each block or group is histogrammed on its own and the parts
+    merge by addition, so the histogram is the same for any worker count.
+    `budget` caps wall time in seconds, checked in every process each
+    `BUDGET_BLOCK` ideals; `progress` is called after each part with
+    (done, total) ideal counts, total being the product formula's.  A pool
+    worker that dies raises BrokenProcessPool.
     """
     _class_function(rs, method)  # refuse a bad method before any work
     deadline = budget_deadline(budget)
     total = total_count_formula(rs)
     nworkers = resolve_workers(workers, total)
     if nworkers > 1:
-        seeds = partition_seeds(rs)  # a process idles without a seed
-        parts = _pooled(min(nworkers, len(seeds)), (rs, method, deadline), seeds)
+        seeds = partition_seeds(rs)
+        k = min(len(seeds), POOL_GROUPS_PER_WORKER * nworkers)
+        groups = [seeds[i::k] for i in range(k)]  # a process idles without a group
+        parts = _pooled(min(nworkers, k), (rs, method, deadline), groups)
     else:
         parts = _block_histograms(rs, method, deadline, walk(rs))
     hist: Counter = Counter()

@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import mul
 
 Root = tuple[int, ...]
 
@@ -115,21 +114,29 @@ def _reflection_closure(a: list[list[int]]) -> set[Root]:
     """All positive roots, generated from the simple roots by the simple
     reflections that raise the height: s_i(beta) = beta - t alpha_i with
     t = <beta, alpha_i^vee> < 0.  Every positive root that is not simple
-    is the image of a lower one under such a reflection."""
+    is the image of a lower one under such a reflection.
+
+    Each new root carries its pairings <beta, alpha_j^vee> = sum_k a_jk
+    beta_k, and s_i moves them by -t times column i of `a`, so only at
+    that column's nonzero entries: the diagonal 2 and one per neighbour
+    of i in the Dynkin diagram, at most four."""
     n = len(a)
+    columns = [[(j, a[j][i]) for j in range(n) if a[j][i]] for i in range(n)]
     simples = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     roots: set[Root] = set(simples)
-    frontier = list(simples)
+    frontier = [(alpha, [row[i] for row in a]) for i, alpha in enumerate(simples)]
     while frontier:
-        nxt: list[Root] = []
-        for beta in frontier:
-            for i, row in enumerate(a):
-                t = sum(map(mul, row, beta))
+        nxt: list[tuple[Root, list[int]]] = []
+        for beta, pairings in frontier:
+            for i, t in enumerate(pairings):
                 if t < 0:
                     img = beta[:i] + (beta[i] - t,) + beta[i + 1 :]
                     if img not in roots:
                         roots.add(img)
-                        nxt.append(img)
+                        moved = pairings[:]
+                        for j, x in columns[i]:
+                            moved[j] -= t * x
+                        nxt.append((img, moved))
         frontier = nxt
     return roots
 

@@ -37,6 +37,7 @@ from adnil.cli import main
 from adnil.ideals import enumerate_ideal_masks, partition_seeds, walk
 from adnil.nilpotence import (
     BUDGET_BLOCK,
+    POOL_GROUPS_PER_WORKER,
     POOL_MIN_IDEALS,
     ROUTES,
     _block_histograms,
@@ -49,6 +50,7 @@ from adnil.nilpotence import (
     ideal_rows,
     resolve_workers,
 )
+from adnil.refdata import EXCEPTIONAL_CLASS_COUNTS
 
 
 def test_hand_counted_distributions() -> None:
@@ -709,24 +711,46 @@ def test_serial_run_classifies_full_blocks(monkeypatch: pytest.MonkeyPatch) -> N
     assert sizes == [BUDGET_BLOCK] * 6 + [25080 - 6 * BUDGET_BLOCK]
 
 
-def test_pool_takes_one_task_per_seed(inline_pool: dict) -> None:
-    rs = build_root_system("E6")
-    assert class_distribution(rs, workers=2) == class_distribution(rs, workers=1)
-    assert inline_pool["sizes"] == [2]
-    assert inline_pool["tasks"] == [(seed,) for seed in partition_seeds(rs)]
+def test_pool_takes_interleaved_seed_groups(inline_pool: dict) -> None:
+    # k = min(seeds, 4 x workers) tasks, seed i going to task i mod k, and
+    # no more processes than tasks
+    for label, workers, k in (("E6", 2, 8), ("E6", 3, 12), ("A2", 3, 4)):
+        rs = build_root_system(label)
+        seeds = partition_seeds(rs)
+        assert k == min(len(seeds), POOL_GROUPS_PER_WORKER * workers)
+        inline_pool["sizes"].clear()
+        inline_pool["tasks"].clear()
+        assert class_distribution(rs, workers=workers) == class_distribution(rs, workers=1)
+        assert inline_pool["sizes"] == [min(workers, k)]
+        groups = [group for group, in inline_pool["tasks"]]
+        assert groups == [seeds[i::k] for i in range(k)]
+        # every seed in exactly one group
+        assert sorted(seed for group in groups for seed in group) == sorted(seeds)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_progress_counts_ideals(workers: int) -> None:
-    # serial parts are blocks, pooled parts are seeds; either way the
-    # ideals done rise to the product formula's total
+    # serial parts are blocks, pooled parts are seed groups; either way
+    # the ideals done rise to the product formula's total
     rs = build_root_system("E7")
     calls = []
     class_distribution(rs, workers=workers, progress=lambda done, total: calls.append((done, total)))
     done = [d for d, _ in calls]
     assert all(a < b for a, b in zip(done, done[1:]))
     assert done[-1] == 4160 and {t for _, t in calls} == {4160}
-    assert len(calls) == (2 if workers == 1 else len(partition_seeds(rs)))
+    assert len(calls) == (2 if workers == 1 else POOL_GROUPS_PER_WORKER * workers)
+
+
+def test_exceptional_rows_at_any_worker_count() -> None:
+    # Table 1: the same rows serially and on real pools of 2 and 3
+    # workers; E6, E7 and E8 have 37, 64 and 121 seeds, so every type's
+    # 12 groups at 3 workers are uneven
+    for label in ("E6", "E7", "E8"):
+        rs = build_root_system(label)
+        want = EXCEPTIONAL_CLASS_COUNTS[label]
+        for workers in (1, 2, 3):
+            dist = class_distribution(rs, workers=workers)
+            assert tuple(dist.get(k, 0) for k in range(max(dist) + 1)) == want, (label, workers)
 
 
 def test_default_workers_stay_serial_below_the_pool_threshold(
