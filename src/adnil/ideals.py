@@ -7,11 +7,11 @@ stored as integer bit masks, bit i marking positive_roots[i].
 """
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .rootsys import RootSystem
 
-Seed = tuple[int, int, int]  # a DFS state (start, ideal mask, blocked mask)
+Seed = tuple[int, int]  # a DFS state (ideal mask, mask of the roots still free)
 
 
 def mask_indices(mask: int) -> list[int]:
@@ -44,34 +44,44 @@ def ideal_minimal_elements(rs: RootSystem, ideal: int) -> int:
     return mask
 
 
-def walk(rs: RootSystem, seed: Seed = (0, 0, 0)) -> Iterator[int]:
-    """Every ideal mask in the search subtree below `seed`: the ideals
-    whose antichain extends the seed's with roots of index >= start,
-    where `blocked` holds every root comparable to one already chosen.
-    The default seed is the root of the whole tree."""
-    filters = rs.filter_masks
-    comparable = rs.comparable_masks
-    full = (1 << len(filters)) - 1
-    stack = [seed]
+def walk(rs: RootSystem, seeds: Iterable[Seed], size: int) -> Iterator[list[int]]:
+    """Every ideal mask below the DFS states `seeds`, in lists of exactly
+    `size` masks but the last.  A state (ideal, free) stands for the ideals
+    whose antichain extends the ideal's by roots of `free`; a child with no
+    free root left is a leaf and goes straight into the block."""
+    filters, incomparable = rs.filter_masks, rs.incomparable_masks
+    stack = list(seeds)
+    block: list[int] = []
     while stack:
-        start, ideal, blocked = stack.pop()
-        yield ideal
-        free = full >> start << start & ~blocked  # roots i >= start still free
+        ideal, free = stack.pop()
+        block.append(ideal)
         while free:
             bit = free & -free
             free ^= bit
             i = bit.bit_length() - 1
-            stack.append((i + 1, ideal | filters[i], blocked | comparable[i]))
+            if rest := free & incomparable[i]:
+                stack.append((ideal | filters[i], rest))
+            else:
+                block.append(ideal | filters[i])
+        while len(block) >= size:
+            yield block[:size]
+            block = block[size:]
+    if block:
+        yield block
+
+
+def root_state(rs: RootSystem) -> Seed:
+    """The walk's root: the empty ideal, every root free."""
+    return 0, (1 << len(rs)) - 1
 
 
 def partition_seeds(rs: RootSystem) -> list[Seed]:
-    """The children of the walk's root, as DFS states: the empty ideal
-    alone, then for each root i the subtree of antichains whose least
-    index is i.  Their walks cover every ideal exactly once."""
-    children = zip(range(1, len(rs) + 1), rs.filter_masks, rs.comparable_masks)
-    return [(len(rs), 0, 0), *children]
+    """The children of the walk's root: the empty ideal alone, then for each
+    root i the antichains whose least index is i.  Walked in any grouping
+    and order, they cover every ideal exactly once."""
+    return [(0, 0), *zip(rs.filter_masks, rs.incomparable_masks)]
 
 
 def enumerate_ideal_masks(rs: RootSystem) -> list[int]:
     """Every ideal of the root system as a bit mask, ascending."""
-    return sorted(walk(rs))
+    return sorted(mask for block in walk(rs, [root_state(rs)], 4096) for mask in block)

@@ -20,10 +20,10 @@ import os
 import time
 from collections import Counter
 from functools import partial
-from itertools import accumulate, chain, islice
+from itertools import accumulate, islice
 from typing import Iterable, Iterator, NamedTuple
 
-from .ideals import Seed, partition_seeds, walk
+from .ideals import Seed, partition_seeds, root_state, walk
 from .rootsys import FAMILIES, RootSystem, total_count_formula
 
 Partition = tuple[int, ...]
@@ -403,23 +403,48 @@ class TwoRayResult(NamedTuple):
     nilpotence: int
 
 
-def _bounce_ray(parts: Partition, start_col: int, mirror: int) -> tuple[str, int, int]:
+def _bounce_ray(parts: Partition, start_col: int, mirror: int) -> tuple[bool, int, int]:
     """Walk one ray: drop along a column, bounce off x+y=mirror, sweep left
-    to the diagram border, repeat; stop on the line x=y-1.  Returns the
-    travel direction at the stop, the stop's x-coordinate, and the number
-    of x+y=mirror touchings.  A drop that reaches x=y-1 on the mirror line
-    itself counts as stopping mid-drop."""
+    to the diagram border, repeat; stop on the line x=y-1.  Returns whether
+    the ray stops mid-drop (else mid-sweep, travelling left), the stop's
+    x-coordinate, and the number of x+y=mirror touchings.  A drop that
+    reaches x=y-1 on the mirror line itself counts as stopping mid-drop."""
     col = start_col
     touches = 0
     while True:
         if 2 * col <= mirror - 1:
-            return "down", col, touches
+            return True, col, touches
         touches += 1
         row = mirror - col + 1
         a = parts[row - 1] if row <= len(parts) else 0
         if a == 0:
-            return "left", mirror - col - 1, touches
+            return False, mirror - col - 1, touches
         col = mirror - col + a
+
+
+def _two_rays(parts: Partition, mirror: int) -> tuple[int, int, int]:
+    """`two_ray_classify` off x+y=mirror, on rows that may end in zeros."""
+    if len(parts) < 2 or not parts[1]:  # at most one row: abelian
+        return (0, 0, 1) if parts and parts[0] else (0, 0, 0)
+    down1, t1, k1 = _bounce_ray(parts, parts[0], mirror)
+    down2, t2, k2 = _bounce_ray(parts, parts[1] + 1, mirror)
+    if not down2:
+        if not down1 and t1 >= t2 and k1 == k2 + 1 or down1 and t1 > t2:
+            return 1, k2, 2 * k2 + 1
+        if down1 and t1 <= t2:
+            return 2, k2, 2 * k2
+        if not down1 and t1 <= t2 and k1 == k2:
+            return 7, k2, 2 * k2
+    else:
+        if not down1 and t1 < t2:
+            return 3, k1, 2 * k1
+        if down1 and t1 <= t2 and k1 == k2 + 1:
+            return 4, k1, 2 * k1
+        if not down1 and t1 >= t2:
+            return 5, k1, 2 * k1 - 1
+        if down1 and t1 >= t2 and k1 == k2:
+            return 6, k1, 2 * k1 + 1
+    raise AssertionError(f"unclassifiable ray data {parts}: {(down1, t1, k1)} vs {(down2, t2, k2)}")
 
 
 def two_ray_classify(parts: Partition, n: int, family: str) -> TwoRayResult:
@@ -432,35 +457,7 @@ def two_ray_classify(parts: Partition, n: int, family: str) -> TwoRayResult:
     than two rows are abelian and handled directly (case_id 0)."""
     if family not in "BD":
         raise ValueError("two-ray classification applies to types B and D")
-    parts = tuple(filter(None, parts))
-    if not parts:
-        return TwoRayResult(0, 0, 0)
-    if len(parts) == 1:
-        return TwoRayResult(0, 0, 1)
-    mirror = 2 * n if family == "B" else 2 * n - 1
-    d1, t1, k1 = _bounce_ray(parts, parts[0], mirror)
-    d2, t2, k2 = _bounce_ray(parts, parts[1] + 1, mirror)
-    if d2 == "left":
-        if d1 == "left" and t1 >= t2 and k1 == k2 + 1:
-            return TwoRayResult(1, k2, 2 * k2 + 1)
-        if d1 == "down" and t1 > t2:
-            return TwoRayResult(1, k2, 2 * k2 + 1)
-        if d1 == "down" and t1 <= t2:
-            return TwoRayResult(2, k2, 2 * k2)
-        if d1 == "left" and t1 <= t2 and k1 == k2:
-            return TwoRayResult(7, k2, 2 * k2)
-    else:
-        if d1 == "left" and t1 < t2:
-            return TwoRayResult(3, k1, 2 * k1)
-        if d1 == "down" and t1 <= t2 and k1 == k2 + 1:
-            return TwoRayResult(4, k1, 2 * k1)
-        if d1 == "left" and t1 >= t2:
-            return TwoRayResult(5, k1, 2 * k1 - 1)
-        if d1 == "down" and t1 >= t2 and k1 == k2:
-            return TwoRayResult(6, k1, 2 * k1 + 1)
-    raise AssertionError(
-        f"unclassifiable ray data {parts}: {(d1, t1, k1)} vs {(d2, t2, k2)}"
-    )
+    return TwoRayResult(*_two_rays(tuple(filter(None, parts)), 2 * n - (family == "D")))
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +475,8 @@ def _on_rows(diagram_class):
 
 
 def _tworay_classes(rs: RootSystem, ideals: list[int]) -> list[int]:
-    lt = rs.lie_type
-    return [two_ray_classify(rows, lt.rank, lt.family).nilpotence for rows in block_rows(rs, ideals)]
+    mirror = 2 * rs.lie_type.rank - (rs.lie_type.family == "D")  # rows end in the empty ones
+    return [_two_rays(rows, mirror)[2] for rows in block_rows(rs, ideals)]
 
 
 # method -> (families it applies to, classes of a block of ideals); the
@@ -512,13 +509,10 @@ def classify_ideal(rs: RootSystem, ideal: int, method: str = "oracle") -> int:
     return _class_function(rs, method)([ideal])[0]
 
 
-def classify_ideals(
-    rs: RootSystem, ideals: Iterable[int], method: str = "oracle", deadline: float = math.inf
-) -> Iterator[int]:
-    """Class of each ideal in turn, classified `BUDGET_BLOCK` at a time
-    within the deadline (see `budget_blocks`)."""
+def classify_ideals(rs: RootSystem, ideals: Iterable[int], method: str = "oracle") -> Iterator[int]:
+    """Class of each ideal in turn, classified `BUDGET_BLOCK` at a time."""
     classify = _class_function(rs, method)
-    for block in budget_blocks(ideals, deadline):
+    for block in budget_blocks(ideals, math.inf):
         yield from classify(block)
 
 
@@ -531,22 +525,17 @@ def _worker_init(rs: RootSystem, method: str, deadline: float) -> None:
 
 
 def _worker_run(group: list[Seed]) -> Counter:
-    """Histogram of a group of search subtrees, walked as one chain and
-    classified in full blocks within the deadline."""
-    rs, method, deadline = _WORKER_STATE
-    ideals = chain.from_iterable(walk(rs, seed) for seed in group)
-    hist: Counter = Counter()
-    for part in _block_histograms(rs, method, deadline, ideals):
-        hist.update(part)
-    return hist
+    """Histogram of a group of seeds, walked as one (`_block_histograms`)."""
+    return sum(_block_histograms(*_WORKER_STATE, group), Counter())
 
 
-def _block_histograms(
-    rs: RootSystem, method: str, deadline: float, ideals: Iterable[int]
-) -> Iterator[Counter]:
-    """Histogram of each block of `budget_blocks` in turn."""
+def _block_histograms(rs: RootSystem, method: str, deadline: float, seeds: list[Seed]):
+    """Histogram of each full block of the walk below `seeds`, the clock
+    read once per block as in `budget_blocks`."""
     classify = _class_function(rs, method)
-    for block in budget_blocks(ideals, deadline):
+    for block in walk(rs, seeds, BUDGET_BLOCK):
+        if time.monotonic() > deadline:
+            raise TimeoutError(BUDGET_MESSAGE)
         yield Counter(classify(block))
 
 
@@ -620,17 +609,16 @@ def class_distribution(
 ) -> dict[int, int]:
     """Histogram {class: count} over every ideal of the root system.
 
-    One worker classifies the whole walk as one chain of full blocks of
-    `BUDGET_BLOCK` ideals.  More workers (`resolve_workers`) share the
-    first-level subtrees of the walk (the seeds), dealt out in turn into
-    k = min(seeds, `POOL_GROUPS_PER_WORKER` x workers) groups; each group
-    is one pool task, walked as one chain and classified in full blocks
-    too.  Each block or group is histogrammed on its own and the parts
-    merge by addition, so the histogram is the same for any worker count.
-    `budget` caps wall time in seconds, checked in every process each
-    `BUDGET_BLOCK` ideals; `progress` is called after each part with
-    (done, total) ideal counts, total being the product formula's.  A pool
-    worker that dies raises BrokenProcessPool.
+    One worker walks the root state in full blocks of `BUDGET_BLOCK`
+    ideals.  More workers (`resolve_workers`) share the walk's first-level
+    subtrees (`partition_seeds`), dealt out in turn into k = min(seeds,
+    `POOL_GROUPS_PER_WORKER` x workers) groups; each group is one pool
+    task, one walk with the group's seeds as its first stack, in the same
+    block loop.  The parts (blocks or groups) merge by addition, so the
+    histogram is the same for any worker count.  `budget` caps wall time
+    in seconds, checked in every process once per block; `progress` is
+    called after each part with (done, total) ideal counts, total being
+    the product formula's.  A pool worker that dies raises BrokenProcessPool.
     """
     _class_function(rs, method)  # refuse a bad method before any work
     deadline = budget_deadline(budget)
@@ -642,7 +630,7 @@ def class_distribution(
         groups = [seeds[i::k] for i in range(k)]  # a process idles without a group
         parts = _pooled(min(nworkers, k), (rs, method, deadline), groups)
     else:
-        parts = _block_histograms(rs, method, deadline, walk(rs))
+        parts = _block_histograms(rs, method, deadline, [root_state(rs)])
     hist: Counter = Counter()
     done = 0
     for part in parts:
@@ -655,5 +643,5 @@ def class_distribution(
 
 def joint_histogram(rs: RootSystem, method: str = "oracle") -> dict[tuple[int, int], int]:
     """Histogram {(dimension, class): count} over every ideal."""
-    ideals = list(walk(rs))
+    ideals = [mask for block in walk(rs, [root_state(rs)], BUDGET_BLOCK) for mask in block]
     return dict(Counter(zip(map(int.bit_count, ideals), classify_ideals(rs, ideals, method))))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, strategies as st
 
 from adnil import (
@@ -14,6 +15,7 @@ from adnil.ideals import (
     is_upward_closed,
     mask_indices,
     partition_seeds,
+    root_state,
     walk,
 )
 from adnil.rootsys import root_leq
@@ -87,12 +89,18 @@ def test_empty_antichain_gives_zero_ideal() -> None:
     assert antichain_to_ideal(rs, 0) == 0
 
 
+def _walked(rs, seeds, size: int = 4096) -> list[int]:
+    return [mask for block in walk(rs, seeds, size) for mask in block]
+
+
 def test_partition_seeds_cover_exactly_once() -> None:
+    # the seeds are the root's children: the empty ideal with nothing free,
+    # then root i's principal filter with the roots after i it may join
     for label in SMALL_TYPES:
         rs = build_root_system(label)
         seeds = partition_seeds(rs)
-        assert seeds[0] == (len(rs), 0, 0) and len(seeds) == len(rs) + 1, label
-        combined = [ideal for seed in seeds for ideal in walk(rs, seed)]
+        assert seeds[0] == (0, 0) and len(seeds) == len(rs) + 1, label
+        combined = [ideal for seed in seeds for ideal in _walked(rs, [seed])]
         assert sorted(combined) == enumerate_ideal_masks(rs), label
 
 
@@ -100,6 +108,39 @@ def test_partition_seeds_are_balanced() -> None:
     # a pool can only be as fast as its largest seed
     for label in ("E8", "A10", "B8", "C8", "D8"):
         rs = build_root_system(label)
-        sizes = [sum(1 for _ in walk(rs, seed)) for seed in partition_seeds(rs)]
+        sizes = [len(_walked(rs, [seed])) for seed in partition_seeds(rs)]
         assert sum(sizes) == total_count_formula(rs), label
         assert max(sizes) <= 0.3 * sum(sizes), (label, max(sizes), sum(sizes))
+
+
+@pytest.mark.parametrize("size", [1, 7, 4096])
+def test_walk_blocks_are_full_but_the_last(size: int) -> None:
+    for label in ("A1", "D4", "C5", "E6"):
+        rs = build_root_system(label)
+        for seeds in ([root_state(rs)], partition_seeds(rs)):
+            sizes = [len(block) for block in walk(rs, seeds, size)]
+            total = total_count_formula(rs)
+            assert sizes == [size] * (total // size) + [total % size] * (total % size > 0), label
+
+
+@pytest.mark.parametrize("label", SMALL_TYPES)  # reducible D2 and A1 among them
+def test_any_grouping_of_the_seeds_walks_every_ideal_once(label: str) -> None:
+    # a pool task walks one group of seeds as one walk, with all of them
+    # on its first stack
+    rs = build_root_system(label)
+    want = enumerate_ideal_masks(rs)
+    assert len(set(want)) == len(want) == total_count_formula(rs)
+    seeds = partition_seeds(rs)
+    assert sorted(_walked(rs, seeds[::-1], 7)) == want
+    for k in (1, 2, 3, 8):
+        groups = [seeds[i::k] for i in range(k)]
+        assert sorted(mask for group in groups for mask in _walked(rs, group, 5)) == want, k
+
+
+def test_walk_of_no_seed_or_a_finished_state() -> None:
+    rs = build_root_system("B3")
+    assert list(walk(rs, [], 4096)) == []
+    full = (1 << len(rs)) - 1
+    for ideal in (0, full, rs.filter_masks[2]):
+        assert list(walk(rs, [(ideal, 0)], 4096)) == [[ideal]]
+    assert list(walk(rs, [(0, 0), (full, 0)], 1)) == [[full], [0]]

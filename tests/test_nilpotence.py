@@ -34,7 +34,7 @@ from adnil import (
 from adnil import nilpotence
 from adnil.checks import SMALL_TYPES, suite_agreement
 from adnil.cli import main
-from adnil.ideals import enumerate_ideal_masks, partition_seeds, walk
+from adnil.ideals import enumerate_ideal_masks, partition_seeds, root_state, walk
 from adnil.nilpotence import (
     BUDGET_BLOCK,
     POOL_GROUPS_PER_WORKER,
@@ -104,15 +104,22 @@ def bracket_class(roots: list[tuple[int, ...]], ideal: int) -> int:
     return k
 
 
+def _walked(rs, seeds=None) -> list[int]:
+    """Every ideal mask below `seeds`, by default of the type, in the
+    walk's order."""
+    blocks = walk(rs, seeds or [root_state(rs)], BUDGET_BLOCK)
+    return [mask for block in blocks for mask in block]
+
+
 @pytest.mark.parametrize("label", SMALL_TYPES)
 def test_oracle_matches_bracket_iteration(label: str) -> None:
     # every ideal of the type in one block, and every seed in its own
     rs = build_root_system(label)
-    masks = list(walk(rs))
+    masks = _walked(rs)
     want = {mask: bracket_class(rs.positive_roots, mask) for mask in masks}
     assert block_classes(rs, masks) == list(want.values())
     for seed in partition_seeds(rs):
-        block = list(walk(rs, seed))
+        block = _walked(rs, [seed])
         assert block_classes(rs, block) == [want[mask] for mask in block], seed
     assert class_distribution(rs, workers=1) == dict(sorted(Counter(want.values()).items()))
 
@@ -122,17 +129,18 @@ def test_block_oracle_matches_per_ideal_oracle(label: str) -> None:
     # an ideal alone in a block of one (`classify_ideal`) gets the class
     # it gets beside every other ideal of the type: no lane leaks
     rs = build_root_system(label)
-    masks = list(walk(rs))
+    masks = _walked(rs)
     assert [classify_ideal(rs, mask) for mask in masks] == block_classes(rs, masks)
 
 
 def test_root_seed_histogram_spans_two_blocks() -> None:
     rs = build_root_system("A8")  # 4862 ideals
-    blocks = list(budget_blocks(walk(rs), math.inf))
+    blocks = list(walk(rs, [root_state(rs)], BUDGET_BLOCK))
     assert [len(block) for block in blocks] == [BUDGET_BLOCK, 4862 - BUDGET_BLOCK]
+    assert list(budget_blocks(_walked(rs), math.inf)) == blocks
     want = [bracket_class(rs.positive_roots, mask) for block in blocks for mask in block]
-    assert list(classify_ideals(rs, walk(rs))) == want
-    parts = list(_block_histograms(rs, "oracle", math.inf, walk(rs)))
+    assert list(classify_ideals(rs, _walked(rs))) == want
+    parts = list(_block_histograms(rs, "oracle", math.inf, [root_state(rs)]))
     assert [part.total() for part in parts] == [BUDGET_BLOCK, 4862 - BUDGET_BLOCK]
     assert sum(parts, Counter()) == Counter(want)
 
@@ -229,8 +237,8 @@ def shifted_cells(rs) -> list[tuple[int, int]]:
 def test_block_rows_count_the_cells_of_each_row(label: str) -> None:
     # every ideal of the type, in blocks of 4096
     rs = build_root_system(label)
-    masks = list(walk(rs))
-    got = [rows for block in _blocks(masks) for rows in block_rows(rs, block)]
+    masks = _walked(rs)
+    got = [rows for block in walk(rs, [root_state(rs)], BUDGET_BLOCK) for rows in block_rows(rs, block)]
     assert got == rows_by_roots(rs, masks)
 
 
@@ -324,16 +332,12 @@ def test_zigzag_empty_and_full() -> None:
     assert zigzag_class((4, 3, 2, 1), 4) == 4
 
 
-def _blocks(masks: list[int]) -> list[list[int]]:
-    return [masks[start : start + BUDGET_BLOCK] for start in range(0, len(masks), BUDGET_BLOCK)]
-
-
 def test_filling_route_matches_oracle_in_blocks() -> None:
     # every ideal of A1..A9 in blocks of 4096; A8 and A9 end on a partial block
     filling = ROUTES["filling"][1]
     for n in range(1, 10):
         rs = build_root_system(f"A{n}")
-        for block in _blocks(list(walk(rs))):
+        for block in walk(rs, [root_state(rs)], BUDGET_BLOCK):
             assert filling(rs, block) == block_classes(rs, block), (n, len(block))
 
 
@@ -350,7 +354,7 @@ def test_diagram_routes_reject_non_ideal_mid_block(method: str, label: str) -> N
     # one non-ideal among 4095 ideals fails the block, and is named; with a
     # second one later in the block, the first is named
     rs = build_root_system(label)
-    ideals = list(walk(rs))
+    ideals = _walked(rs)
     block = [ideals[b % len(ideals)] for b in range(BUDGET_BLOCK)]
     bads = [(1 << len(rs)) - 1 ^ 1 << rs.highest_index]  # every root but the highest
     if rs.lie_type.family == "D":
@@ -387,7 +391,7 @@ def test_block_routes_refuse_masks_outside_the_roots(method: str) -> None:
 def test_block_columns_transpose_the_masks(count: int) -> None:
     # checked bit by bit, apart from the routes that read the columns
     rs = build_root_system("E8")
-    block = random.Random(count).sample(list(walk(rs)), count)
+    block = random.Random(count).sample(_walked(rs), count)
     columns = block_columns(rs, block)
     assert len(columns) == len(rs)
     for k, column in enumerate(columns):
@@ -616,7 +620,7 @@ def test_budget_holds_inside_the_root_seed() -> None:
     rs = build_root_system("A12")
     started = time.monotonic()
     with pytest.raises(TimeoutError):
-        list(_block_histograms(rs, "oracle", started + 0.05, walk(rs)))
+        list(_block_histograms(rs, "oracle", started + 0.05, [root_state(rs)]))
     assert time.monotonic() - started < 1.5
 
 
@@ -635,7 +639,7 @@ def test_budget_expiring_inside_a_block_stops_the_next(monkeypatch: pytest.Monke
 
     monkeypatch.setitem(nilpotence.ROUTES, "oracle", (nilpotence.FAMILIES, slow_block))
     with pytest.raises(TimeoutError):
-        list(_block_histograms(rs, "oracle", deadline, walk(rs)))
+        list(_block_histograms(rs, "oracle", deadline, [root_state(rs)]))
     assert classified == [BUDGET_BLOCK]
 
 
