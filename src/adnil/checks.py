@@ -16,17 +16,17 @@ from . import closedform, genfun
 from .ideals import enumerate_ideal_masks
 from .nilpotence import (
     ROUTES,
-    budget_blocks,
     budget_deadline,
     class_distribution,
+    classified_blocks,
     joint_histogram,
 )
 from .refdata import EXCEPTIONAL_CLASS_COUNTS
 from .rootsys import LieType, build_root_system, total_count_formula
 
 # the most ideals one run may enumerate: A14 (9694845 ideals) fits, A15
-# does not; `table --type A14 --workers 1` takes 17-20 s on a 2-CPU
-# machine, about 2 us per ideal with the walk
+# does not; `table --type A14 --workers 1` takes 9-10 s on a 2-CPU
+# machine, about 1 us per ideal with the walk
 MAX_IDEALS = 10**7
 
 # the types enumerated whole by the suites and the tests; E8 is left out,
@@ -52,8 +52,8 @@ class CheckResult:
 
 
 def distribution(label: str) -> dict[int, int]:
-    """Serial oracle histogram {class: count} of a small type, the one
-    route by which the suites enumerate."""
+    """Serial oracle histogram {class: count} of a small type, the
+    enumeration that the formulas, gf, paths and abelian suites check."""
     return class_distribution(build_root_system(label), workers=1)
 
 
@@ -100,18 +100,18 @@ def suite_agreement(
     results = []
     for lt in types():
         rs = build_root_system(lt)
-        # every route that applies, the oracle among them
-        routes = [route for families, route in ROUTES.values() if rs.lie_type.family in families]
+        # every other route that applies, run on the oracle's blocks
+        routes = [f for m, (fams, f) in ROUTES.items() if m != "oracle" and lt.family in fams]
         mismatches = count = 0
-        for block in budget_blocks(enumerate_ideal_masks(rs), deadline):
+        for block, classes in classified_blocks(rs, "oracle", deadline):
             count += len(block)
-            rows = zip(*(route(rs, block) for route in routes))
+            rows = zip(classes, *(route(rs, block) for route in routes))
             mismatches += sum(len(set(row)) > 1 for row in rows)
         results.append(
             CheckResult(
                 f"agreement {lt}",
                 mismatches == 0,
-                f"{len(routes)} routes over {count} ideals, {mismatches} mismatches",
+                f"{len(routes) + 1} routes over {count} ideals, {mismatches} mismatches",
             )
         )
     return results

@@ -14,18 +14,18 @@ import io
 import json
 import re
 import sys
+from operator import itemgetter
 
 from .checks import SUITES, refuse_huge, run_suite
 from .closedform import catalan_qt, gamma_qt
 from .genfun import family_series
-from .ideals import enumerate_ideal_masks
 from .nilpotence import (
     POOL_MIN_IDEALS,
     ROUTES,
     WORKER_ENV,
     budget_deadline,
     class_distribution,
-    classify_ideals,
+    classified_blocks,
     resolve_workers,
 )
 from .rootsys import LieType, RootSystem, build_root_system, positive_root_count
@@ -45,7 +45,7 @@ MAX_GF_ORDER = 2000
 # `roots` builds the root sum tables, whose cost grows with the square of
 # the number of positive roots: end to end on a 2-CPU host, A84 (3570
 # roots; type A, of the highest rank for its count, is the slowest) took
-# 3.1-4.1 s and B60 (3600) 2.8-3.1 s, so 3600 roots are the most listed
+# 1.5-1.7 s and B60 (3600) 1.3-1.5 s, so 3600 roots are the most listed
 MAX_ROOTS = 3600
 
 
@@ -171,9 +171,9 @@ def _enumerable(lt: LieType) -> RootSystem:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     rs = _enumerable(args.lie_type)
-    masks = enumerate_ideal_masks(rs)
-    classes = classify_ideals(rs, masks, args.method)
-    rows = [(mask, mask.bit_count(), k) for mask, k in zip(masks, classes)]
+    blocks = classified_blocks(rs, args.method)
+    rows = [(m, m.bit_count(), k) for block, ks in blocks for m, k in zip(block, ks)]
+    rows.sort(key=itemgetter(0))  # ascending masks, not the walk's order
     _emit(_format(
         args.format,
         lambda: {

@@ -20,7 +20,7 @@ import os
 import time
 from collections import Counter
 from functools import partial
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple
 
 from .ideals import Seed, partition_seeds, root_state, walk
@@ -315,7 +315,7 @@ def symmetric_completion(parts: Partition, family: str, n: int) -> Partition:
     a_r + [a_r > 0 and r >= 2] + #{2 <= i < r : i + a_i >= r}.  Completed
     as a block of one.
     """
-    if family not in "BCD":
+    if family not in ("B", "C", "D"):
         raise ValueError(f"no completion for family {family!r}")
     size = _completion_size(family, n)
     if any(parts[n:]):
@@ -455,7 +455,7 @@ def two_ray_classify(parts: Partition, n: int, family: str) -> TwoRayResult:
     The stop directions, relative positions and touch counts select one
     of seven cases, each with its own class formula.  Diagrams with fewer
     than two rows are abelian and handled directly (case_id 0)."""
-    if family not in "BD":
+    if family not in ("B", "D"):
         raise ValueError("two-ray classification applies to types B and D")
     return TwoRayResult(*_two_rays(tuple(filter(None, parts)), 2 * n - (family == "D")))
 
@@ -509,13 +509,6 @@ def classify_ideal(rs: RootSystem, ideal: int, method: str = "oracle") -> int:
     return _class_function(rs, method)([ideal])[0]
 
 
-def classify_ideals(rs: RootSystem, ideals: Iterable[int], method: str = "oracle") -> Iterator[int]:
-    """Class of each ideal in turn, classified `BUDGET_BLOCK` at a time."""
-    classify = _class_function(rs, method)
-    for block in budget_blocks(ideals, math.inf):
-        yield from classify(block)
-
-
 _WORKER_STATE: tuple[RootSystem, str, float] | None = None
 
 
@@ -525,29 +518,27 @@ def _worker_init(rs: RootSystem, method: str, deadline: float) -> None:
 
 
 def _worker_run(group: list[Seed]) -> Counter:
-    """Histogram of a group of seeds, walked as one (`_block_histograms`)."""
-    return sum(_block_histograms(*_WORKER_STATE, group), Counter())
+    """Histogram of a group of seeds, walked as one (`classified_blocks`)."""
+    hist: Counter = Counter()
+    for _, classes in classified_blocks(*_WORKER_STATE, group):
+        hist.update(classes)
+    return hist
 
 
-def _block_histograms(rs: RootSystem, method: str, deadline: float, seeds: list[Seed]):
-    """Histogram of each full block of the walk below `seeds`, the clock
-    read once per block as in `budget_blocks`."""
+def classified_blocks(
+    rs: RootSystem, method: str = "oracle", deadline: float = math.inf,
+    seeds: list[Seed] | None = None,
+) -> Iterator[tuple[list[int], list[int]]]:
+    """Each block of the walk below `seeds` (the root state when None), in
+    full blocks of `BUDGET_BLOCK` ideals but the last, with the classes of
+    its ideals by `method`.  The clock (`time.monotonic`, the same in every
+    process) is read once per block, and a block drawn past `deadline`
+    raises TimeoutError."""
     classify = _class_function(rs, method)
-    for block in walk(rs, seeds, BUDGET_BLOCK):
+    for block in walk(rs, [root_state(rs)] if seeds is None else seeds, BUDGET_BLOCK):
         if time.monotonic() > deadline:
             raise TimeoutError(BUDGET_MESSAGE)
-        yield Counter(classify(block))
-
-
-def budget_blocks(ideals: Iterable[int], deadline: float) -> Iterator[list[int]]:
-    """Cut an ideal iterator into blocks of `BUDGET_BLOCK`.  The clock
-    (`time.monotonic`, the same in every process) is read once per block,
-    and a block drawn past `deadline` raises TimeoutError."""
-    ideals = iter(ideals)
-    while block := list(islice(ideals, BUDGET_BLOCK)):
-        if time.monotonic() > deadline:
-            raise TimeoutError(BUDGET_MESSAGE)
-        yield block
+        yield block, classify(block)
 
 
 def budget_deadline(budget: float | None) -> float:
@@ -630,7 +621,7 @@ def class_distribution(
         groups = [seeds[i::k] for i in range(k)]  # a process idles without a group
         parts = _pooled(min(nworkers, k), (rs, method, deadline), groups)
     else:
-        parts = _block_histograms(rs, method, deadline, [root_state(rs)])
+        parts = (Counter(classes) for _, classes in classified_blocks(rs, method, deadline))
     hist: Counter = Counter()
     done = 0
     for part in parts:
@@ -643,5 +634,7 @@ def class_distribution(
 
 def joint_histogram(rs: RootSystem, method: str = "oracle") -> dict[tuple[int, int], int]:
     """Histogram {(dimension, class): count} over every ideal."""
-    ideals = [mask for block in walk(rs, [root_state(rs)], BUDGET_BLOCK) for mask in block]
-    return dict(Counter(zip(map(int.bit_count, ideals), classify_ideals(rs, ideals, method))))
+    hist: Counter = Counter()
+    for block, classes in classified_blocks(rs, method):
+        hist.update(zip(map(int.bit_count, block), classes))
+    return dict(hist)

@@ -35,7 +35,7 @@ class LieType:
     rank: int
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
+        if self.family not in tuple(FAMILIES):  # one letter, not a substring
             raise ValueError(f"unknown family {self.family!r}")
         n = self.rank
         ok = {

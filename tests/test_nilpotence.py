@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
@@ -40,13 +41,11 @@ from adnil.nilpotence import (
     POOL_GROUPS_PER_WORKER,
     POOL_MIN_IDEALS,
     ROUTES,
-    _block_histograms,
     block_classes,
     block_columns,
     block_rows,
-    budget_blocks,
     budget_deadline,
-    classify_ideals,
+    classified_blocks,
     ideal_rows,
     resolve_workers,
 )
@@ -111,6 +110,17 @@ def _walked(rs, seeds=None) -> list[int]:
     return [mask for block in blocks for mask in block]
 
 
+def _classified(rs, method: str = "oracle") -> tuple[list[int], list[int]]:
+    """Every ideal mask of the type in the walk's order, and its class by
+    `method`, from `classified_blocks`."""
+    masks: list[int] = []
+    classes: list[int] = []
+    for block, part in classified_blocks(rs, method):
+        masks += block
+        classes += part
+    return masks, classes
+
+
 @pytest.mark.parametrize("label", SMALL_TYPES)
 def test_oracle_matches_bracket_iteration(label: str) -> None:
     # every ideal of the type in one block, and every seed in its own
@@ -137,10 +147,10 @@ def test_root_seed_histogram_spans_two_blocks() -> None:
     rs = build_root_system("A8")  # 4862 ideals
     blocks = list(walk(rs, [root_state(rs)], BUDGET_BLOCK))
     assert [len(block) for block in blocks] == [BUDGET_BLOCK, 4862 - BUDGET_BLOCK]
-    assert list(budget_blocks(_walked(rs), math.inf)) == blocks
+    assert [block for block, _ in classified_blocks(rs)] == blocks
     want = [bracket_class(rs.positive_roots, mask) for block in blocks for mask in block]
-    assert list(classify_ideals(rs, _walked(rs))) == want
-    parts = list(_block_histograms(rs, "oracle", math.inf, [root_state(rs)]))
+    assert _classified(rs) == (_walked(rs), want)
+    parts = [Counter(classes) for _, classes in classified_blocks(rs, "oracle", math.inf)]
     assert [part.total() for part in parts] == [BUDGET_BLOCK, 4862 - BUDGET_BLOCK]
     assert sum(parts, Counter()) == Counter(want)
 
@@ -409,18 +419,17 @@ def test_staircase_filling_refuses_entries_wider_than_lanes() -> None:
 def test_type_a_methods_agree_with_oracle() -> None:
     for n in range(1, 6):
         rs = build_root_system(f"A{n}")
-        masks = enumerate_ideal_masks(rs)
+        masks = _walked(rs)
         want = block_classes(rs, masks)
         for method in ("filling", "recursion", "zigzag"):
-            assert list(classify_ideals(rs, masks, method)) == want, (n, method)
+            assert _classified(rs, method) == (masks, want), (n, method)
 
 
 def test_completion_agrees_with_oracle() -> None:
     # every ideal of B/C/D 2-7, in blocks of 4096
     for family, n in product("BCD", range(2, 8)):
         rs = build_root_system(f"{family}{n}")
-        masks = enumerate_ideal_masks(rs)
-        got = list(classify_ideals(rs, masks, "completion"))
+        masks, got = _classified(rs, "completion")
         assert got == block_classes(rs, masks), rs
 
 
@@ -453,8 +462,8 @@ def test_ray_methods_agree_with_oracle() -> None:
     ]:
         for label in labels:
             rs = build_root_system(label)
-            masks = enumerate_ideal_masks(rs)
-            assert list(classify_ideals(rs, masks, method)) == block_classes(rs, masks), label
+            masks, got = _classified(rs, method)
+            assert got == block_classes(rs, masks), label
 
 
 def test_two_ray_cases_are_total() -> None:
@@ -589,6 +598,13 @@ def test_method_family_validation() -> None:
         classify_ideal(build_root_system("C2"), 0, "tworay")
     with pytest.raises(ValueError):
         classify_ideal(rs, 0, "nonsense")
+    # a family is one letter, not a substring of the letters a route takes
+    for family in ("", "BD", "C"):
+        with pytest.raises(ValueError, match="types B and D"):
+            two_ray_classify((3, 1), 3, family)
+    for family in ("", "BC", "A"):
+        with pytest.raises(ValueError, match="no completion"):
+            symmetric_completion((3, 1), family, 3)
 
 
 def test_parallel_distribution_matches_serial() -> None:
@@ -620,7 +636,7 @@ def test_budget_holds_inside_the_root_seed() -> None:
     rs = build_root_system("A12")
     started = time.monotonic()
     with pytest.raises(TimeoutError):
-        list(_block_histograms(rs, "oracle", started + 0.05, [root_state(rs)]))
+        list(classified_blocks(rs, "oracle", started + 0.05))
     assert time.monotonic() - started < 1.5
 
 
@@ -639,7 +655,7 @@ def test_budget_expiring_inside_a_block_stops_the_next(monkeypatch: pytest.Monke
 
     monkeypatch.setitem(nilpotence.ROUTES, "oracle", (nilpotence.FAMILIES, slow_block))
     with pytest.raises(TimeoutError):
-        list(_block_histograms(rs, "oracle", deadline, [root_state(rs)]))
+        list(classified_blocks(rs, "oracle", deadline))
     assert classified == [BUDGET_BLOCK]
 
 
@@ -828,3 +844,17 @@ def test_joint_histogram_marginals() -> None:
     # one full-dimensional ideal of maximal class, one empty of class 0
     assert joint[(0, 0)] == 1
     assert joint[(9, 5)] == 1
+
+
+def test_joint_histogram_holds_one_block_at_a_time() -> None:
+    # A10's 58786 masks, held at once, take about 2.3 MiB as a list of
+    # ints; one block of them with its classes takes a small part of that
+    rs = build_root_system("A10")
+    tracemalloc.start()
+    try:
+        joint = joint_histogram(rs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(joint.values()) == 58786
+    assert peak < 2 * 2**20, peak

@@ -20,6 +20,10 @@ def test_parse_labels() -> None:
     assert str(LieType.parse("E8")) == "E8"
     assert LieType("A", 1).is_classical
     assert not LieType("G", 2).is_classical
+    # the family is one letter, not a substring of "ABCDEFG"
+    for family in ("", "AB", "a"):
+        with pytest.raises(ValueError, match="unknown family"):
+            LieType(family, 3)
 
 
 @pytest.mark.parametrize("bad", ["", "A", "X3", "A0", "B1", "E5", "F3", "G3", "A-1"])
