@@ -9,9 +9,9 @@ a truncation recursion, and broken-ray walks on (shifted) Ferrers
 diagrams.  Types B, C and D are routed through a symmetric completion of
 the shifted diagram.  Every route classifies a block of ideals
 (`ROUTES`); `classify_ideal` asks for a block of one.  The diagram routes
-read a whole block's rows at once on the oracle's columns (`block_rows`),
-bit-sliced too, after one check over the root covers that the block
-holds ideals only.
+read a whole block in byte lanes (`block_lanes`: one int per root, one
+byte per ideal), after one check over the root covers that the block holds
+ideals only; all but the ray walks then run lane-wise on the whole block.
 """
 from __future__ import annotations
 
@@ -36,6 +36,7 @@ POOL_GROUPS_PER_WORKER = 4  # pool tasks per worker, so that the workers finish 
 
 
 _LANES = bytes.maketrans(b"01", b"\0\1")  # binary digits to byte lanes
+_BITS = [bytes(x >> s & 1 for x in range(256)) for s in range(8)]  # bit s of each byte
 
 
 def block_columns(rs: RootSystem, ideals: list[int]) -> list[int]:
@@ -52,6 +53,20 @@ def block_columns(rs: RootSystem, ideals: list[int]) -> list[int]:
     text = "".join([bin(ideal | top) for ideal in reversed(ideals)])
     width = size + 3
     return [int(text[width - 1 - k :: width], 2) for k in range(size)]
+
+
+def block_lanes(rs: RootSystem, ideals: list[int]) -> list[int]:
+    """Transpose a nonempty block of ideal masks to one int per root in byte
+    lanes: byte b of lane k is 1 when ideal b holds root k, else 0 (one
+    strided slice of the joined masks per mask byte, one `translate` per
+    root).  A mask that is negative or wider than the roots raises ValueError."""
+    size = len(rs)
+    if min(ideals) < 0 or max(ideals) >> size:
+        raise ValueError(f"a mask of the block is no set of roots of {rs.lie_type}")
+    width = (size + 7) >> 3
+    data = b"".join([ideal.to_bytes(width, "little") for ideal in ideals])
+    columns = [data[j::width] for j in range(width)]  # byte j of every mask
+    return [int.from_bytes(columns[k >> 3].translate(_BITS[k & 7]), "little") for k in range(size)]
 
 
 def byte_lanes(bits: int, count: int) -> int:
@@ -105,23 +120,24 @@ def block_classes(rs: RootSystem, ideals: list[int]) -> list[int]:
 
 
 def _block_cells(rs: RootSystem, ideals: list[int]) -> list[list[int]]:
-    """The cells of each (shifted) staircase row of a nonempty block, one bit
-    column per cell (`block_columns`), once the whole block is known to be
+    """The cells of each (shifted) staircase row of a nonempty block, one
+    byte lane per cell (`block_lanes`), once the whole block is known to be
     ideals: a mask that holds a root without one of its covers raises
     ValueError naming the first such mask.  In type D the two fork cells of
     a row (columns n-1 and n, incomparable roots) are replaced by their OR
-    and their AND, which turns each row of an ideal into a prefix."""
+    and their AND, which turns each row of an ideal into a prefix (a lane
+    holds only 0 or 1, so `&` and `|` act on it lane by lane)."""
     if rs.rows is None:
         raise ValueError("diagrams require type A, B, C or D")
-    columns = block_columns(rs, ideals)
+    lanes = block_lanes(rs, ideals)
     bad = 0
-    for column, covers in zip(columns, rs.covers):
+    for lane, covers in zip(lanes, rs.covers):
         for up in covers:
-            bad |= column & ~columns[up]
+            bad |= lane ^ (lane & lanes[up])  # lane & ~lanes[up], without a negative int
     if bad:
-        mask = ideals[(bad & -bad).bit_length() - 1]
+        mask = ideals[(bad & -bad).bit_length() - 1 >> 3]
         raise ValueError(f"mask {mask} is not an ideal of {rs.lie_type}")
-    rows = [columns[first : first + width] for first, width in rs.rows]
+    rows = [lanes[first : first + width] for first, width in rs.rows]
     if rs.lie_type.family == "D":
         n = rs.lie_type.rank
         for i, cells in enumerate(rows, start=1):  # row i holds columns i..2n-i-1
@@ -134,20 +150,14 @@ def block_rows(rs: RootSystem, ideals: list[int]) -> list[tuple[int, ...]]:
     """Row lengths of each classical ideal of a block in its (shifted)
     staircase, one entry per row of `rs.rows`, empty rows included: weakly
     decreasing in type A, strictly down to the empty rows in B, C, D.  Each
-    row's lengths are the lane-wise sum of its cells' byte lanes
-    (`byte_lanes`).  A mask that is no ideal raises ValueError."""
+    row's lengths are the lane-wise sum of its cells (`_block_cells`).  A
+    mask that is no ideal raises ValueError."""
     if not ideals:
         return []
     if rs.rows and rs.rows[0][1] > 255:
         raise ValueError(f"rows of {rs.lie_type} do not fit in byte lanes")
     count = len(ideals)
-    lengths = []
-    for cells in _block_cells(rs, ideals):
-        total = 0  # byte b is the length of the row in ideal b
-        for cell in cells:
-            total += byte_lanes(cell, count)
-        lengths.append(total.to_bytes(count, "little"))
-    return list(zip(*lengths))
+    return list(zip(*[sum(cells).to_bytes(count, "little") for cells in _block_cells(rs, ideals)]))
 
 
 def ideal_rows(rs: RootSystem, ideal: int) -> Partition:
@@ -188,7 +198,7 @@ def _block_filling(n: int, rows: Iterable[list[int]], count: int) -> list[list[i
     for i in range(n - 1, -1, -1):
         row, cells, below = t[i], inside[i], inside[i + 1]
         for j in range(n - i - 1, -1, -1):
-            corner = cells[j] & ~cells[j + 1] & ~below[j]
+            corner = cells[j] ^ (cells[j] & (cells[j + 1] | below[j]))
             # 0 from the splits of a corner, and of a cell outside the diagram
             best = 0
             for k in range(j + 1, n - i):
@@ -215,44 +225,73 @@ def _filling_classes(rs: RootSystem, ideals: list[int]) -> list[int]:
     if not ideals:
         return []
     count = len(ideals)
-    lanes = ([byte_lanes(cell, count) for cell in cells] for cells in _block_cells(rs, ideals))
-    return list(_block_filling(rs.lie_type.rank, lanes, count)[0][0].to_bytes(count, "little"))
+    table = _block_filling(rs.lie_type.rank, _block_cells(rs, ideals), count)
+    return list(table[0][0].to_bytes(count, "little"))
 
 
-def _truncations(lam: tuple[int, ...] | list[int], n: int) -> int:
-    """Truncation steps of the diagram with the n row lengths `lam`."""
-    steps = 0
-    while lam and lam[0]:
-        lam = lam[n + 1 - lam[0] :]
-        n = len(lam)
-        steps += 1
-    return steps
+def _staircase_bytes(rows: list[int], n: int, count: int) -> list[bytes]:
+    """The n row-length lanes of a block of diagrams in the n-staircase, as
+    bytes.  A row longer than its staircase row raises AssertionError."""
+    if n > 255:
+        raise ValueError(f"rows of the {n}-staircase do not fit in byte lanes")
+    data = [lane.to_bytes(count, "little") for lane in rows]
+    for s, row in enumerate(data):
+        if row.translate(None, bytes(range(n - s + 1))):
+            raise AssertionError(f"a row is longer than row {s + 1} of the {n}-staircase")
+    return data
+
+
+def _equal_lanes(data: bytes, top: int) -> Iterator[tuple[int, int]]:
+    """Each value 0 < v <= top that a byte of `data` holds, with the lanes
+    that hold it: 0xff in each byte equal to v, 0 in the others."""
+    for v in range(1, top + 1):
+        if v in data:
+            yield v, int.from_bytes(data.translate(bytes(v) + b"\xff" + bytes(255 - v)), "little")
+
+
+def _block_truncations(rows: list[int], n: int, count: int) -> list[int]:
+    """Truncation steps of a block of diagrams, the byte lanes of their n
+    row lengths.  Truncating the rows from s on at first part v > 0 keeps
+    the rows from n+1-v on: steps[s] = [v > 0](1 + steps[n+1-v]), evaluated
+    bottom-up, each value v of row s on the lanes that hold it."""
+    data = _staircase_bytes(rows, n, count)
+    ones = int.from_bytes(b"\1" * count, "little")
+    steps = [0] * (n + 1)
+    for s in range(n - 1, -1, -1):
+        for v, lanes in _equal_lanes(data[s], n - s):
+            steps[s] |= (steps[n + 1 - v] + ones) & lanes
+    return list(steps[0].to_bytes(count, "little"))
 
 
 def nilpotence_from_partition(parts: Partition, n: int) -> int:
     """Truncation recursion: drop the first n+1-p rows of a diagram with
     first part p, shrink the ambient staircase to p-1, and count steps.
     The rows kept fit the smaller staircase, so they are checked once."""
-    return _truncations(_pad(parts, n), n)
+    return _block_truncations(_pad(parts, n), n, 1)[0]
 
 
-def _zigzag_touches(lam: tuple[int, ...] | list[int], n: int) -> int:
-    """Diagonal touchings of the broken ray on the diagram with the n row
-    lengths `lam`."""
-    col = lam[0] if lam else 0
-    touches = 0
-    while col > 0:
-        touches += 1
-        row = n + 2 - col
-        col = lam[row - 1] if row <= n else 0
-    return touches
+def _block_zigzag(rows: list[int], n: int, count: int) -> list[int]:
+    """Diagonal touchings of the broken ray on a block of diagrams, the byte
+    lanes of their n row lengths: from column v = the first row's length,
+    while v > 0, touch and move to column lam[n+1-v], on every lane at once."""
+    _staircase_bytes(rows, n, count)
+    lam = [*rows, 0]  # an empty row past the last
+    ones = int.from_bytes(b"\1" * count, "little")
+    touches, col = 0, lam[0]
+    while col:
+        moved = 0
+        for v, lanes in _equal_lanes(col.to_bytes(count, "little"), n):
+            moved |= lam[n + 1 - v] & lanes
+            touches += ones & lanes
+        col = moved
+    return list(touches.to_bytes(count, "little"))
 
 
 def zigzag_class(parts: Partition, n: int) -> int:
     """Broken-ray count on the staircase: drop from the right edge of the
     first row, bounce between the long diagonal x+y=n+1 and the vertical
     border of the diagram, and count the diagonal touchings."""
-    return _zigzag_touches(_pad(parts, n), n)
+    return _block_zigzag(_pad(parts, n), n, 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -264,23 +303,20 @@ def _completion_size(family: str, n: int) -> int:
     return 2 * n - 1 if family in "BC" else 2 * n - 2
 
 
-def _block_completion(
-    cells: list[int], family: str, n: int, count: int
-) -> list[tuple[int, ...]]:
+def _block_completion(cells: list[int], family: str, n: int) -> list[int]:
     """Row lengths of the symmetric completions of a block of B, C or D
-    shifted diagrams, one entry per row of the completed staircase.
-    `cells` holds one bit column per cell of the shifted n-staircase, row
-    by row, each row a prefix.  Each completed cell reads one of them: the
+    shifted diagrams, one byte lane per row of the completed staircase.
+    `cells` holds one byte lane per cell of the shifted n-staircase, row by
+    row, each row a prefix.  Each completed cell reads one of them: the
     cell itself, its mirror, or in types B and D the first cell of row r
-    for the off-diagonal cell (r, r-1).  Row lengths are summed in byte
-    lanes; a completed cell held without its left neighbour raises
+    for the off-diagonal cell (r, r-1).  Row lengths are the lane-wise
+    sums; a completed cell held without its left neighbour raises
     AssertionError."""
     size = _completion_size(family, n)
     if size > 255:
         raise ValueError(f"completions of rank {n} do not fit in byte lanes")
     # first cell of each shifted row that has cells: rows of size, size-2, ...
     starts = list(accumulate(range(size, 0, -2), initial=0))
-    lanes = [byte_lanes(cell, count) for cell in cells]
     lengths = []
     for r in range(1, size + 1):
         total = 0  # byte b is the length of completed row r in diagram b
@@ -296,12 +332,12 @@ def _block_completion(
                 k = starts[r - 1]
             else:
                 k = starts[c] + r - c - 2  # the mirror (c+1, r-1)
-            if cells[k] & ~left:
+            if cells[k] & left != cells[k]:
                 raise AssertionError("completion is not a Ferrers diagram")
             left = cells[k]
-            total += lanes[k]
-        lengths.append(total.to_bytes(count, "little"))
-    return list(zip(*lengths))
+            total += left
+        lengths.append(total)
+    return lengths
 
 
 def symmetric_completion(parts: Partition, family: str, n: int) -> Partition:
@@ -325,7 +361,7 @@ def symmetric_completion(parts: Partition, family: str, n: int) -> Partition:
         raise ValueError(f"{parts} does not fit inside the shifted {n}-staircase")
     rows = [*parts[:n]] + [0] * (n - len(parts))
     cells = [int(j < a) for i, a in enumerate(rows) for j in range(size - 2 * i)]
-    lam = list(_block_completion(cells, family, n, 1)[0])
+    lam = _block_completion(cells, family, n)
     while lam and lam[-1] == 0:
         lam.pop()
     return tuple(lam)
@@ -338,8 +374,8 @@ def _completion_classes(rs: RootSystem, ideals: list[int]) -> list[int]:
         return []
     family, n = rs.lie_type.family, rs.lie_type.rank
     cells = [cell for row in _block_cells(rs, ideals) for cell in row]
-    size = _completion_size(family, n)
-    return [_truncations(lam, size) for lam in _block_completion(cells, family, n, len(ideals))]
+    rows = _block_completion(cells, family, n)
+    return _block_truncations(rows, _completion_size(family, n), len(ideals))
 
 
 # ---------------------------------------------------------------------------
@@ -464,14 +500,18 @@ def two_ray_classify(parts: Partition, n: int, family: str) -> TwoRayResult:
 # distributions
 
 
-def _on_rows(diagram_class):
-    """The block function of a diagram algorithm, which takes (row lengths,
-    rank), on the rows of `block_rows`."""
-    def route(rs: RootSystem, ideals: list[int]) -> list[int]:
-        n = rs.lie_type.rank
-        return [diagram_class(rows, n) for rows in block_rows(rs, ideals)]
+def _ray_classes(rs: RootSystem, ideals: list[int]) -> list[int]:
+    n = rs.lie_type.rank
+    return [single_ray_class(rows, n) for rows in block_rows(rs, ideals)]
 
-    return route
+
+def _on_lanes(rs: RootSystem, ideals: list[int], lane_walk) -> list[int]:
+    """A lane walk, which takes (row-length lanes, rank, block size), on
+    the rows of `_block_cells`."""
+    if not ideals:
+        return []
+    rows = [sum(cells) for cells in _block_cells(rs, ideals)]
+    return lane_walk(rows, rs.lie_type.rank, len(ideals))
 
 
 def _tworay_classes(rs: RootSystem, ideals: list[int]) -> list[int]:
@@ -484,10 +524,10 @@ def _tworay_classes(rs: RootSystem, ideals: list[int]) -> list[int]:
 ROUTES = {
     "oracle": (FAMILIES, block_classes),
     "filling": ("A", _filling_classes),
-    "recursion": ("A", _on_rows(_truncations)),
-    "zigzag": ("A", _on_rows(_zigzag_touches)),
+    "recursion": ("A", partial(_on_lanes, lane_walk=_block_truncations)),
+    "zigzag": ("A", partial(_on_lanes, lane_walk=_block_zigzag)),
     "completion": ("BCD", _completion_classes),
-    "ray": ("C", _on_rows(single_ray_class)),
+    "ray": ("C", _ray_classes),
     "tworay": ("BD", _tworay_classes),
 }
 

@@ -43,6 +43,7 @@ from adnil.nilpotence import (
     ROUTES,
     block_classes,
     block_columns,
+    block_lanes,
     block_rows,
     budget_deadline,
     classified_blocks,
@@ -407,6 +408,141 @@ def test_block_columns_transpose_the_masks(count: int) -> None:
     for k, column in enumerate(columns):
         assert column >> count == 0
         assert [column >> b & 1 for b in range(count)] == [mask >> k & 1 for mask in block]
+
+
+@pytest.mark.parametrize("label", ["A10", "B8", "E8"])
+@pytest.mark.parametrize("count", [1, BUDGET_BLOCK - 1, BUDGET_BLOCK])
+def test_block_lanes_transpose_the_masks(label: str, count: int) -> None:
+    # checked byte by byte, apart from the routes that read the lanes: A10
+    # has 55 roots (its last mask byte is partial), B8 64 (whole bytes), E8 120
+    rs = build_root_system(label)
+    block = random.Random(count).sample(_walked(rs), count)
+    lanes = block_lanes(rs, block)
+    assert len(lanes) == len(rs)
+    for k, lane in enumerate(lanes):
+        assert lane.to_bytes(count, "little") == bytes(mask >> k & 1 for mask in block)
+    message = f"^a mask of the block is no set of roots of {label}$"
+    for mask in (-1, 1 << len(rs)):
+        with pytest.raises(ValueError, match=message):
+            block_lanes(rs, [*block, mask])
+
+
+@pytest.mark.parametrize(
+    "method, label",
+    [
+        (method, label)
+        for label in ("A8", "B6", "C6", "D6")
+        for method, (families, _) in ROUTES.items()
+        if method != "oracle" and label[0] in families
+    ],
+)
+@pytest.mark.parametrize("index", [1, BUDGET_BLOCK - 1])
+def test_diagram_routes_name_a_lone_non_ideal(method: str, label: str, index: int) -> None:
+    # the lowest bad bit lies in byte `index` of the lanes, so `>> 3` must
+    # name the mask at `index`, both next to the first lane and in the last
+    rs = build_root_system(label)
+    ideals = _walked(rs)
+    block = [ideals[b % len(ideals)] for b in range(BUDGET_BLOCK)]
+    bad = _non_ideal(rs)
+    block[index] = bad
+    with pytest.raises(ValueError, match=f"^mask {bad} is not an ideal of {label}$"):
+        ROUTES[method][1](rs, block)
+
+
+def _truncations_by_rows(lam: tuple[int, ...], n: int) -> int:
+    """Reference: truncation steps of one diagram, dropping rows in turn."""
+    steps = 0
+    while lam and lam[0]:
+        lam = lam[n + 1 - lam[0] :]
+        n = len(lam)
+        steps += 1
+    return steps
+
+
+def _zigzag_by_rows(lam: tuple[int, ...], n: int) -> int:
+    """Reference: diagonal touchings of one diagram's broken ray, step by step."""
+    col, touches = (lam[0] if lam else 0), 0
+    while col > 0:
+        touches += 1
+        col = lam[n + 1 - col] if col >= 2 else 0
+    return touches
+
+
+def staircase_partitions(n: int) -> list[tuple[int, ...]]:
+    """Every partition inside the n-staircase, as its n row lengths."""
+    parts = [()]
+    for s in range(n):  # row s+1 is at most n-s and at most the row above
+        parts = [p + (v,) for p in parts for v in range(min(n - s, p[-1] if p else n) + 1)]
+    return parts
+
+
+def test_lane_walks_match_the_walks_by_rows() -> None:
+    # every partition of the 8-staircase (a Catalan number of them) in one block
+    n = 8
+    parts = staircase_partitions(n)
+    assert len(parts) == math.comb(2 * n + 2, n + 1) // (n + 2)
+    rows = [int.from_bytes(bytes(p[s] for p in parts), "little") for s in range(n)]
+    truncations = nilpotence._block_truncations(rows, n, len(parts))
+    touches = nilpotence._block_zigzag(rows, n, len(parts))
+    for lam, steps, touched in zip(parts, truncations, touches):
+        assert steps == _truncations_by_rows(lam, n) == nilpotence_from_partition(lam, n), lam
+        assert touched == _zigzag_by_rows(lam, n) == zigzag_class(lam, n), lam
+
+
+@pytest.mark.parametrize("lane_walk", ["_block_truncations", "_block_zigzag"])
+def test_lane_walks_refuse_rows_past_the_staircase(lane_walk: str) -> None:
+    # two diagrams in the 3-staircase; the second one's row 2 has 3 cells,
+    # one more than the staircase row.  Raised explicitly, so also under -O
+    rows = [int.from_bytes(bytes(lengths), "little") for lengths in ((2, 3), (1, 3), (0, 0))]
+    with pytest.raises(AssertionError, match="longer than row 2 of the 3-staircase"):
+        getattr(nilpotence, lane_walk)(rows, 3, 2)
+
+
+def test_lane_walks_refuse_staircases_wider_than_lanes() -> None:
+    # row lengths up to n in byte lanes: n = 255 is the largest staircase
+    for walk_one in (nilpotence_from_partition, zigzag_class):
+        assert walk_one((), 255) == 0
+        assert walk_one((255,), 255) == 1
+        with pytest.raises(ValueError, match="do not fit in byte lanes"):
+            walk_one((), 256)
+
+
+@pytest.mark.parametrize(
+    "method, label",
+    [
+        (method, label)
+        for label in ("A7", "B5", "C5", "D5")
+        for method in ("zigzag", "recursion", "filling", "completion")
+        if label[0] in ROUTES[method][0]
+    ],
+)
+def test_lane_routes_agree_on_a_block_and_on_blocks_of_one(method: str, label: str) -> None:
+    # every ideal of the type in one block, each alone, and each through
+    # the per-diagram function on its rows; the completion's rows too
+    rs = build_root_system(label)
+    family, n = rs.lie_type.family, rs.lie_type.rank
+    ideals = _walked(rs)
+    route = ROUTES[method][1]
+    classes = route(rs, ideals)
+    assert classes == [route(rs, [ideal])[0] for ideal in ideals]
+    if method == "completion":
+        cells = [cell for row in nilpotence._block_cells(rs, ideals) for cell in row]
+        lanes = nilpotence._block_completion(cells, family, n)
+        completed = zip(*[lane.to_bytes(len(ideals), "little") for lane in lanes])
+    for ideal, got in zip(ideals, classes):
+        rows = ideal_rows(rs, ideal)
+        if method == "completion":
+            size = 2 * n - 1 if family in "BC" else 2 * n - 2
+            lam = symmetric_completion(rows, family, n)
+            assert next(completed) == lam + (0,) * (size - len(lam)), rows
+            want = nilpotence_from_partition(lam, size)
+        elif method == "filling":
+            want = staircase_filling(rows, n)[0][0]
+        elif method == "recursion":
+            want = nilpotence_from_partition(rows, n)
+        else:
+            want = zigzag_class(rows, n)
+        assert got == want, rows
 
 
 def test_staircase_filling_refuses_entries_wider_than_lanes() -> None:
