@@ -20,6 +20,7 @@ from .checks import SUITES, refuse_huge, run_suite
 from .closedform import catalan_qt, gamma_qt
 from .genfun import family_series
 from .nilpotence import (
+    BUDGET_BLOCK,
     POOL_MIN_IDEALS,
     ROUTES,
     WORKER_ENV,
@@ -332,8 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_type_args(p)
     _add_output_args(p)
     p.add_argument("--method", choices=list(ROUTES), default="oracle")
-    p.add_argument("--workers", type=int, help=f"process count (default: ${WORKER_ENV}, then "
-                   f"one for a type under {POOL_MIN_IDEALS} ideals, else all cores)")
+    p.add_argument("--workers", type=int, help=f"largest process count (default: ${WORKER_ENV}, then "
+                   f"one for a type under {POOL_MIN_IDEALS} ideals, else all cores); "
+                   f"never more than the type's full blocks of {BUDGET_BLOCK} ideals")
     p.add_argument("--budget", type=float, help="wall-time cap in seconds")
 
     p = sub.add_parser("verify", help="run a cross-check suite")

@@ -37,36 +37,38 @@ POOL_GROUPS_PER_WORKER = 4  # pool tasks per worker, so that the workers finish 
 
 _LANES = bytes.maketrans(b"01", b"\0\1")  # binary digits to byte lanes
 _BITS = [bytes(x >> s & 1 for x in range(256)) for s in range(8)]  # bit s of each byte
+_DIGITS = [bytes(0x30 | x >> s & 1 for x in range(256)) for s in range(8)]  # bit s as "0" or "1"
+
+
+def _mask_bytes(rs: RootSystem, ideals: list[int]) -> list[bytes]:
+    """Byte j of every mask of a nonempty block, the last ideal first, one
+    strided slice of the joined little-endian masks per mask byte j.  A
+    mask that is negative or wider than the roots raises ValueError."""
+    size = len(rs)
+    if min(ideals) < 0 or max(ideals) >> size:
+        raise ValueError(f"a mask of the block is no set of roots of {rs.lie_type}")
+    width = (size + 7) >> 3
+    data = b"".join([ideal.to_bytes(width, "little") for ideal in reversed(ideals)])
+    return [data[j::width] for j in range(width)]
 
 
 def block_columns(rs: RootSystem, ideals: list[int]) -> list[int]:
     """Transpose a nonempty block of ideal masks to one int per root: bit b
-    of column k is set when ideal b holds root k.  A mask that is negative
-    or wider than the roots raises ValueError."""
-    size = len(rs)
-    if min(ideals) < 0 or max(ideals) >> size:
-        raise ValueError(f"a mask of the block is no set of roots of {rs.lie_type}")
-    # one row per ideal, the last ideal first: "0b1" and then `size` binary
-    # digits, of which digit width-1-k is root k; so every width-th digit
-    # from there, read in binary, is a column
-    top = 1 << size
-    text = "".join([bin(ideal | top) for ideal in reversed(ideals)])
-    width = size + 3
-    return [int(text[width - 1 - k :: width], 2) for k in range(size)]
+    of column k is set when ideal b holds root k (one `translate` per root
+    of its mask byte to binary digits, the last ideal's first).  A mask
+    that is negative or wider than the roots raises ValueError."""
+    data = _mask_bytes(rs, ideals)
+    return [int(data[k >> 3].translate(_DIGITS[k & 7]), 2) for k in range(len(rs))]
 
 
 def block_lanes(rs: RootSystem, ideals: list[int]) -> list[int]:
     """Transpose a nonempty block of ideal masks to one int per root in byte
     lanes: byte b of lane k is 1 when ideal b holds root k, else 0 (one
-    strided slice of the joined masks per mask byte, one `translate` per
-    root).  A mask that is negative or wider than the roots raises ValueError."""
-    size = len(rs)
-    if min(ideals) < 0 or max(ideals) >> size:
-        raise ValueError(f"a mask of the block is no set of roots of {rs.lie_type}")
-    width = (size + 7) >> 3
-    data = b"".join([ideal.to_bytes(width, "little") for ideal in ideals])
-    columns = [data[j::width] for j in range(width)]  # byte j of every mask
-    return [int.from_bytes(columns[k >> 3].translate(_BITS[k & 7]), "little") for k in range(size)]
+    `translate` per root of its mask byte, read big-endian since the last
+    ideal comes first).  A mask that is negative or wider than the roots
+    raises ValueError."""
+    data = _mask_bytes(rs, ideals)
+    return [int.from_bytes(data[k >> 3].translate(_BITS[k & 7]), "big") for k in range(len(rs))]
 
 
 def byte_lanes(bits: int, count: int) -> int:
@@ -593,25 +595,29 @@ def budget_deadline(budget: float | None) -> float:
 def resolve_workers(requested: int | None, ideals: int | None = None) -> int:
     """Worker count: explicit request, then the environment, then one
     worker for a run of fewer than `POOL_MIN_IDEALS` ideals (where a pool
-    costs more than it saves), then every core this process may run on."""
+    costs more than it saves), then every core this process may run on.
+    For a run of `ideals` ideals, any of these is an upper bound: a run
+    starts no more processes than it has full blocks of `BUDGET_BLOCK`
+    ideals, since a process without one costs more to start than it saves
+    (so a run of fewer than two blocks is serial)."""
     if requested is not None:
         if requested < 1:
             raise ValueError(f"workers must be a positive integer, got {requested}")
-        return requested
-    env = os.environ.get(WORKER_ENV)
-    if env:
+        count = requested
+    elif env := os.environ.get(WORKER_ENV):
         try:
             count = int(env)
         except ValueError:
             count = 0
         if count < 1:
             raise ValueError(f"{WORKER_ENV} must be a positive integer, got {env!r}")
-        return count
-    if ideals is not None and ideals < POOL_MIN_IDEALS:
+    elif ideals is not None and ideals < POOL_MIN_IDEALS:
         return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    elif hasattr(os, "sched_getaffinity"):
+        count = len(os.sched_getaffinity(0))
+    else:
+        count = os.cpu_count() or 1
+    return count if ideals is None else min(count, max(1, ideals // BUDGET_BLOCK))
 
 
 def _pooled(nworkers: int, initargs: tuple, groups: list[list[Seed]]) -> Iterator[Counter]:
@@ -641,9 +647,12 @@ def class_distribution(
     """Histogram {class: count} over every ideal of the root system.
 
     One worker walks the root state in full blocks of `BUDGET_BLOCK`
-    ideals.  More workers (`resolve_workers`) share the walk's first-level
-    subtrees (`partition_seeds`), dealt out in turn into k = min(seeds,
-    `POOL_GROUPS_PER_WORKER` x workers) groups; each group is one pool
+    ideals.  `workers` is an upper bound (`resolve_workers`): a run starts
+    no more processes than it has full blocks, so a type of fewer than two
+    blocks (E6, E7) is serial at any count.  More workers share the walk's
+    first-level subtrees (`partition_seeds`), dealt out in turn into
+    k = min(seeds, `POOL_GROUPS_PER_WORKER` x workers) groups, on the
+    capped worker count; each group is one pool
     task, one walk with the group's seeds as its first stack, in the same
     block loop.  The parts (blocks or groups) merge by addition, so the
     histogram is the same for any worker count.  `budget` caps wall time

@@ -156,8 +156,9 @@ def test_methods_agree_through_cli(capsys: pytest.CaptureFixture) -> None:
 
 
 def test_workers_flag_is_deterministic(capsys: pytest.CaptureFixture) -> None:
-    _, serial = run_cli(capsys, ["table", "--type", "C4", "--workers", "1"])
-    _, pooled = run_cli(capsys, ["table", "--type", "C4", "--workers", "2"])
+    # B8: 12870 ideals, 3 full blocks, so a real pool of 2
+    _, serial = run_cli(capsys, ["table", "--type", "B8", "--workers", "1"])
+    _, pooled = run_cli(capsys, ["table", "--type", "B8", "--workers", "2"])
     assert serial == pooled
 
 

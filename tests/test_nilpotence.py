@@ -51,6 +51,7 @@ from adnil.nilpotence import (
     resolve_workers,
 )
 from adnil.refdata import EXCEPTIONAL_CLASS_COUNTS
+from adnil.rootsys import total_count_formula
 
 
 def test_hand_counted_distributions() -> None:
@@ -400,14 +401,24 @@ def test_block_routes_refuse_masks_outside_the_roots(method: str) -> None:
 
 @pytest.mark.parametrize("count", [1, BUDGET_BLOCK - 1, BUDGET_BLOCK])
 def test_block_columns_transpose_the_masks(count: int) -> None:
-    # checked bit by bit, apart from the routes that read the columns
-    rs = build_root_system("E8")
-    block = random.Random(count).sample(_walked(rs), count)
-    columns = block_columns(rs, block)
-    assert len(columns) == len(rs)
-    for k, column in enumerate(columns):
-        assert column >> count == 0
-        assert [column >> b & 1 for b in range(count)] == [mask >> k & 1 for mask in block]
+    # checked bit by bit, apart from the routes that read the columns: A1
+    # has 1 root, D8 56 (its last mask byte is partial), B8 64 (exactly 8
+    # bytes), E8 120 (15 bytes); the full ideal, last in every block and
+    # alone in a block of one, sets the top root's bit
+    for label in ("A1", "B8", "D8", "E8"):
+        rs = build_root_system(label)
+        full = (1 << len(rs)) - 1
+        block = [*random.Random(count).choices(_walked(rs), k=count - 1), full]
+        columns = block_columns(rs, block)
+        assert len(columns) == len(rs)
+        for k, column in enumerate(columns):
+            assert column >> count == 0
+            assert [column >> b & 1 for b in range(count)] == [mask >> k & 1 for mask in block]
+        assert columns[-1] >> count - 1 == 1
+        message = f"^a mask of the block is no set of roots of {label}$"
+        for mask in (-1, 1 << len(rs)):
+            with pytest.raises(ValueError, match=message):
+                block_columns(rs, [*block, mask])
 
 
 @pytest.mark.parametrize("label", ["A10", "B8", "E8"])
@@ -745,9 +756,11 @@ def test_method_family_validation() -> None:
 
 def test_parallel_distribution_matches_serial() -> None:
     # the pool takes the walk's first-level subtrees as seeds: cover
-    # every classical family
-    for label in ("C4", "A8", "B6", "C6", "D6"):
+    # every classical family, on types of two full blocks or more, so
+    # that a real pool of 2 runs
+    for label in ("A9", "B8", "C8", "D8"):
         rs = build_root_system(label)
+        assert resolve_workers(2, total_count_formula(rs)) == 2, label
         assert class_distribution(rs, workers=2) == class_distribution(rs, workers=1), label
 
 
@@ -838,18 +851,45 @@ def inline_pool(monkeypatch: pytest.MonkeyPatch) -> dict[str, list]:
 def test_pool_is_capped_at_the_seed_count(
     monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture, inline_pool: dict
 ) -> None:
+    # blocks of one ideal, so that A2's block cap (5 processes) lies above
+    # its seed cap (4 seeds)
+    monkeypatch.setattr(nilpotence, "BUDGET_BLOCK", 1)
     requested = inline_pool["sizes"]
-    rs = build_root_system("A1")
-    assert len(partition_seeds(rs)) == 2
-    assert class_distribution(rs, workers=10**9) == {0: 1, 1: 1}
+    rs = build_root_system("A2")
+    assert len(partition_seeds(rs)) == 4
+    assert resolve_workers(10**9, 5) == 5
+    assert class_distribution(rs, workers=10**9) == {0: 1, 1: 3, 2: 1}
     monkeypatch.setenv("ADNIL_WORKERS", str(10**9))
-    assert class_distribution(rs) == {0: 1, 1: 1}
-    assert main(["table", "--type", "A1", "--workers", str(10**9)]) == 0
-    assert capsys.readouterr().out == "K,count\n0,1\n1,1\ntotal,2\n"
-    assert requested == [2, 2, 2]
+    assert class_distribution(rs) == {0: 1, 1: 3, 2: 1}
+    assert main(["table", "--type", "A2", "--workers", str(10**9)]) == 0
+    assert capsys.readouterr().out == "K,count\n0,1\n1,3\n2,1\ntotal,5\n"
+    assert requested == [4, 4, 4]
     # a cap of one runs serially, with no pool at all
-    assert class_distribution(rs, workers=1) == {0: 1, 1: 1}
-    assert requested == [2, 2, 2]
+    assert class_distribution(rs, workers=1) == {0: 1, 1: 3, 2: 1}
+    assert requested == [4, 4, 4]
+
+
+def test_pool_starts_no_more_processes_than_full_blocks(
+    monkeypatch: pytest.MonkeyPatch, inline_pool: dict
+) -> None:
+    # a process without a full block of 4096 ideals costs more to start
+    # than it saves: every count is capped at the run's full blocks
+    assert resolve_workers(2, 4095) == 1
+    assert resolve_workers(2, 8192) == 2
+    for label in ("E6", "E7"):  # 833 and 4160 ideals: serial at any count
+        rs = build_root_system(label)
+        serial = class_distribution(rs, workers=1)
+        assert class_distribution(rs, workers=2) == serial
+        assert class_distribution(rs, workers=10**9) == serial
+        with monkeypatch.context() as env:
+            env.setenv("ADNIL_WORKERS", "2")
+            assert class_distribution(rs) == serial
+    assert inline_pool["sizes"] == []
+    for label, size in (("D8", 2), ("E8", 3)):  # 9438 and 25080 ideals: 2 and 6 blocks
+        rs = build_root_system(label)
+        inline_pool["sizes"].clear()
+        assert class_distribution(rs, workers=3) == class_distribution(rs, workers=1)
+        assert inline_pool["sizes"] == [size], label
 
 
 def test_serial_run_classifies_full_blocks(monkeypatch: pytest.MonkeyPatch) -> None:
@@ -867,10 +907,15 @@ def test_serial_run_classifies_full_blocks(monkeypatch: pytest.MonkeyPatch) -> N
     assert sizes == [BUDGET_BLOCK] * 6 + [25080 - 6 * BUDGET_BLOCK]
 
 
-def test_pool_takes_interleaved_seed_groups(inline_pool: dict) -> None:
+def test_pool_takes_interleaved_seed_groups(
+    monkeypatch: pytest.MonkeyPatch, inline_pool: dict
+) -> None:
     # k = min(seeds, 4 x workers) tasks, seed i going to task i mod k, and
-    # no more processes than tasks
-    for label, workers, k in (("E6", 2, 8), ("E6", 3, 12), ("A2", 3, 4)):
+    # no more processes than tasks; A2 runs in blocks of one ideal, so that
+    # its 5 ideals allow 3 processes and its 4 seeds cap the tasks
+    for label, workers, k in (("E8", 2, 8), ("E8", 3, 12), ("A2", 3, 4)):
+        if label == "A2":
+            monkeypatch.setattr(nilpotence, "BUDGET_BLOCK", 1)
         rs = build_root_system(label)
         seeds = partition_seeds(rs)
         assert k == min(len(seeds), POOL_GROUPS_PER_WORKER * workers)
@@ -887,20 +932,22 @@ def test_pool_takes_interleaved_seed_groups(inline_pool: dict) -> None:
 @pytest.mark.parametrize("workers", [1, 2])
 def test_progress_counts_ideals(workers: int) -> None:
     # serial parts are blocks, pooled parts are seed groups; either way
-    # the ideals done rise to the product formula's total
-    rs = build_root_system("E7")
+    # the ideals done rise to the product formula's total.  E8 has 7
+    # blocks, the last one partial, and pools at 2 workers
+    rs = build_root_system("E8")
     calls = []
     class_distribution(rs, workers=workers, progress=lambda done, total: calls.append((done, total)))
     done = [d for d, _ in calls]
     assert all(a < b for a, b in zip(done, done[1:]))
-    assert done[-1] == 4160 and {t for _, t in calls} == {4160}
-    assert len(calls) == (2 if workers == 1 else POOL_GROUPS_PER_WORKER * workers)
+    assert done[-1] == 25080 and {t for _, t in calls} == {25080}
+    assert len(calls) == (7 if workers == 1 else POOL_GROUPS_PER_WORKER * workers)
 
 
 def test_exceptional_rows_at_any_worker_count() -> None:
-    # Table 1: the same rows serially and on real pools of 2 and 3
-    # workers; E6, E7 and E8 have 37, 64 and 121 seeds, so every type's
-    # 12 groups at 3 workers are uneven
+    # Table 1: the same rows at 1, 2 and 3 workers.  Only E8 (6 full
+    # blocks) runs on real pools of 2 and 3; E6 and E7, under two blocks,
+    # run serially at any count.  E8's 121 seeds make its 12 groups at 3
+    # workers uneven
     for label in ("E6", "E7", "E8"):
         rs = build_root_system(label)
         want = EXCEPTIONAL_CLASS_COUNTS[label]
@@ -915,15 +962,18 @@ def test_default_workers_stay_serial_below_the_pool_threshold(
     monkeypatch.delenv("ADNIL_WORKERS", raising=False)
     cores = resolve_workers(None)
     assert resolve_workers(None, POOL_MIN_IDEALS - 1) == 1
-    assert resolve_workers(None, POOL_MIN_IDEALS) == cores
-    # an explicit count, or one from the environment, is honoured
-    assert resolve_workers(2, 1) == 2
-    rs = build_root_system("E6")
+    assert resolve_workers(None, POOL_MIN_IDEALS) == min(cores, POOL_MIN_IDEALS // BUDGET_BLOCK)
+    # an explicit count, or one from the environment, is an upper bound:
+    # honoured up to the run's full blocks
+    assert resolve_workers(2, 1) == 1
+    assert resolve_workers(2, 2 * BUDGET_BLOCK) == 2
+    rs = build_root_system("E8")  # 25080 ideals, 6 full blocks
     serial = class_distribution(rs, workers=1)
     assert class_distribution(rs) == serial
     assert inline_pool["sizes"] == []
     monkeypatch.setenv("ADNIL_WORKERS", "2")
-    assert resolve_workers(None, 1) == 2
+    assert resolve_workers(None, 1) == 1
+    assert resolve_workers(None, 25080) == 2
     assert class_distribution(rs) == serial
     assert inline_pool["sizes"] == [2]
 
@@ -941,12 +991,12 @@ def test_dead_worker_raises(
 ) -> None:
     # every worker exits during start-up: the run must fail, not wait
     monkeypatch.setattr(nilpotence, "_worker_init", _die)
-    rs = build_root_system("A6")
+    rs = build_root_system("D8")  # 2 full blocks: a pool of 2
     started = time.monotonic()
     with pytest.raises(BrokenProcessPool):
         class_distribution(rs, workers=2)
     assert time.monotonic() - started < 5
-    assert main(["table", "--type", "A6", "--workers", "2"]) == 1
+    assert main(["table", "--type", "D8", "--workers", "2"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     assert time.monotonic() - started < 10
