@@ -6,12 +6,12 @@ per root holds one bit per ideal, and one sweep over the root sums
 advances every ideal of the block by one stage.  Independent routes
 recover the same number from diagram combinatorics: a staircase filling,
 a truncation recursion, and broken-ray walks on (shifted) Ferrers
-diagrams.  Types B, C and D are routed through a symmetric completion of
-the shifted diagram.  Every route classifies a block of ideals
-(`ROUTES`); `classify_ideal` asks for a block of one.  The diagram routes
-read a whole block in byte lanes (`block_lanes`: one int per root, one
-byte per ideal), after one check over the root covers that the block holds
-ideals only; all but the ray walks then run lane-wise on the whole block.
+diagrams, which share one lane walk.  Types B, C and D are routed through
+a symmetric completion of the shifted diagram.  Every route classifies a
+block of ideals (`ROUTES`); `classify_ideal` asks for a block of one.
+The diagram routes read a whole block in byte lanes (`block_lanes`: one
+int per root, one byte per ideal), after one check over the root covers
+that the block holds ideals only, and then run lane-wise on it.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import math
 import os
 import time
 from collections import Counter
-from functools import partial
+from functools import cache, partial
 from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple
 
@@ -148,25 +148,11 @@ def _block_cells(rs: RootSystem, ideals: list[int]) -> list[list[int]]:
     return rows
 
 
-def block_rows(rs: RootSystem, ideals: list[int]) -> list[tuple[int, ...]]:
-    """Row lengths of each classical ideal of a block in its (shifted)
-    staircase, one entry per row of `rs.rows`, empty rows included: weakly
-    decreasing in type A, strictly down to the empty rows in B, C, D.  Each
-    row's lengths are the lane-wise sum of its cells (`_block_cells`).  A
-    mask that is no ideal raises ValueError."""
-    if not ideals:
-        return []
-    if rs.rows and rs.rows[0][1] > 255:
-        raise ValueError(f"rows of {rs.lie_type} do not fit in byte lanes")
-    count = len(ideals)
-    return list(zip(*[sum(cells).to_bytes(count, "little") for cells in _block_cells(rs, ideals)]))
-
-
 def ideal_rows(rs: RootSystem, ideal: int) -> Partition:
     """Row lengths of a classical ideal in its (shifted) staircase, empty
-    rows dropped: `block_rows` on a block of one.  A mask that is no ideal
-    raises ValueError."""
-    return tuple(length for length in block_rows(rs, [ideal])[0] if length)
+    rows dropped: the sums of its rows' cells (`_block_cells`) in a block
+    of one.  A mask that is no ideal raises ValueError."""
+    return tuple(length for length in map(sum, _block_cells(rs, [ideal])) if length)
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +217,16 @@ def _filling_classes(rs: RootSystem, ideals: list[int]) -> list[int]:
     return list(table[0][0].to_bytes(count, "little"))
 
 
-def _staircase_bytes(rows: list[int], n: int, count: int) -> list[bytes]:
-    """The n row-length lanes of a block of diagrams in the n-staircase, as
-    bytes.  A row longer than its staircase row raises AssertionError."""
-    if n > 255:
-        raise ValueError(f"rows of the {n}-staircase do not fit in byte lanes")
+def _staircase_bytes(rows: list[int], top: int, count: int, step: int = 1) -> list[bytes]:
+    """The row-length lanes of a block of diagrams, as bytes, row s (0-based)
+    holding at most top - step*s cells: the top-staircase for step 1, a
+    shifted staircase for step 2.  A longer row raises AssertionError."""
+    if top > 255:
+        raise ValueError(f"rows of up to {top} cells do not fit in byte lanes")
     data = [lane.to_bytes(count, "little") for lane in rows]
     for s, row in enumerate(data):
-        if row.translate(None, bytes(range(n - s + 1))):
-            raise AssertionError(f"a row is longer than row {s + 1} of the {n}-staircase")
+        if row.translate(None, bytes(range(top - step * s + 1))):
+            raise AssertionError(f"a row is longer than row {s + 1} of its staircase")
     return data
 
 
@@ -272,30 +259,6 @@ def nilpotence_from_partition(parts: Partition, n: int) -> int:
     return _block_truncations(_pad(parts, n), n, 1)[0]
 
 
-def _block_zigzag(rows: list[int], n: int, count: int) -> list[int]:
-    """Diagonal touchings of the broken ray on a block of diagrams, the byte
-    lanes of their n row lengths: from column v = the first row's length,
-    while v > 0, touch and move to column lam[n+1-v], on every lane at once."""
-    _staircase_bytes(rows, n, count)
-    lam = [*rows, 0]  # an empty row past the last
-    ones = int.from_bytes(b"\1" * count, "little")
-    touches, col = 0, lam[0]
-    while col:
-        moved = 0
-        for v, lanes in _equal_lanes(col.to_bytes(count, "little"), n):
-            moved |= lam[n + 1 - v] & lanes
-            touches += ones & lanes
-        col = moved
-    return list(touches.to_bytes(count, "little"))
-
-
-def zigzag_class(parts: Partition, n: int) -> int:
-    """Broken-ray count on the staircase: drop from the right edge of the
-    first row, bounce between the long diagonal x+y=n+1 and the vertical
-    border of the diagram, and count the diagonal touchings."""
-    return _block_zigzag(_pad(parts, n), n, 1)[0]
-
-
 # ---------------------------------------------------------------------------
 # types B, C, D: shifted diagrams and symmetric completions
 
@@ -303,6 +266,21 @@ def zigzag_class(parts: Partition, n: int) -> int:
 def _completion_size(family: str, n: int) -> int:
     """Staircase size of the completions of B, C or D ideals of rank n."""
     return 2 * n - 1 if family in "BC" else 2 * n - 2
+
+
+def _shifted_rows(parts: Partition, family: str, n: int, strict: bool = False) -> list[int]:
+    """The n rows of a shifted B, C or D diagram.  ValueError for more than
+    n rows, a row r longer than its size - 2r + 2 staircase cells, and with
+    `strict` for rows not strictly decreasing down to the empty ones."""
+    if any(parts[n:]):
+        raise ValueError(f"shifted diagram {parts} has more than {n} rows")
+    rows = [*parts[:n]] + [0] * (n - len(parts))
+    size = _completion_size(family, n)
+    if any(a > size - 2 * i for i, a in enumerate(rows)):
+        raise ValueError(f"{parts} does not fit inside the shifted {n}-staircase")
+    if strict and any(b and b >= a for a, b in zip(rows, rows[1:])):
+        raise ValueError(f"{parts} is not strictly decreasing down to its empty rows")
+    return rows
 
 
 def _block_completion(cells: list[int], family: str, n: int) -> list[int]:
@@ -356,12 +334,7 @@ def symmetric_completion(parts: Partition, family: str, n: int) -> Partition:
     if family not in ("B", "C", "D"):
         raise ValueError(f"no completion for family {family!r}")
     size = _completion_size(family, n)
-    if any(parts[n:]):
-        raise ValueError(f"shifted diagram {parts} has more than {n} rows")
-    # row r of the shifted staircase has size - 2r + 2 cells
-    if any(a > size - 2 * i for i, a in enumerate(parts)):
-        raise ValueError(f"{parts} does not fit inside the shifted {n}-staircase")
-    rows = [*parts[:n]] + [0] * (n - len(parts))
+    rows = _shifted_rows(parts, family, n)
     cells = [int(j < a) for i, a in enumerate(rows) for j in range(size - 2 * i)]
     lam = _block_completion(cells, family, n)
     while lam and lam[-1] == 0:
@@ -381,7 +354,60 @@ def _completion_classes(rs: RootSystem, ideals: list[int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# type C: single broken ray
+# broken rays: the zigzag (A), the single ray (C) and the two rays (B, D)
+
+
+def _broken_ray(
+    rows: list[int], first: int, mirror: int, stop: int, shifted: bool, count: int
+) -> tuple[int, int, int]:
+    """A broken ray on each diagram of a block of row-length lanes (row s at
+    most mirror-1-s cells, mirror-1-2s if `shifted`), from the end of row
+    `first` where it is held.  It drops down column v, stops mid-drop at
+    x = v if v <= `stop`, else touches x+y=mirror and sweeps left to the end
+    of row r = mirror-v, column lam[r] (r+lam[r] if shifted), or stops
+    mid-sweep at x = r-1 if row r is empty.  Returns the lanes of the
+    mid-drop stops (1, else 0), of the stops' x and of the touchings."""
+    _staircase_bytes(rows, mirror - 1, count, 1 + shifted)
+    ones = int.from_bytes(b"\1" * count, "little")
+    low = 0x7f * ones
+    pad = [0] * (mirror - len(rows))  # the rows past the last are empty
+    # 1 where a row is held: bit 7 of (b & 0x7f) + 0x7f | b is set for each byte b > 0
+    held = [((lane & low) + low | lane) >> 7 & ones for lane in rows] + pad
+    ends = [r * shifted * on + lane for r, (lane, on) in enumerate(zip(rows + pad, held))]
+    empty = [(r - 1) * (ones - on) for r, on in enumerate(held)]  # x = r-1 where row r is empty
+    col, down, x, touches = ends[first], 0, 0, 0
+    while col:
+        moved = 0
+        for v, lanes in _equal_lanes(col.to_bytes(count, "little"), mirror - 1):
+            if v <= stop:
+                down |= lanes & ones
+                x |= lanes & v * ones
+            else:
+                r = mirror - v
+                touches += lanes & ones
+                moved |= lanes & ends[r]
+                x |= lanes & empty[r]
+        col = moved
+    return down, x, touches
+
+
+def _zigzag_classes(rows: list[int], n: int, count: int) -> list[int]:
+    """Diagonal touchings of the zigzag ray on a block of n-staircase
+    diagrams: unshifted, off x+y=n+1, with no mid-drop stop."""
+    return list(_broken_ray(rows, 0, n + 1, 0, False, count)[2].to_bytes(count, "little"))
+
+
+def zigzag_class(parts: Partition, n: int) -> int:
+    """Broken-ray count on the staircase: drop from the right edge of the
+    first row, bounce between the long diagonal x+y=n+1 and the vertical
+    border of the diagram, and count the diagonal touchings."""
+    return _zigzag_classes(_pad(parts, n), n, 1)[0]
+
+
+def _single_ray_classes(rows: list[int], n: int, count: int) -> list[int]:
+    """`single_ray_class` on a block of shifted C diagrams."""
+    down, _, touches = _broken_ray(rows, 0, 2 * n, n, True, count)
+    return list((2 * touches + down).to_bytes(count, "little"))
 
 
 def single_ray_class(parts: Partition, n: int) -> int:
@@ -391,19 +417,7 @@ def single_ray_class(parts: Partition, n: int) -> int:
     the diagonal x+y=2n and the vertical diagram border.  Meeting x=y
     mid-drop gives class 2k+1, mid-sweep gives 2k, where k counts the
     x+y=2n touchings."""
-    if not parts or parts[0] == 0:
-        return 0
-    col = parts[0]
-    k = 0
-    while True:
-        if col <= n:
-            return 2 * k + 1
-        k += 1
-        row = 2 * n - col + 1
-        a = parts[row - 1] if row <= len(parts) else 0
-        if a == 0:
-            return 2 * k
-        col = 2 * n - col + a
+    return _single_ray_classes(_shifted_rows(parts, "C", n, strict=True), n, 1)[0]
 
 
 def upward_ray_bound(parts: Partition, n: int) -> int:
@@ -428,10 +442,6 @@ def upward_ray_bound(parts: Partition, n: int) -> int:
         row = blocking
 
 
-# ---------------------------------------------------------------------------
-# types B and D: two broken rays
-
-
 class TwoRayResult(NamedTuple):
     """Outcome of the two-ray walk: matched case (0 = handled directly),
     touch count of the deciding ray, and the class of nilpotence."""
@@ -441,48 +451,40 @@ class TwoRayResult(NamedTuple):
     nilpotence: int
 
 
-def _bounce_ray(parts: Partition, start_col: int, mirror: int) -> tuple[bool, int, int]:
-    """Walk one ray: drop along a column, bounce off x+y=mirror, sweep left
-    to the diagram border, repeat; stop on the line x=y-1.  Returns whether
-    the ray stops mid-drop (else mid-sweep, travelling left), the stop's
-    x-coordinate, and the number of x+y=mirror touchings.  A drop that
-    reaches x=y-1 on the mirror line itself counts as stopping mid-drop."""
-    col = start_col
-    touches = 0
-    while True:
-        if 2 * col <= mirror - 1:
-            return True, col, touches
-        touches += 1
-        row = mirror - col + 1
-        a = parts[row - 1] if row <= len(parts) else 0
-        if a == 0:
-            return False, mirror - col - 1, touches
-        col = mirror - col + a
-
-
-def _two_rays(parts: Partition, mirror: int) -> tuple[int, int, int]:
-    """`two_ray_classify` off x+y=mirror, on rows that may end in zeros."""
-    if len(parts) < 2 or not parts[1]:  # at most one row: abelian
-        return (0, 0, 1) if parts and parts[0] else (0, 0, 0)
-    down1, t1, k1 = _bounce_ray(parts, parts[0], mirror)
-    down2, t2, k2 = _bounce_ray(parts, parts[1] + 1, mirror)
+def _two_ray_case(
+    down1: int, x1: int, k1: int, down2: int, x2: int, k2: int
+) -> tuple[int, int, int]:
+    """(case, touch count, class) of `two_ray_classify` from whether each
+    ray stops mid-drop, its stop's x and its touchings.  A ray from an empty
+    row has neither: without ray 2 the diagram is abelian (case 0)."""
+    if not (down2 or k2):
+        return 0, 0, int(bool(down1 or k1))
     if not down2:
-        if not down1 and t1 >= t2 and k1 == k2 + 1 or down1 and t1 > t2:
+        if not down1 and x1 >= x2 and k1 == k2 + 1 or down1 and x1 > x2:
             return 1, k2, 2 * k2 + 1
-        if down1 and t1 <= t2:
+        if down1 and x1 <= x2:
             return 2, k2, 2 * k2
-        if not down1 and t1 <= t2 and k1 == k2:
+        if not down1 and x1 <= x2 and k1 == k2:
             return 7, k2, 2 * k2
     else:
-        if not down1 and t1 < t2:
+        if not down1 and x1 < x2:
             return 3, k1, 2 * k1
-        if down1 and t1 <= t2 and k1 == k2 + 1:
+        if down1 and x1 <= x2 and k1 == k2 + 1:
             return 4, k1, 2 * k1
-        if not down1 and t1 >= t2:
+        if not down1 and x1 >= x2:
             return 5, k1, 2 * k1 - 1
-        if down1 and t1 >= t2 and k1 == k2:
+        if down1 and x1 >= x2 and k1 == k2:
             return 6, k1, 2 * k1 + 1
-    raise AssertionError(f"unclassifiable ray data {parts}: {(down1, t1, k1)} vs {(down2, t2, k2)}")
+    raise AssertionError(f"unclassifiable ray data {(down1, x1, k1)} vs {(down2, x2, k2)}")
+
+
+def _two_ray_results(rows: list[int], n: int, count: int, family: str) -> list[tuple]:
+    """`two_ray_classify` on a block of shifted B or D diagrams: both rays in
+    lanes, then one decision per diagram, memoized for the block."""
+    mirror = 2 * n - (family == "D")
+    stop = (mirror - 1) // 2
+    rays = [lanes for r in (0, 1) for lanes in _broken_ray(rows, r, mirror, stop, True, count)]
+    return list(map(cache(_two_ray_case), *(lanes.to_bytes(count, "little") for lanes in rays)))
 
 
 def two_ray_classify(parts: Partition, n: int, family: str) -> TwoRayResult:
@@ -495,16 +497,12 @@ def two_ray_classify(parts: Partition, n: int, family: str) -> TwoRayResult:
     than two rows are abelian and handled directly (case_id 0)."""
     if family not in ("B", "D"):
         raise ValueError("two-ray classification applies to types B and D")
-    return TwoRayResult(*_two_rays(tuple(filter(None, parts)), 2 * n - (family == "D")))
+    rows = _shifted_rows(parts, family, n, strict=True)
+    return TwoRayResult(*_two_ray_results(rows, n, 1, family)[0])
 
 
 # ---------------------------------------------------------------------------
 # distributions
-
-
-def _ray_classes(rs: RootSystem, ideals: list[int]) -> list[int]:
-    n = rs.lie_type.rank
-    return [single_ray_class(rows, n) for rows in block_rows(rs, ideals)]
 
 
 def _on_lanes(rs: RootSystem, ideals: list[int], lane_walk) -> list[int]:
@@ -517,8 +515,8 @@ def _on_lanes(rs: RootSystem, ideals: list[int], lane_walk) -> list[int]:
 
 
 def _tworay_classes(rs: RootSystem, ideals: list[int]) -> list[int]:
-    mirror = 2 * rs.lie_type.rank - (rs.lie_type.family == "D")  # rows end in the empty ones
-    return [_two_rays(rows, mirror)[2] for rows in block_rows(rs, ideals)]
+    results = partial(_two_ray_results, family=rs.lie_type.family)
+    return [result[2] for result in _on_lanes(rs, ideals, results)]
 
 
 # method -> (families it applies to, classes of a block of ideals); the
@@ -527,9 +525,9 @@ ROUTES = {
     "oracle": (FAMILIES, block_classes),
     "filling": ("A", _filling_classes),
     "recursion": ("A", partial(_on_lanes, lane_walk=_block_truncations)),
-    "zigzag": ("A", partial(_on_lanes, lane_walk=_block_zigzag)),
+    "zigzag": ("A", partial(_on_lanes, lane_walk=_zigzag_classes)),
     "completion": ("BCD", _completion_classes),
-    "ray": ("C", _ray_classes),
+    "ray": ("C", partial(_on_lanes, lane_walk=_single_ray_classes)),
     "tworay": ("BD", _tworay_classes),
 }
 

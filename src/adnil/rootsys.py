@@ -141,19 +141,6 @@ def _reflection_closure(a: list[list[int]]) -> set[Root]:
     return roots
 
 
-def positive_root_count(lt: LieType) -> int:
-    n = lt.rank
-    if lt.family == "A":
-        return n * (n + 1) // 2
-    if lt.family in "BC":
-        return n * n
-    if lt.family == "D":
-        return n * (n - 1)
-    return {("E", 6): 36, ("E", 7): 63, ("E", 8): 120, ("F", 4): 24, ("G", 2): 6}[
-        (lt.family, n)
-    ]
-
-
 def exponents(lt: LieType) -> tuple[int, ...]:
     n = lt.rank
     if lt.family == "A":
@@ -163,6 +150,11 @@ def exponents(lt: LieType) -> tuple[int, ...]:
     if lt.family == "D":
         return tuple(sorted(list(range(1, 2 * n - 2, 2)) + [n - 1]))
     return _EXCEPTIONAL_EXPONENTS[(lt.family, n)]
+
+
+def positive_root_count(lt: LieType) -> int:
+    """Number of positive roots: the exponents of a simple type sum to it."""
+    return sum(exponents(lt))
 
 
 def _staircase_key(lt: LieType, root: Root) -> tuple[int, int, Root]:

@@ -26,6 +26,7 @@ from adnil import (
     classify_ideal,
     joint_histogram,
     nilpotence_from_partition,
+    single_ray_class,
     staircase_filling,
     symmetric_completion,
     two_ray_classify,
@@ -44,7 +45,6 @@ from adnil.nilpotence import (
     block_classes,
     block_columns,
     block_lanes,
-    block_rows,
     budget_deadline,
     classified_blocks,
     ideal_rows,
@@ -247,11 +247,20 @@ def shifted_cells(rs) -> list[tuple[int, int]]:
     "label", [label for label in SMALL_TYPES if label[0] in "ABCD"] + ["A10", "B8", "C8", "D8"]
 )
 def test_block_rows_count_the_cells_of_each_row(label: str) -> None:
-    # every ideal of the type, in blocks of 4096
+    # every ideal of the type, in blocks of 4096: each row's length lanes,
+    # the sums of its cells' lanes, and `ideal_rows` (a block of one) on a
+    # spread of the ideals
     rs = build_root_system(label)
     masks = _walked(rs)
-    got = [rows for block in walk(rs, [root_state(rs)], BUDGET_BLOCK) for rows in block_rows(rs, block)]
-    assert got == rows_by_roots(rs, masks)
+    want = rows_by_roots(rs, masks)
+    got = []
+    for block in walk(rs, [root_state(rs)], BUDGET_BLOCK):
+        rows = [sum(cells) for cells in nilpotence._block_cells(rs, block)]
+        got += zip(*[lanes.to_bytes(len(block), "little") for lanes in rows])
+    assert got == want
+    step = max(1, len(masks) // 500)
+    for mask, rows in zip(masks[::step], want[::step]):
+        assert ideal_rows(rs, mask) == tuple(filter(None, rows)), mask
 
 
 def _mixed_fork(rs) -> int:
@@ -494,19 +503,121 @@ def test_lane_walks_match_the_walks_by_rows() -> None:
     assert len(parts) == math.comb(2 * n + 2, n + 1) // (n + 2)
     rows = [int.from_bytes(bytes(p[s] for p in parts), "little") for s in range(n)]
     truncations = nilpotence._block_truncations(rows, n, len(parts))
-    touches = nilpotence._block_zigzag(rows, n, len(parts))
+    touches = nilpotence._zigzag_classes(rows, n, len(parts))
     for lam, steps, touched in zip(parts, truncations, touches):
         assert steps == _truncations_by_rows(lam, n) == nilpotence_from_partition(lam, n), lam
         assert touched == _zigzag_by_rows(lam, n) == zigzag_class(lam, n), lam
 
 
-@pytest.mark.parametrize("lane_walk", ["_block_truncations", "_block_zigzag"])
+def _single_ray_by_rows(parts: tuple[int, ...], n: int) -> int:
+    """Reference: the class of a type-C diagram, its ray walked row by row."""
+    if not parts or parts[0] == 0:
+        return 0
+    col = parts[0]
+    k = 0
+    while True:
+        if col <= n:
+            return 2 * k + 1
+        k += 1
+        row = 2 * n - col + 1
+        a = parts[row - 1] if row <= len(parts) else 0
+        if a == 0:
+            return 2 * k
+        col = 2 * n - col + a
+
+
+def _bounce_ray_by_rows(parts: tuple[int, ...], col: int, mirror: int) -> tuple[bool, int, int]:
+    """Reference: one ray off x+y=mirror walked row by row, stopping on the
+    line x=y-1: whether it stops mid-drop, the stop's x, the touchings."""
+    touches = 0
+    while True:
+        if 2 * col <= mirror - 1:
+            return True, col, touches
+        touches += 1
+        row = mirror - col + 1
+        a = parts[row - 1] if row <= len(parts) else 0
+        if a == 0:
+            return False, mirror - col - 1, touches
+        col = mirror - col + a
+
+
+def _two_rays_by_rows(parts: tuple[int, ...], mirror: int) -> tuple[int, int, int]:
+    """Reference: (case, touch count, class) of the two rays, row by row."""
+    if len(parts) < 2 or not parts[1]:  # at most one row: abelian
+        return (0, 0, 1) if parts and parts[0] else (0, 0, 0)
+    down1, t1, k1 = _bounce_ray_by_rows(parts, parts[0], mirror)
+    down2, t2, k2 = _bounce_ray_by_rows(parts, parts[1] + 1, mirror)
+    if not down2:
+        if not down1 and t1 >= t2 and k1 == k2 + 1 or down1 and t1 > t2:
+            return 1, k2, 2 * k2 + 1
+        if down1 and t1 <= t2:
+            return 2, k2, 2 * k2
+        if not down1 and t1 <= t2 and k1 == k2:
+            return 7, k2, 2 * k2
+    else:
+        if not down1 and t1 < t2:
+            return 3, k1, 2 * k1
+        if down1 and t1 <= t2 and k1 == k2 + 1:
+            return 4, k1, 2 * k1
+        if not down1 and t1 >= t2:
+            return 5, k1, 2 * k1 - 1
+        if down1 and t1 >= t2 and k1 == k2:
+            return 6, k1, 2 * k1 + 1
+    raise AssertionError(f"unclassifiable ray data {parts}")
+
+
+def shifted_partitions(family: str, n: int) -> list[tuple[int, ...]]:
+    """Every shifted diagram of the B, C or D n-staircase (row r at most
+    size - 2r + 2 cells, strictly decreasing down to the empty rows), as
+    its n row lengths."""
+    size = 2 * n - 1 if family in "BC" else 2 * n - 2
+    parts = [()]
+    for s in range(n):  # row s+1 is at most size - 2s, and shorter than a nonempty row above
+        parts = [
+            p + (v,) for p in parts
+            for v in range(min(size - 2 * s, max(p[-1] - 1, 0) if p else size) + 1)
+        ]
+    return parts
+
+
+@pytest.mark.parametrize("family", "CBD")
+def test_ray_lane_walks_match_the_walks_by_rows(family: str) -> None:
+    # every shifted diagram of the rank-6 staircase in one block: C(12, 6)
+    # in types B and C, C(11, 6) in type D; the two rays' cases and touch
+    # counts too
+    n = 6
+    parts = shifted_partitions(family, n)
+    assert len(parts) == math.comb(2 * n - (family == "D"), n)
+    rows = [int.from_bytes(bytes(p[s] for p in parts), "little") for s in range(n)]
+    if family == "C":
+        classes = nilpotence._single_ray_classes(rows, n, len(parts))
+        for lam, got in zip(parts, classes):
+            assert got == _single_ray_by_rows(lam, n) == single_ray_class(lam, n), lam
+        return
+    mirror = 2 * n - (family == "D")
+    results = nilpotence._two_ray_results(rows, n, len(parts), family)
+    cases = set()
+    for lam, got in zip(parts, results):
+        assert got == _two_rays_by_rows(lam, mirror) == two_ray_classify(lam, n, family), lam
+        cases.add(got[0])
+    assert cases == set(range(8))
+
+
+@pytest.mark.parametrize("lane_walk", ["_block_truncations", "_broken_ray"])
 def test_lane_walks_refuse_rows_past_the_staircase(lane_walk: str) -> None:
     # two diagrams in the 3-staircase; the second one's row 2 has 3 cells,
     # one more than the staircase row.  Raised explicitly, so also under -O
     rows = [int.from_bytes(bytes(lengths), "little") for lengths in ((2, 3), (1, 3), (0, 0))]
-    with pytest.raises(AssertionError, match="longer than row 2 of the 3-staircase"):
-        getattr(nilpotence, lane_walk)(rows, 3, 2)
+    with pytest.raises(AssertionError, match="longer than row 2 of its staircase"):
+        if lane_walk == "_block_truncations":
+            nilpotence._block_truncations(rows, 3, 2)
+        else:
+            nilpotence._broken_ray(rows, 0, 4, 0, False, 2)
+    if lane_walk == "_broken_ray":
+        # shifted rows of 3 and 2 cells off x+y=4, where row 2 has 1 cell:
+        # unchecked, the ray would bounce from column 3 back to column 3
+        with pytest.raises(AssertionError, match="longer than row 2 of its staircase"):
+            nilpotence._broken_ray([3, 2], 0, 4, 2, True, 1)
 
 
 def test_lane_walks_refuse_staircases_wider_than_lanes() -> None:
@@ -523,7 +634,7 @@ def test_lane_walks_refuse_staircases_wider_than_lanes() -> None:
     [
         (method, label)
         for label in ("A7", "B5", "C5", "D5")
-        for method in ("zigzag", "recursion", "filling", "completion")
+        for method in ("zigzag", "recursion", "filling", "completion", "ray", "tworay")
         if label[0] in ROUTES[method][0]
     ],
 )
@@ -551,6 +662,10 @@ def test_lane_routes_agree_on_a_block_and_on_blocks_of_one(method: str, label: s
             want = staircase_filling(rows, n)[0][0]
         elif method == "recursion":
             want = nilpotence_from_partition(rows, n)
+        elif method == "ray":
+            want = single_ray_class(rows, n)
+        elif method == "tworay":
+            want = two_ray_classify(rows, n, family).nilpotence
         else:
             want = zigzag_class(rows, n)
         assert got == want, rows
@@ -630,6 +745,70 @@ def test_two_ray_small_diagrams() -> None:
     assert two_ray_classify((), 3, "D").nilpotence == 0
     assert two_ray_classify((4,), 3, "B").nilpotence == 1
     assert two_ray_classify((3, 1), 2, "B").nilpotence == 3
+    # empty rows past the last change nothing
+    assert two_ray_classify((3, 1, 0), 2, "B") == two_ray_classify((3, 1), 2, "B") == (1, 1, 3)
+
+
+@pytest.mark.parametrize(
+    "parts, n, message",
+    [
+        ((3, 3), 4, "not strictly decreasing"),
+        ((3, 0, 1), 4, "not strictly decreasing"),
+        ((6,), 3, "does not fit"),  # 5 cells in types B and C, 4 in D
+        ((5, 4), 3, "does not fit"),  # row 2: 3 cells in B and C, 2 in D
+        ((2, 1, 0, 1), 3, "more than 3 rows"),
+        ((), 129, "byte lanes"),  # columns up to 2n-1 in B and C, 2n-2 in D
+    ],
+    ids=["equal", "gap", "long-row-1", "long-row-2", "rows", "rank"],
+)
+def test_ray_walks_refuse_diagrams_outside_the_staircase(
+    parts: tuple[int, ...], n: int, message: str
+) -> None:
+    for walk_one in (
+        lambda: single_ray_class(parts, n),
+        lambda: two_ray_classify(parts, n, "B"),
+        lambda: two_ray_classify(parts, n, "D"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            walk_one()
+
+
+def test_ray_walks_fit_rank_128_in_byte_lanes() -> None:
+    # the largest rank whose columns, up to 2n-1, fit in a byte
+    assert single_ray_class((), 128) == 0
+    assert single_ray_class((255,), 128) == 2 == _single_ray_by_rows((255,), 128)
+    for family in "BD":
+        mirror = 256 - (family == "D")
+        assert two_ray_classify((mirror - 1, 1), 128, family) == _two_rays_by_rows(
+            (mirror - 1, 1), mirror
+        )
+
+
+def test_ray_guards_survive_optimize() -> None:
+    # a child under -O drops every bare assert; the walks' refusals must
+    # still raise, and the lane walk still refuses a row past its staircase
+    src = str(Path(adnil.__file__).resolve().parents[1])
+    code = (
+        "from adnil import single_ray_class, two_ray_classify\n"
+        "from adnil.nilpotence import _broken_ray\n"
+        "for check in (lambda: single_ray_class((3, 3), 3),\n"
+        "              lambda: two_ray_classify((6,), 3, 'D'),\n"
+        "              lambda: two_ray_classify((), 129, 'B'),\n"
+        "              lambda: _broken_ray([3, 2], 0, 4, 2, True, 1)):\n"
+        "    try:\n"
+        "        check()\n"
+        "    except (ValueError, AssertionError) as exc:\n"
+        "        print(type(exc).__name__)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ValueError\nValueError\nValueError\nAssertionError\n"
 
 
 def test_symmetric_completion_type_c_mirrors() -> None:

@@ -45,6 +45,13 @@ def test_positive_root_counts() -> None:
     assert len(build_root_system("E6")) == 36
     assert len(build_root_system("E7")) == 63
     assert len(build_root_system("E8")) == 120
+    # the count that checks each closure, as the sum of the exponents, far
+    # past the ranks that are built
+    for fam, count in expected.items():
+        for n in range(1 if fam == "A" else 2, 200):
+            assert rootsys.positive_root_count(LieType(fam, n)) == count(n), (fam, n)
+    for label, count in (("G2", 6), ("F4", 24), ("E6", 36), ("E7", 63), ("E8", 120)):
+        assert rootsys.positive_root_count(LieType.parse(label)) == count, label
 
 
 def test_highest_roots() -> None:
