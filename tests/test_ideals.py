@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +11,7 @@ from adnil import (
     ideal_minimal_elements,
     total_count_formula,
 )
+from adnil import ideals
 from adnil.checks import SMALL_TYPES
 from adnil.ideals import (
     enumerate_ideal_masks,
@@ -144,3 +147,97 @@ def test_walk_of_no_seed_or_a_finished_state() -> None:
     for ideal in (0, full, rs.filter_masks[2]):
         assert list(walk(rs, [(ideal, 0)], 4096)) == [[ideal]]
     assert list(walk(rs, [(0, 0), (full, 0)], 1)) == [[full], [0]]
+
+
+def _dfs_walk(rs, seeds) -> list[int]:
+    """The walk without its memo, as reference: every ideal below the
+    states `seeds` in DFS order, each state expanded in full."""
+    filters, incomparable = rs.filter_masks, rs.incomparable_masks
+    stack = list(seeds)
+    out: list[int] = []
+    while stack:
+        ideal, free = stack.pop()
+        out.append(ideal)
+        while free:
+            bit = free & -free
+            free ^= bit
+            i = bit.bit_length() - 1
+            if rest := free & incomparable[i]:
+                stack.append((ideal | filters[i], rest))
+            else:
+                out.append(ideal | filters[i])
+    return out
+
+
+def _chunks(masks: list[int], size: int) -> list[list[int]]:
+    return [masks[start:start + size] for start in range(0, len(masks), size)]
+
+
+@pytest.mark.parametrize("label", [*SMALL_TYPES, "A10", "B8", "C8", "D8", "E8"])
+def test_walk_replays_the_plain_dfs_block_for_block(label: str) -> None:
+    # the memo's replays leave every block and its order as the plain DFS
+    # gives them: from the root state and from all the seeds with the
+    # walk's own memo (or none), and from every grouping of the seeds with
+    # its groups walked through one shared memo, as a pool worker does
+    rs = build_root_system(label)
+    seeds = partition_seeds(rs)
+    groupings = [[[root_state(rs)]], [seeds[::-1]]]
+    groupings += [[seeds[i::k] for i in range(k)] for k in (2, 3, 8)]
+    for index, groups in enumerate(groupings):
+        want = [_dfs_walk(rs, group) for group in groups]
+        for size in (1, 5, 7, 4096):
+            memo: dict | None = None if index < 2 else {}
+            got = [list(walk(rs, group, size, memo)) for group in groups]
+            assert got == [_chunks(masks, size) for masks in want], (size, len(groups))
+
+
+def test_memo_stores_no_list_longer_than_a_block() -> None:
+    # a subtree of more ideals than a block is walked as is at every
+    # sighting, and a free set of at most one root is never stored
+    rs = build_root_system("A10")
+    memo: dict = {}
+    assert list(walk(rs, [root_state(rs)], 64, memo)) == _chunks(_dfs_walk(rs, [root_state(rs)]), 64)
+    stored = [below for below in memo.values() if below]
+    assert stored and max(map(len, stored)) <= 64
+    assert None in memo.values()  # some subtree held more than 64 ideals
+    assert all(free.bit_count() > 1 for free in memo)
+
+
+def test_walk_memo_dies_with_its_walk() -> None:
+    # no reference cycle holds a walk's memo until the cyclic collector
+    # runs: a finished walk and a dropped one leave no garbage behind
+    rs = build_root_system("A10")
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in walk(rs, [root_state(rs)], 64):
+            pass
+        dropped = walk(rs, [root_state(rs)], 64)
+        for _ in range(100):
+            next(dropped)
+        del dropped
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_small_root_systems_walk_without_a_memo(monkeypatch: pytest.MonkeyPatch) -> None:
+    # below two full blocks of ideals a walk keeps no memo unless given
+    # one, and a memo given is used at any size
+    memos = []
+
+    def spy(filters, incomparable, memo, *rest):
+        memos.append(memo)
+        return replay(filters, incomparable, memo, *rest)
+
+    replay = ideals._replay
+    monkeypatch.setattr(ideals, "_replay", spy)
+    for label, memo_kept in (("E7", False), ("D8", True)):  # 4160 and 9438 ideals
+        rs = build_root_system(label)
+        want = _chunks(_dfs_walk(rs, [root_state(rs)]), 4096)
+        memos.clear()
+        assert list(walk(rs, [root_state(rs)], 4096)) == want
+        assert bool(memos) == memo_kept, label
+        given: dict = {}
+        assert list(walk(rs, [root_state(rs)], 4096, given)) == want
+        assert any(given.values()), label

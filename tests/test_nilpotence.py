@@ -914,6 +914,24 @@ def test_upward_ray_is_class_rounded_up_to_even() -> None:
             assert upward_ray_bound(ideal_rows(rs, mask), n) == k + (k % 2)
 
 
+@pytest.mark.parametrize(
+    "parts, n, message",
+    [
+        ((9,), 2, "does not fit"),
+        ((3, 3), 2, "does not fit"),  # row 2 holds 1 cell in C2
+        ((1, 0, 3), 2, "more than 2 rows"),  # not read as the diagram (1, 3)
+        ((2, 2), 3, "not strictly decreasing"),
+        ((1, 0, 1), 3, "not strictly decreasing"),
+    ],
+)
+def test_upward_ray_refuses_what_the_single_ray_refuses(
+    parts: tuple[int, ...], n: int, message: str
+) -> None:
+    for walk_one in (lambda: upward_ray_bound(parts, n), lambda: single_ray_class(parts, n)):
+        with pytest.raises(ValueError, match=message):
+            walk_one()
+
+
 def test_method_family_validation() -> None:
     rs = build_root_system("A2")
     with pytest.raises(ValueError):
@@ -1069,6 +1087,21 @@ def test_pool_starts_no_more_processes_than_full_blocks(
         inline_pool["sizes"].clear()
         assert class_distribution(rs, workers=3) == class_distribution(rs, workers=1)
         assert inline_pool["sizes"] == [size], label
+
+
+def test_worker_memo_lives_for_one_pool_run(monkeypatch: pytest.MonkeyPatch) -> None:
+    # one process runs a pool's groups for one root system, then for
+    # others, some with masks as wide: each `_worker_init` starts a walk
+    # memo of its own, which that run's groups share, so each run gets
+    # its own exact histogram
+    monkeypatch.setattr(nilpotence, "_WORKER_STATE", None)
+    for label in ("A8", "E6", "B6", "D8", "A8"):  # A8, E6 and B6 have 36 roots
+        rs = build_root_system(label)
+        nilpotence._worker_init(rs, "oracle", math.inf)
+        seeds = partition_seeds(rs)
+        hist = sum(map(nilpotence._worker_run, [seeds[i::3] for i in range(3)]), Counter())
+        assert hist == Counter(class_distribution(rs, workers=1)), label
+        assert any(nilpotence._WORKER_STATE[-1].values()), label  # the groups shared a memo
 
 
 def test_serial_run_classifies_full_blocks(monkeypatch: pytest.MonkeyPatch) -> None:
