@@ -7,12 +7,12 @@ stored as integer bit masks, bit i marking positive_roots[i].
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .rootsys import RootSystem, total_count_formula
 
 Seed = tuple[int, int]  # a DFS state (ideal mask, mask of the roots still free)
-Memo = dict[int, list[int] | bool | None]  # a walk's subtrees by free set (`walk`)
+Memo = dict[int, Sequence[int] | bool | None]  # a walk's subtrees by free set (`walk`)
 
 
 def mask_indices(mask: int) -> list[int]:
@@ -46,38 +46,23 @@ def ideal_minimal_elements(rs: RootSystem, ideal: int) -> int:
 
 
 def _descend(
-    filters: list[int], incomparable: list[int], stack: list[Seed], out: list[int], limit: int
-) -> None:
-    """Pop states off `stack` and append their ideals to `out`, in walk
-    order, until the stack is empty or `out` holds `limit` masks."""
-    while stack and len(out) < limit:
-        ideal, free = stack.pop()
-        out.append(ideal)
-        while free:
-            bit = free & -free
-            free ^= bit
-            i = bit.bit_length() - 1
-            if rest := free & incomparable[i]:
-                stack.append((ideal | filters[i], rest))
-            else:
-                out.append(ideal | filters[i])
-
-
-def _replay(
-    filters: list[int], incomparable: list[int], memo: Memo,
+    filters: list[int], incomparable: list[int], memo: Memo | None,
     stack: list[Seed], out: list[int], limit: int,
 ) -> None:
-    """`_descend` through a memo of subtrees.
+    """Pop states off `stack` and append their ideals to `out`, in walk
+    order, until the stack is empty or `out` holds `limit` masks.
 
     The ideals below a state (ideal, free) are ideal | u for u in U(free),
-    the ideals below (0, free).  So `memo` maps a free set of two roots or
-    more to False once seen, then on its second sighting to U(free) if that
-    holds fewer than `limit` masks, else to None (walked as is).  U(free)
-    is walked by a call of its own; one cut short at `limit` masks hands
-    its unwalked states back to `stack`, shifted by the ideal."""
+    the ideals below (0, free).  So `memo`, unless None, maps a free set of
+    two roots or more to False once seen, then on its second sighting to
+    U(free) if that holds fewer than `limit` masks, else to None (walked as
+    is).  U(free) is walked by a call of its own; one cut short at `limit`
+    masks hands its unwalked states back to `stack`, shifted by the ideal.
+    A kept U(free) of masks of at most 64 roots is an array of 8-byte
+    words, a fifth of the memory of a list of ints."""
     while stack and len(out) < limit:
         ideal, free = stack.pop()
-        if free.bit_count() > 1:
+        if memo is not None and free.bit_count() > 1:
             known = memo.get(free, 0)
             if known:
                 out += [ideal | u for u in known]
@@ -86,11 +71,15 @@ def _replay(
                 memo[free] = None  # its own walk below walks it as is
                 below: list[int] = []
                 left = [(0, free)]
-                _replay(filters, incomparable, memo, left, below, limit)
+                _descend(filters, incomparable, memo, left, below, limit)
                 if left:
                     stack += [(ideal | mask, rest) for mask, rest in left]
                 elif len(below) < limit:
-                    memo[free] = below
+                    # imported on first use: a process that walks no memo
+                    # never loads the array module (about 76 KiB of RSS)
+                    from array import array
+
+                    memo[free] = array("Q", below) if len(filters) <= 64 else below
                 out += [ideal | u for u in below]
                 continue
             if known is not None:
@@ -106,32 +95,28 @@ def _replay(
                 out.append(ideal | filters[i])
 
 
-def walk(
-    rs: RootSystem, seeds: Iterable[Seed], size: int, memo: Memo | None = None
-) -> Iterator[list[int]]:
+def walk(rs: RootSystem, seeds: Iterable[Seed], size: int) -> Iterator[list[int]]:
     """Every ideal mask below the DFS states `seeds`, in lists of exactly
     `size` masks but the last.  A state (ideal, free) stands for the ideals
     whose antichain extends the ideal's by roots of `free`; a child with no
     free root left is a leaf and goes straight into the block.
 
     A free set seen twice is walked once more from the empty ideal and, if
-    its ideals fit one block, kept in `memo` and replayed at every later
-    sighting (`_replay`); the blocks stay the same, in the same order.
-    The memo lives for the walk, or for every walk given the same dict,
-    all of one root system (a pool worker's groups).  Without one given, a
-    root system of fewer than two full blocks of ideals is walked without
-    a memo (`_descend`): its subtrees repeat too little to pay for the
-    lookups."""
-    if memo is None and total_count_formula(rs) >= 2 * size:
-        memo = {}
+    its ideals fit one block, kept in a memo that lives for this walk and
+    replayed at every later sighting (`_descend`); the blocks stay the same,
+    in the same order.  Only a classical root system (staircase order,
+    `rs.rows`) of two full blocks of ideals or more keeps a memo: its free
+    sets are few and repeat with large subtrees (A10's 16796 DFS states
+    have 46 distinct free sets), while a smaller one repeats too little
+    to pay for the lookups, and an exceptional one has many small free
+    sets (E8's 9959 states have 772), which a pool's seed groups, each a
+    walk of its own, see too few times to replay."""
+    memo: Memo | None = {} if rs.rows and total_count_formula(rs) >= 2 * size else None
     filters, incomparable = rs.filter_masks, rs.incomparable_masks
     stack = list(seeds)
     block: list[int] = []
     while stack:
-        if memo is None:
-            _descend(filters, incomparable, stack, block, size + 1)
-        else:
-            _replay(filters, incomparable, memo, stack, block, size + 1)
+        _descend(filters, incomparable, memo, stack, block, size + 1)
         full = len(block) - len(block) % size
         for start in range(0, full, size):
             yield block[start:start + size]

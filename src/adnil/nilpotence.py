@@ -23,7 +23,7 @@ from functools import cache, partial
 from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple
 
-from .ideals import Memo, Seed, partition_seeds, root_state, walk
+from .ideals import Seed, partition_seeds, root_state, walk
 from .rootsys import FAMILIES, RootSystem, total_count_formula
 
 Partition = tuple[int, ...]
@@ -550,36 +550,33 @@ def classify_ideal(rs: RootSystem, ideal: int, method: str = "oracle") -> int:
     return _class_function(rs, method)([ideal])[0]
 
 
-_WORKER_STATE: tuple[RootSystem, str, float, Memo] | None = None
+_WORKER_STATE: tuple[RootSystem, str, float] | None = None
 
 
 def _worker_init(rs: RootSystem, method: str, deadline: float) -> None:
-    """One pool run's state in a worker, with one walk memo that the
-    worker's groups share (`ideals.walk`)."""
     global _WORKER_STATE
-    _WORKER_STATE = (rs, method, deadline, {})
+    _WORKER_STATE = (rs, method, deadline)
 
 
 def _worker_run(group: list[Seed]) -> Counter:
     """Histogram of a group of seeds, walked as one (`classified_blocks`)."""
-    rs, method, deadline, memo = _WORKER_STATE
     hist: Counter = Counter()
-    for _, classes in classified_blocks(rs, method, deadline, group, memo):
+    for _, classes in classified_blocks(*_WORKER_STATE, group):
         hist.update(classes)
     return hist
 
 
 def classified_blocks(
     rs: RootSystem, method: str = "oracle", deadline: float = math.inf,
-    seeds: list[Seed] | None = None, memo: Memo | None = None,
+    seeds: list[Seed] | None = None,
 ) -> Iterator[tuple[list[int], list[int]]]:
     """Each block of the walk below `seeds` (the root state when None), in
     full blocks of `BUDGET_BLOCK` ideals but the last, with the classes of
-    its ideals by `method`, through the walk memo `memo` (`ideals.walk`).
-    The clock (`time.monotonic`, the same in every process) is read once
-    per block, and a block drawn past `deadline` raises TimeoutError."""
+    its ideals by `method`.  The clock (`time.monotonic`, the same in every
+    process) is read once per block, and a block drawn past `deadline`
+    raises TimeoutError."""
     classify = _class_function(rs, method)
-    for block in walk(rs, [root_state(rs)] if seeds is None else seeds, BUDGET_BLOCK, memo):
+    for block in walk(rs, [root_state(rs)] if seeds is None else seeds, BUDGET_BLOCK):
         if time.monotonic() > deadline:
             raise TimeoutError(BUDGET_MESSAGE)
         yield block, classify(block)

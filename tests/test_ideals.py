@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+from array import array
 
 import pytest
 from hypothesis import given, strategies as st
@@ -176,31 +177,50 @@ def _chunks(masks: list[int], size: int) -> list[list[int]]:
 @pytest.mark.parametrize("label", [*SMALL_TYPES, "A10", "B8", "C8", "D8", "E8"])
 def test_walk_replays_the_plain_dfs_block_for_block(label: str) -> None:
     # the memo's replays leave every block and its order as the plain DFS
-    # gives them: from the root state and from all the seeds with the
-    # walk's own memo (or none), and from every grouping of the seeds with
-    # its groups walked through one shared memo, as a pool worker does
+    # gives them: from the root state, from all the seeds reversed, and
+    # from every grouping of the seeds, each group a walk of its own as a
+    # pool task is
     rs = build_root_system(label)
     seeds = partition_seeds(rs)
     groupings = [[[root_state(rs)]], [seeds[::-1]]]
     groupings += [[seeds[i::k] for i in range(k)] for k in (2, 3, 8)]
-    for index, groups in enumerate(groupings):
+    for groups in groupings:
         want = [_dfs_walk(rs, group) for group in groups]
         for size in (1, 5, 7, 4096):
-            memo: dict | None = None if index < 2 else {}
-            got = [list(walk(rs, group, size, memo)) for group in groups]
+            got = [list(walk(rs, group, size)) for group in groups]
             assert got == [_chunks(masks, size) for masks in want], (size, len(groups))
 
 
-def test_memo_stores_no_list_longer_than_a_block() -> None:
+def _walk_memos(monkeypatch: pytest.MonkeyPatch) -> list:
+    """The memo argument of every `_descend` call from now on."""
+    memos = []
+    descend = ideals._descend
+
+    def spy(filters, incomparable, memo, *rest):
+        memos.append(memo)
+        return descend(filters, incomparable, memo, *rest)
+
+    monkeypatch.setattr(ideals, "_descend", spy)
+    return memos
+
+
+def test_memo_stores_no_list_longer_than_a_block(monkeypatch: pytest.MonkeyPatch) -> None:
     # a subtree of more ideals than a block is walked as is at every
     # sighting, and a free set of at most one root is never stored
+    memos = _walk_memos(monkeypatch)
     rs = build_root_system("A10")
-    memo: dict = {}
-    assert list(walk(rs, [root_state(rs)], 64, memo)) == _chunks(_dfs_walk(rs, [root_state(rs)]), 64)
+    assert list(walk(rs, [root_state(rs)], 64)) == _chunks(_dfs_walk(rs, [root_state(rs)]), 64)
+    memo = memos[0]
+    assert all(m is memo for m in memos)  # one memo for the whole walk
     stored = [below for below in memo.values() if below]
     assert stored and max(map(len, stored)) <= 64
+    assert all(isinstance(below, array) for below in stored)  # 55 roots: 8-byte words
     assert None in memo.values()  # some subtree held more than 64 ideals
     assert all(free.bit_count() > 1 for free in memo)
+    memos.clear()
+    rs = build_root_system("A11")  # 66 roots: kept as lists of ints
+    assert list(walk(rs, [root_state(rs)], 4096)) == _chunks(_dfs_walk(rs, [root_state(rs)]), 4096)
+    assert all(type(below) is list for below in memos[0].values() if below)
 
 
 def test_walk_memo_dies_with_its_walk() -> None:
@@ -221,23 +241,19 @@ def test_walk_memo_dies_with_its_walk() -> None:
         gc.enable()
 
 
-def test_small_root_systems_walk_without_a_memo(monkeypatch: pytest.MonkeyPatch) -> None:
-    # below two full blocks of ideals a walk keeps no memo unless given
-    # one, and a memo given is used at any size
-    memos = []
-
-    def spy(filters, incomparable, memo, *rest):
-        memos.append(memo)
-        return replay(filters, incomparable, memo, *rest)
-
-    replay = ideals._replay
-    monkeypatch.setattr(ideals, "_replay", spy)
-    for label, memo_kept in (("E7", False), ("D8", True)):  # 4160 and 9438 ideals
-        rs = build_root_system(label)
+def test_only_classical_types_of_two_blocks_keep_a_memo(monkeypatch: pytest.MonkeyPatch) -> None:
+    # below two full blocks of ideals, and on the exceptional types at any
+    # count, a walk keeps no memo; each walk of a classical type of two
+    # blocks or more keeps one of its own
+    memos = _walk_memos(monkeypatch)
+    for label, memo_kept in (("E7", False), ("C7", False), ("E8", False), ("D8", True)):
+        rs = build_root_system(label)  # 4160, 3432, 25080 and 9438 ideals
         want = _chunks(_dfs_walk(rs, [root_state(rs)]), 4096)
         memos.clear()
         assert list(walk(rs, [root_state(rs)], 4096)) == want
-        assert bool(memos) == memo_kept, label
-        given: dict = {}
-        assert list(walk(rs, [root_state(rs)], 4096, given)) == want
-        assert any(given.values()), label
+        assert {memo is not None for memo in memos} == {memo_kept}, label
+    seeds = partition_seeds(rs)
+    memos.clear()
+    for group in (seeds[0::2], seeds[1::2]):
+        list(walk(rs, group, 4096))
+    assert len({id(memo) for memo in memos}) == 2  # one memo per walk
