@@ -105,13 +105,13 @@ def walk(rs: RootSystem, seeds: Iterable[Seed], size: int) -> Iterator[list[int]
     its ideals fit one block, kept in a memo that lives for this walk and
     replayed at every later sighting (`_descend`); the blocks stay the same,
     in the same order.  Only a classical root system (staircase order,
-    `rs.rows`) of two full blocks of ideals or more keeps a memo: its free
+    `rs.rows`) of at least one full block of ideals keeps a memo: its free
     sets are few and repeat with large subtrees (A10's 16796 DFS states
     have 46 distinct free sets), while a smaller one repeats too little
     to pay for the lookups, and an exceptional one has many small free
     sets (E8's 9959 states have 772), which a pool's seed groups, each a
     walk of its own, see too few times to replay."""
-    memo: Memo | None = {} if rs.rows and total_count_formula(rs) >= 2 * size else None
+    memo: Memo | None = {} if rs.rows and total_count_formula(rs) >= size else None
     filters, incomparable = rs.filter_masks, rs.incomparable_masks
     stack = list(seeds)
     block: list[int] = []

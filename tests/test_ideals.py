@@ -241,13 +241,14 @@ def test_walk_memo_dies_with_its_walk() -> None:
         gc.enable()
 
 
-def test_only_classical_types_of_two_blocks_keep_a_memo(monkeypatch: pytest.MonkeyPatch) -> None:
-    # below two full blocks of ideals, and on the exceptional types at any
-    # count, a walk keeps no memo; each walk of a classical type of two
-    # blocks or more keeps one of its own
+def test_only_classical_types_of_a_full_block_keep_a_memo(monkeypatch: pytest.MonkeyPatch) -> None:
+    # below one full block of ideals, and on the exceptional types at any
+    # count, a walk keeps no memo; each walk of a classical type of a full
+    # block or more keeps one of its own
     memos = _walk_memos(monkeypatch)
-    for label, memo_kept in (("E7", False), ("C7", False), ("E8", False), ("D8", True)):
-        rs = build_root_system(label)  # 4160, 3432, 25080 and 9438 ideals
+    cases = (("E7", False), ("C7", False), ("E8", False), ("A8", True), ("D8", True))
+    for label, memo_kept in cases:
+        rs = build_root_system(label)  # 4160, 3432, 25080, 4862 and 9438 ideals
         want = _chunks(_dfs_walk(rs, [root_state(rs)]), 4096)
         memos.clear()
         assert list(walk(rs, [root_state(rs)], 4096)) == want
