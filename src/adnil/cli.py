@@ -14,7 +14,6 @@ import io
 import json
 import re
 import sys
-from operator import itemgetter
 
 from .checks import SUITES, refuse_huge, run_suite
 from .closedform import catalan_qt, gamma_qt
@@ -174,7 +173,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     rs = _enumerable(args.lie_type)
     blocks = classified_blocks(rs, args.method)
     rows = [(m, m.bit_count(), k) for block, ks in blocks for m, k in zip(block, ks)]
-    rows.sort(key=itemgetter(0))  # ascending masks, not the walk's order
     _emit(_format(
         args.format,
         lambda: {
@@ -209,6 +207,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.suite != "agreement" and (args.family or args.max_rank is not None):
+        raise ValueError(f"--family and --max-rank apply to agreement only, not {args.suite}")
     results = run_suite(
         args.suite,
         family=args.family,

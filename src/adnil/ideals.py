@@ -11,8 +11,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .rootsys import RootSystem, total_count_formula
 
-Seed = tuple[int, int]  # a DFS state (ideal mask, mask of the roots still free)
-Memo = dict[int, Sequence[int] | bool | None]  # a walk's subtrees by free set (`walk`)
+Seed = tuple[int, int]  # a walk state (ideal mask, mask of the roots still undecided)
+Memo = dict[int, Sequence[int] | bool | None]  # a walk's subtrees by undecided set (`walk`)
 
 
 def mask_indices(mask: int) -> list[int]:
@@ -45,33 +45,38 @@ def ideal_minimal_elements(rs: RootSystem, ideal: int) -> int:
     return mask
 
 
+def _decisions(rs: RootSystem) -> list[tuple[int, int, int]]:
+    """Per root: its filter, the undecided roots kept when it goes in, and out."""
+    full = (1 << len(rs)) - 1
+    return [(up, full ^ up, full ^ down ^ 1 << k)
+            for k, (up, down) in enumerate(zip(rs.filter_masks, rs.below_masks))]
+
+
 def _descend(
-    filters: list[int], incomparable: list[int], memo: Memo | None,
+    decisions: list[tuple[int, int, int]], memo: Memo | None,
     stack: list[Seed], out: list[int], limit: int,
 ) -> None:
     """Pop states off `stack` and append their ideals to `out`, in walk
-    order, until the stack is empty or `out` holds `limit` masks.
-
-    The ideals below a state (ideal, free) are ideal | u for u in U(free),
-    the ideals below (0, free).  So `memo`, unless None, maps a free set of
-    two roots or more to False once seen, then on its second sighting to
-    U(free) if that holds fewer than `limit` masks, else to None (walked as
-    is).  U(free) is walked by a call of its own; one cut short at `limit`
-    masks hands its unwalked states back to `stack`, shifted by the ideal.
-    A kept U(free) of masks of at most 64 roots is an array of 8-byte
-    words, a fifth of the memory of a list of ints."""
+    order, until the stack is empty or `out` holds `limit` masks.  A state
+    follows "out" down to its least ideal and pushes each "in" on the way.
+    The ideals below (ideal, und) are ideal | u for u in U(und), those
+    below (0, und).  So `memo`, unless None, maps an undecided set of two
+    roots or more to False once seen, then to U(und) (an array of 8-byte
+    words over at most 64 roots) if it holds fewer than `limit` masks, else
+    to None.  U(und) is walked by a call of its own; one cut short hands
+    its unwalked states back to `stack`, shifted by the ideal."""
     while stack and len(out) < limit:
-        ideal, free = stack.pop()
-        if memo is not None and free.bit_count() > 1:
-            known = memo.get(free, 0)
+        ideal, und = stack.pop()
+        if memo is not None and und.bit_count() > 1:
+            known = memo.get(und, 0)
             if known:
                 out += [ideal | u for u in known]
                 continue
             if known is False:
-                memo[free] = None  # its own walk below walks it as is
+                memo[und] = None  # its own walk below walks it as is
                 below: list[int] = []
-                left = [(0, free)]
-                _descend(filters, incomparable, memo, left, below, limit)
+                left = [(0, und)]
+                _descend(decisions, memo, left, below, limit)
                 if left:
                     stack += [(ideal | mask, rest) for mask, rest in left]
                 elif len(below) < limit:
@@ -79,64 +84,69 @@ def _descend(
                     # never loads the array module (about 76 KiB of RSS)
                     from array import array
 
-                    memo[free] = array("Q", below) if len(filters) <= 64 else below
+                    memo[und] = array("Q", below) if len(decisions) <= 64 else below
                 out += [ideal | u for u in below]
                 continue
             if known is not None:
-                memo[free] = False
+                memo[und] = False
+        while und & (und - 1):
+            up, keep_in, keep_out = decisions[und.bit_length() - 1]
+            stack.append((ideal | up, und & keep_in))
+            und &= keep_out
         out.append(ideal)
-        while free:
-            bit = free & -free
-            free ^= bit
-            i = bit.bit_length() - 1
-            if rest := free & incomparable[i]:
-                stack.append((ideal | filters[i], rest))
-            else:
-                out.append(ideal | filters[i])
+        if und:  # one root left: out, then in, both leaves
+            out.append(ideal | decisions[und.bit_length() - 1][0])
 
 
 def walk(rs: RootSystem, seeds: Iterable[Seed], size: int) -> Iterator[list[int]]:
-    """Every ideal mask below the DFS states `seeds`, in lists of exactly
-    `size` masks but the last.  A state (ideal, free) stands for the ideals
-    whose antichain extends the ideal's by roots of `free`; a child with no
-    free root left is a leaf and goes straight into the block.
-
-    A free set seen twice is walked once more from the empty ideal and, if
-    its ideals fit one block, kept in a memo that lives for this walk and
-    replayed at every later sighting (`_descend`); the blocks stay the same,
-    in the same order.  Only a classical root system (staircase order,
-    `rs.rows`) of at least one full block of ideals keeps a memo: its free
-    sets are few and repeat with large subtrees (A10's 16796 DFS states
-    have 46 distinct free sets), while a smaller one repeats too little
-    to pay for the lookups, and an exceptional one has many small free
-    sets (E8's 9959 states have 772), which a pool's seed groups, each a
-    walk of its own, see too few times to replay."""
+    """Every ideal mask below the states `seeds`, seed by seed, in lists of
+    exactly `size` masks but the last.  A state (ideal, und) stands for the
+    ideals that agree with `ideal` outside `und`, its undecided roots.  For
+    any root k they split into those without k (nor any root below it) and
+    those with k's filter: deciding the highest undecided root first, "out"
+    before "in", lists them ascending.  Only a classical type (`rs.rows`)
+    of a full block of ideals or more keeps a memo (`_descend`): a smaller
+    one repeats too little, an exceptional one has many small subtrees."""
     memo: Memo | None = {} if rs.rows and total_count_formula(rs) >= size else None
-    filters, incomparable = rs.filter_masks, rs.incomparable_masks
-    stack = list(seeds)
+    decisions = _decisions(rs)
+    stack = list(seeds)[::-1]
     block: list[int] = []
     while stack:
-        _descend(filters, incomparable, memo, stack, block, size + 1)
-        full = len(block) - len(block) % size
-        for start in range(0, full, size):
-            yield block[start:start + size]
-        del block[:full]
+        _descend(decisions, memo, stack, block, size + 1)
+        while len(block) >= size:  # a yielded block is not also kept in `block`
+            chunk, block = block[:size], block[size:]
+            yield chunk
     if block:
         yield block
 
 
 def root_state(rs: RootSystem) -> Seed:
-    """The walk's root: the empty ideal, every root free."""
+    """The walk's root: the empty ideal, every root undecided."""
     return 0, (1 << len(rs)) - 1
 
 
 def partition_seeds(rs: RootSystem) -> list[Seed]:
-    """The children of the walk's root: the empty ideal alone, then for each
-    root i the antichains whose least index is i.  Walked in any grouping
-    and order, they cover every ideal exactly once."""
-    return [(0, 0), *zip(rs.filter_masks, rs.incomparable_masks)]
+    """The root state split, most undecided roots first, into 2 x (len(rs)
+    + 1) states or single ideals, ascending; any grouping walks each once."""
+    from heapq import heappop, heappush  # imported here: a serial run never loads it
+    decisions = _decisions(rs)
+    split: dict[Seed, tuple[Seed, Seed]] = {}
+    heap = [(-len(rs), root_state(rs))]
+    while heap[0][0] and len(split) <= 2 * len(rs):
+        ideal, und = state = heappop(heap)[1]
+        up, keep_in, keep_out = decisions[und.bit_length() - 1]
+        split[state] = pair = (ideal, und & keep_out), (ideal | up, und & keep_in)
+        for child in pair:
+            heappush(heap, (-child[1].bit_count(), child))
+    seeds, stack = [], [root_state(rs)]
+    while stack:
+        if (state := stack.pop()) in split:
+            stack += reversed(split[state])
+        else:
+            seeds.append(state)
+    return seeds
 
 
 def enumerate_ideal_masks(rs: RootSystem) -> list[int]:
     """Every ideal of the root system as a bit mask, ascending."""
-    return sorted(mask for block in walk(rs, [root_state(rs)], 4096) for mask in block)
+    return [mask for block in walk(rs, [root_state(rs)], 4096) for mask in block]

@@ -649,15 +649,15 @@ def class_distribution(
     ideals.  `workers` is an upper bound (`resolve_workers`): a run starts
     no more processes than it has full blocks, so a type of fewer than two
     blocks (E6, E7) is serial at any count.  More workers share the walk's
-    first-level subtrees (`partition_seeds`), dealt out in turn into
+    root split into states (`partition_seeds`), dealt out in turn into
     k = min(seeds, `POOL_GROUPS_PER_WORKER` x workers) groups, on the
-    capped worker count; each group is one pool
-    task, one walk with the group's seeds as its first stack, in the same
-    block loop.  The parts (blocks or groups) merge by addition, so the
-    histogram is the same for any worker count.  `budget` caps wall time
-    in seconds, checked in every process once per block; `progress` is
-    called after each part with (done, total) ideal counts, total being
-    the product formula's.  A pool worker that dies raises BrokenProcessPool.
+    capped worker count; each group is one pool task, one walk of the
+    group's seeds in order, in the same block loop.  The parts (blocks or
+    groups) merge by addition, so the histogram is the same for any worker
+    count.  `budget` caps wall time in seconds, checked in every process
+    once per block; `progress` is called after each part with (done,
+    total) ideal counts, total being the product formula's.  A pool worker
+    that dies raises BrokenProcessPool.
     """
     _class_function(rs, method)  # refuse a bad method before any work
     deadline = budget_deadline(budget)

@@ -261,11 +261,6 @@ class RootSystem:
         for k in by_height:
             for j in self.covers[k]:
                 self.below_masks[j] |= self.below_masks[k] | 1 << k
-        # the roots after i incomparable to it, free to join an antichain after i
-        self.incomparable_masks: list[int] = [
-            (1 << size) - (2 << i) & ~(up | down)
-            for i, (up, down) in enumerate(zip(self.filter_masks, self.below_masks))
-        ]
         tops = [k for k in range(size) if self.filter_masks[k] == 1 << k]
         self.highest_index: int | None = tops[0] if len(tops) == 1 else None
         self.highest_root: Root | None = roots[tops[0]] if len(tops) == 1 else None

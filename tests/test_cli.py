@@ -393,6 +393,21 @@ def test_verify_max_rank_holds(capsys: pytest.CaptureFixture) -> None:
     assert out.endswith("\n1/1 checks passed (agreement)\n")
 
 
+def test_verify_refuses_agreement_options_on_other_suites(capsys: pytest.CaptureFixture) -> None:
+    # --family and --max-rank restrict the agreement suite only: another
+    # suite would run whole, every family and rank, and pass
+    for suite in ("paths", "table1"):
+        for extra in (["--family", "A"], ["--max-rank", "2"],
+                      ["--family", "A", "--max-rank", "2"], ["--max-rank", "0"]):
+            code = main(["verify", "--suite", suite, *extra])
+            captured = capsys.readouterr()
+            assert code == 2, (suite, extra)
+            assert captured.err == (
+                f"error: --family and --max-rank apply to agreement only, not {suite}\n"
+            )
+            assert captured.out == ""
+
+
 def test_preflight_refuses_huge_types(capsys: pytest.CaptureFixture) -> None:
     assert total_count_formula("A14") <= MAX_IDEALS < total_count_formula("A15")
     too_many = "ideals, more than the 10000000 a run may enumerate"

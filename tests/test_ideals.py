@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 from array import array
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, strategies as st
@@ -49,11 +50,12 @@ def test_every_enumerated_mask_is_upward_closed() -> None:
             assert is_upward_closed(rs, mask), (label, mask)
 
 
-def test_masks_are_ascending_and_unique() -> None:
-    rs = build_root_system("C3")
+@pytest.mark.parametrize("label", [*SMALL_TYPES, "A10", "E8"])
+def test_masks_are_ascending_and_unique(label: str) -> None:
+    rs = build_root_system(label)
     masks = enumerate_ideal_masks(rs)
     assert masks == sorted(set(masks))
-    assert masks[0] == 0
+    assert masks[0] == 0 and masks[-1] == (1 << len(rs)) - 1
 
 
 def test_antichain_ideal_bijection_exhaustive() -> None:
@@ -98,14 +100,20 @@ def _walked(rs, seeds, size: int = 4096) -> list[int]:
 
 
 def test_partition_seeds_cover_exactly_once() -> None:
-    # the seeds are the root's children: the empty ideal with nothing free,
-    # then root i's principal filter with the roots after i it may join
+    # the root state split into 2 x (roots + 1) states, or into single
+    # ideals where there are fewer; each seed walked alone, in order
     for label in SMALL_TYPES:
         rs = build_root_system(label)
         seeds = partition_seeds(rs)
-        assert seeds[0] == (0, 0) and len(seeds) == len(rs) + 1, label
+        assert len(seeds) == min(2 * (len(rs) + 1), total_count_formula(rs)), label
         combined = [ideal for seed in seeds for ideal in _walked(rs, [seed])]
-        assert sorted(combined) == enumerate_ideal_masks(rs), label
+        assert combined == enumerate_ideal_masks(rs), label
+
+
+@pytest.mark.parametrize("label", [*SMALL_TYPES, "A10", "E8"])
+def test_one_walk_of_the_seeds_in_order_is_the_enumeration(label: str) -> None:
+    rs = build_root_system(label)
+    assert _walked(rs, partition_seeds(rs)) == enumerate_ideal_masks(rs)
 
 
 def test_partition_seeds_are_balanced() -> None:
@@ -147,13 +155,19 @@ def test_walk_of_no_seed_or_a_finished_state() -> None:
     full = (1 << len(rs)) - 1
     for ideal in (0, full, rs.filter_masks[2]):
         assert list(walk(rs, [(ideal, 0)], 4096)) == [[ideal]]
-    assert list(walk(rs, [(0, 0), (full, 0)], 1)) == [[full], [0]]
+    assert list(walk(rs, [(0, 0), (full, 0)], 1)) == [[0], [full]]  # seed by seed
 
 
 def _dfs_walk(rs, seeds) -> list[int]:
-    """The walk without its memo, as reference: every ideal below the
-    states `seeds` in DFS order, each state expanded in full."""
-    filters, incomparable = rs.filter_masks, rs.incomparable_masks
+    """An antichain DFS, as reference: every ideal below the states `seeds`,
+    each a pair (ideal, roots that may still join its antichain), in DFS
+    order.  A state's children join one free root i each, and keep free
+    the roots after i that are incomparable to it."""
+    filters = rs.filter_masks
+    incomparable = [
+        (1 << len(rs)) - (2 << i) & ~(up | down)
+        for i, (up, down) in enumerate(zip(filters, rs.below_masks))
+    ]
     stack = list(seeds)
     out: list[int] = []
     while stack:
@@ -170,22 +184,42 @@ def _dfs_walk(rs, seeds) -> list[int]:
     return out
 
 
+def _sorted_dfs(rs) -> list[int]:
+    return sorted(_dfs_walk(rs, [root_state(rs)]))
+
+
 def _chunks(masks: list[int], size: int) -> list[list[int]]:
     return [masks[start:start + size] for start in range(0, len(masks), size)]
 
 
+def _sorted_dfs_below(rs, states: list) -> dict:
+    """The ideals below each of the ascending `states`, in ascending order,
+    cut from the sorted antichain DFS: each mask goes to the last state
+    whose ideal it does not precede, and must hold that ideal and agree
+    with it outside the state's undecided roots."""
+    below: dict = {state: [] for state in states}
+    starts = [ideal for ideal, _ in states]
+    for mask in _sorted_dfs(rs):
+        ideal, undecided = state = states[bisect_right(starts, mask) - 1]
+        assert mask & ~undecided == ideal, (state, mask)
+        below[state].append(mask)
+    return below
+
+
 @pytest.mark.parametrize("label", [*SMALL_TYPES, "A10", "B8", "C8", "D8", "E8"])
 def test_walk_replays_the_plain_dfs_block_for_block(label: str) -> None:
-    # the memo's replays leave every block and its order as the plain DFS
-    # gives them: from the root state, from all the seeds reversed, and
-    # from every grouping of the seeds, each group a walk of its own as a
-    # pool task is
+    # the memo's replays leave every block as the sorted antichain DFS
+    # cuts it: from the root state, from all the seeds in order, and from
+    # every grouping of the seeds, each group a walk of its own as a pool
+    # task is
     rs = build_root_system(label)
     seeds = partition_seeds(rs)
-    groupings = [[[root_state(rs)]], [seeds[::-1]]]
-    groupings += [[seeds[i::k] for i in range(k)] for k in (2, 3, 8)]
-    for groups in groupings:
-        want = [_dfs_walk(rs, group) for group in groups]
+    below = _sorted_dfs_below(rs, seeds)
+    groupings = [[seeds[i::k] for i in range(k)] for k in (1, 2, 3, 8)]
+    wants = [[_sorted_dfs(rs)]]
+    wants += [[[mask for seed in group for mask in below[seed]] for group in groups]
+              for groups in groupings]
+    for groups, want in zip([[[root_state(rs)]], *groupings], wants):
         for size in (1, 5, 7, 4096):
             got = [list(walk(rs, group, size)) for group in groups]
             assert got == [_chunks(masks, size) for masks in want], (size, len(groups))
@@ -196,9 +230,9 @@ def _walk_memos(monkeypatch: pytest.MonkeyPatch) -> list:
     memos = []
     descend = ideals._descend
 
-    def spy(filters, incomparable, memo, *rest):
+    def spy(decisions, memo, *rest):
         memos.append(memo)
-        return descend(filters, incomparable, memo, *rest)
+        return descend(decisions, memo, *rest)
 
     monkeypatch.setattr(ideals, "_descend", spy)
     return memos
@@ -206,20 +240,20 @@ def _walk_memos(monkeypatch: pytest.MonkeyPatch) -> list:
 
 def test_memo_stores_no_list_longer_than_a_block(monkeypatch: pytest.MonkeyPatch) -> None:
     # a subtree of more ideals than a block is walked as is at every
-    # sighting, and a free set of at most one root is never stored
+    # sighting, and an undecided set of at most one root is never stored
     memos = _walk_memos(monkeypatch)
     rs = build_root_system("A10")
-    assert list(walk(rs, [root_state(rs)], 64)) == _chunks(_dfs_walk(rs, [root_state(rs)]), 64)
+    assert list(walk(rs, [root_state(rs)], 64)) == _chunks(_sorted_dfs(rs), 64)
     memo = memos[0]
     assert all(m is memo for m in memos)  # one memo for the whole walk
     stored = [below for below in memo.values() if below]
     assert stored and max(map(len, stored)) <= 64
     assert all(isinstance(below, array) for below in stored)  # 55 roots: 8-byte words
     assert None in memo.values()  # some subtree held more than 64 ideals
-    assert all(free.bit_count() > 1 for free in memo)
+    assert all(undecided.bit_count() > 1 for undecided in memo)
     memos.clear()
     rs = build_root_system("A11")  # 66 roots: kept as lists of ints
-    assert list(walk(rs, [root_state(rs)], 4096)) == _chunks(_dfs_walk(rs, [root_state(rs)]), 4096)
+    assert list(walk(rs, [root_state(rs)], 4096)) == _chunks(_sorted_dfs(rs), 4096)
     assert all(type(below) is list for below in memos[0].values() if below)
 
 
@@ -249,7 +283,7 @@ def test_only_classical_types_of_a_full_block_keep_a_memo(monkeypatch: pytest.Mo
     cases = (("E7", False), ("C7", False), ("E8", False), ("A8", True), ("D8", True))
     for label, memo_kept in cases:
         rs = build_root_system(label)  # 4160, 3432, 25080, 4862 and 9438 ideals
-        want = _chunks(_dfs_walk(rs, [root_state(rs)]), 4096)
+        want = _chunks(_sorted_dfs(rs), 4096)
         memos.clear()
         assert list(walk(rs, [root_state(rs)], 4096)) == want
         assert {memo is not None for memo in memos} == {memo_kept}, label

@@ -952,7 +952,7 @@ def test_method_family_validation() -> None:
 
 
 def test_parallel_distribution_matches_serial() -> None:
-    # the pool takes the walk's first-level subtrees as seeds: cover
+    # the pool takes the walk's split states as seeds: cover
     # every classical family, on types of two full blocks or more, so
     # that a real pool of 2 runs
     for label in ("A9", "B8", "C8", "D8"):
@@ -1048,22 +1048,23 @@ def inline_pool(monkeypatch: pytest.MonkeyPatch) -> dict[str, list]:
 def test_pool_is_capped_at_the_seed_count(
     monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture, inline_pool: dict
 ) -> None:
-    # blocks of one ideal, so that A2's block cap (5 processes) lies above
-    # its seed cap (4 seeds)
+    # blocks of one ideal, so that A4's block cap (42 processes) lies above
+    # its seed cap (22 seeds)
     monkeypatch.setattr(nilpotence, "BUDGET_BLOCK", 1)
     requested = inline_pool["sizes"]
-    rs = build_root_system("A2")
-    assert len(partition_seeds(rs)) == 4
-    assert resolve_workers(10**9, 5) == 5
-    assert class_distribution(rs, workers=10**9) == {0: 1, 1: 3, 2: 1}
+    rs = build_root_system("A4")
+    dist = {0: 1, 1: 15, 2: 18, 3: 7, 4: 1}
+    assert len(partition_seeds(rs)) == 22
+    assert resolve_workers(10**9, 42) == 42
+    assert class_distribution(rs, workers=10**9) == dist
     monkeypatch.setenv("ADNIL_WORKERS", str(10**9))
-    assert class_distribution(rs) == {0: 1, 1: 3, 2: 1}
-    assert main(["table", "--type", "A2", "--workers", str(10**9)]) == 0
-    assert capsys.readouterr().out == "K,count\n0,1\n1,3\n2,1\ntotal,5\n"
-    assert requested == [4, 4, 4]
+    assert class_distribution(rs) == dist
+    assert main(["table", "--type", "A4", "--workers", str(10**9)]) == 0
+    assert capsys.readouterr().out == "K,count\n0,1\n1,15\n2,18\n3,7\n4,1\ntotal,42\n"
+    assert requested == [22, 22, 22]
     # a cap of one runs serially, with no pool at all
-    assert class_distribution(rs, workers=1) == {0: 1, 1: 3, 2: 1}
-    assert requested == [4, 4, 4]
+    assert class_distribution(rs, workers=1) == dist
+    assert requested == [22, 22, 22]
 
 
 def test_pool_starts_no_more_processes_than_full_blocks(
@@ -1122,8 +1123,9 @@ def test_pool_takes_interleaved_seed_groups(
 ) -> None:
     # k = min(seeds, 4 x workers) tasks, seed i going to task i mod k, and
     # no more processes than tasks; A2 runs in blocks of one ideal, so that
-    # its 5 ideals allow 3 processes and its 4 seeds cap the tasks
-    for label, workers, k in (("E8", 2, 8), ("E8", 3, 12), ("A2", 3, 4)):
+    # its 5 ideals allow 3 processes and its 5 seeds, one ideal each, cap
+    # the tasks
+    for label, workers, k in (("E8", 2, 8), ("E8", 3, 12), ("A2", 3, 5)):
         if label == "A2":
             monkeypatch.setattr(nilpotence, "BUDGET_BLOCK", 1)
         rs = build_root_system(label)

@@ -198,8 +198,6 @@ def _tuple_sum_tables(rs) -> dict:
         "covers": covers,
         "filter_masks": up,
         "below_masks": below,
-        "incomparable_masks": [sum(1 << j for j in range(i + 1, len(roots)) if not (f | b) >> j & 1)
-                               for i, (f, b) in enumerate(zip(up, below))],
     }
 
 
@@ -233,9 +231,6 @@ def test_order_masks() -> None:
                 assert up == root_leq(ri, rj), (label, i, j)
                 down = bool(rs.below_masks[i] >> j & 1)
                 assert down == (root_leq(rj, ri) and i != j), (label, i, j)
-                later = j > i and not up and not down
-                assert bool(rs.incomparable_masks[i] >> j & 1) == later, (label, i, j)
-            assert rs.incomparable_masks[i] >> len(roots) == 0, label
         maxima = [i for i, ri in enumerate(roots) if not any(
             root_leq(ri, rj) and ri != rj for rj in roots)]
         assert rs.highest_index == (maxima[0] if len(maxima) == 1 else None), label
