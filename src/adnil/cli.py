@@ -209,6 +209,10 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.suite != "agreement" and (args.family or args.max_rank is not None):
         raise ValueError(f"--family and --max-rank apply to agreement only, not {args.suite}")
+    if args.suite != "table1" and args.workers is not None:
+        raise ValueError(f"--workers applies to table1 only, not {args.suite}")
+    if args.suite not in ("agreement", "table1") and args.budget is not None:
+        raise ValueError(f"--budget applies to agreement and table1 only, not {args.suite}")
     results = run_suite(
         args.suite,
         family=args.family,

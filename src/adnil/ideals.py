@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, Sequence
 from .rootsys import RootSystem, total_count_formula
 
 Seed = tuple[int, int]  # a walk state (ideal mask, mask of the roots still undecided)
-Memo = dict[int, Sequence[int] | bool | None]  # a walk's subtrees by undecided set (`walk`)
+Memo = dict[int, Sequence[int] | bool]  # a walk's subtrees by undecided set (`walk`)
 
 
 def mask_indices(mask: int) -> list[int]:
@@ -52,8 +52,17 @@ def _decisions(rs: RootSystem) -> list[tuple[int, int, int]]:
             for k, (up, down) in enumerate(zip(rs.filter_masks, rs.below_masks))]
 
 
+def _size(decisions: list[tuple[int, int, int]], sizes: dict[int, int], und: int) -> int:
+    """The number of ideals below (0, und), kept per set in `sizes` (seeded {0: 1})."""
+    if (size := sizes.get(und)) is None:
+        _, keep_in, keep_out = decisions[und.bit_length() - 1]
+        size = _size(decisions, sizes, und & keep_out) + _size(decisions, sizes, und & keep_in)
+        sizes[und] = size
+    return size
+
+
 def _descend(
-    decisions: list[tuple[int, int, int]], memo: Memo | None,
+    decisions: list[tuple[int, int, int]], memo: Memo | None, sizes: dict[int, int],
     stack: list[Seed], out: list[int], limit: int,
 ) -> None:
     """Pop states off `stack` and append their ideals to `out`, in walk
@@ -62,33 +71,27 @@ def _descend(
     The ideals below (ideal, und) are ideal | u for u in U(und), those
     below (0, und).  So `memo`, unless None, maps an undecided set of two
     roots or more to False once seen, then to U(und) (an array of 8-byte
-    words over at most 64 roots) if it holds fewer than `limit` masks, else
-    to None.  U(und) is walked by a call of its own; one cut short hands
-    its unwalked states back to `stack`, shifted by the ideal."""
+    words over at most 64 roots) if it holds fewer than `limit` masks
+    (`_size`), walked from its two children by a call of its own."""
     while stack and len(out) < limit:
         ideal, und = stack.pop()
         if memo is not None and und.bit_count() > 1:
-            known = memo.get(und, 0)
-            if known:
-                out += [ideal | u for u in known]
-                continue
-            if known is False:
-                memo[und] = None  # its own walk below walks it as is
-                below: list[int] = []
-                left = [(0, und)]
-                _descend(decisions, memo, left, below, limit)
-                if left:
-                    stack += [(ideal | mask, rest) for mask, rest in left]
-                elif len(below) < limit:
+            known = memo.get(und)
+            if known is None:
+                memo[und] = False
+            elif known or _size(decisions, sizes, und) < limit:
+                if not known:
+                    up, keep_in, keep_out = decisions[und.bit_length() - 1]
+                    below: list[int] = []
+                    _descend(decisions, memo, sizes, [(up, und & keep_in), (0, und & keep_out)],
+                             below, limit)
                     # imported on first use: a process that walks no memo
                     # never loads the array module (about 76 KiB of RSS)
                     from array import array
 
-                    memo[und] = array("Q", below) if len(decisions) <= 64 else below
-                out += [ideal | u for u in below]
+                    memo[und] = known = array("Q", below) if len(decisions) <= 64 else below
+                out += [ideal | u for u in known]
                 continue
-            if known is not None:
-                memo[und] = False
         while und & (und - 1):
             up, keep_in, keep_out = decisions[und.bit_length() - 1]
             stack.append((ideal | up, und & keep_in))
@@ -109,10 +112,11 @@ def walk(rs: RootSystem, seeds: Iterable[Seed], size: int) -> Iterator[list[int]
     one repeats too little, an exceptional one has many small subtrees."""
     memo: Memo | None = {} if rs.rows and total_count_formula(rs) >= size else None
     decisions = _decisions(rs)
+    sizes = {0: 1}
     stack = list(seeds)[::-1]
     block: list[int] = []
     while stack:
-        _descend(decisions, memo, stack, block, size + 1)
+        _descend(decisions, memo, sizes, stack, block, size + 1)
         while len(block) >= size:  # a yielded block is not also kept in `block`
             chunk, block = block[:size], block[size:]
             yield chunk
@@ -125,26 +129,26 @@ def root_state(rs: RootSystem) -> Seed:
     return 0, (1 << len(rs)) - 1
 
 
-def partition_seeds(rs: RootSystem) -> list[Seed]:
-    """The root state split, most undecided roots first, into 2 x (len(rs)
-    + 1) states or single ideals, ascending; any grouping walks each once."""
-    from heapq import heappop, heappush  # imported here: a serial run never loads it
+def partition_seeds(rs: RootSystem, parts: int) -> list[list[Seed]]:
+    """The walk's ideals cut into `parts` ranges of the ascending order,
+    rank r in range r x parts // total: the non-empty ranges, ascending, as
+    lists of states.  A state, in walk order, goes whole into the range of
+    its first ideal if its last one falls there too; else it is split."""
     decisions = _decisions(rs)
-    split: dict[Seed, tuple[Seed, Seed]] = {}
-    heap = [(-len(rs), root_state(rs))]
-    while heap[0][0] and len(split) <= 2 * len(rs):
-        ideal, und = state = heappop(heap)[1]
-        up, keep_in, keep_out = decisions[und.bit_length() - 1]
-        split[state] = pair = (ideal, und & keep_out), (ideal | up, und & keep_in)
-        for child in pair:
-            heappush(heap, (-child[1].bit_count(), child))
-    seeds, stack = [], [root_state(rs)]
+    sizes = {0: 1}
+    total = _size(decisions, sizes, root_state(rs)[1])
+    groups: list[list[Seed]] = [[] for _ in range(parts)]
+    done, stack = 0, [root_state(rs)]
     while stack:
-        if (state := stack.pop()) in split:
-            stack += reversed(split[state])
+        ideal, und = stack.pop()
+        size = _size(decisions, sizes, und)
+        if (group := done * parts // total) == (done + size - 1) * parts // total:
+            groups[group].append((ideal, und))
+            done += size
         else:
-            seeds.append(state)
-    return seeds
+            up, keep_in, keep_out = decisions[und.bit_length() - 1]
+            stack += [(ideal | up, und & keep_in), (ideal, und & keep_out)]
+    return [group for group in groups if group]
 
 
 def enumerate_ideal_masks(rs: RootSystem) -> list[int]:

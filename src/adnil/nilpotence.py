@@ -648,26 +648,22 @@ def class_distribution(
     One worker walks the root state in full blocks of `BUDGET_BLOCK`
     ideals.  `workers` is an upper bound (`resolve_workers`): a run starts
     no more processes than it has full blocks, so a type of fewer than two
-    blocks (E6, E7) is serial at any count.  More workers share the walk's
-    root split into states (`partition_seeds`), dealt out in turn into
-    k = min(seeds, `POOL_GROUPS_PER_WORKER` x workers) groups, on the
-    capped worker count; each group is one pool task, one walk of the
-    group's seeds in order, in the same block loop.  The parts (blocks or
-    groups) merge by addition, so the histogram is the same for any worker
-    count.  `budget` caps wall time in seconds, checked in every process
-    once per block; `progress` is called after each part with (done,
-    total) ideal counts, total being the product formula's.  A pool worker
-    that dies raises BrokenProcessPool.
+    blocks (E6, E7) is serial at any count.  More workers cut the ascending
+    order into `POOL_GROUPS_PER_WORKER` ranges per worker of the capped
+    count (`partition_seeds`), one pool task each, walked in the same block
+    loop.  The parts (blocks or ranges) merge by addition, so the histogram
+    is the same for any worker count.  `budget` caps wall time in seconds,
+    checked in every process once per block; `progress` is called after
+    each part with (done, total) ideal counts, total being the product
+    formula's.  A pool worker that dies raises BrokenProcessPool.
     """
     _class_function(rs, method)  # refuse a bad method before any work
     deadline = budget_deadline(budget)
     total = total_count_formula(rs)
     nworkers = resolve_workers(workers, total)
     if nworkers > 1:
-        seeds = partition_seeds(rs)
-        k = min(len(seeds), POOL_GROUPS_PER_WORKER * nworkers)
-        groups = [seeds[i::k] for i in range(k)]  # a process idles without a group
-        parts = _pooled(min(nworkers, k), (rs, method, deadline), groups)
+        groups = partition_seeds(rs, POOL_GROUPS_PER_WORKER * nworkers)
+        parts = _pooled(nworkers, (rs, method, deadline), groups)
     else:
         parts = (Counter(classes) for _, classes in classified_blocks(rs, method, deadline))
     hist: Counter = Counter()

@@ -274,7 +274,7 @@ def test_verify_reports_failure(
     import adnil.checks as checks
 
     monkeypatch.setattr(checks, "total_count_formula", lambda lt: 999)
-    code, out = run_cli(capsys, ["verify", "--suite", "totals", "--workers", "1"])
+    code, out = run_cli(capsys, ["verify", "--suite", "totals"])
     assert code == 1
     assert "FAIL" in out
     # first failure stops the report
@@ -406,6 +406,29 @@ def test_verify_refuses_agreement_options_on_other_suites(capsys: pytest.Capture
                 f"error: --family and --max-rank apply to agreement only, not {suite}\n"
             )
             assert captured.out == ""
+
+
+def test_verify_refuses_workers_and_budget_where_no_suite_reads_them(
+    capsys: pytest.CaptureFixture,
+) -> None:
+    # only table1 runs a pool, and only agreement and table1 read the
+    # clock: another suite would run whole, uncapped, and pass
+    cases = [(suite, ["--workers", "4"], f"--workers applies to table1 only, not {suite}")
+             for suite in ("agreement", "series", "totals")]
+    cases += [(suite, ["--budget", "0.000001"],
+               f"--budget applies to agreement and table1 only, not {suite}")
+              for suite in ("series", "totals", "paths")]
+    cases.append(("series", ["--workers", "4", "--budget", "0.000001"],
+                  "--workers applies to table1 only, not series"))
+    for suite, extra, message in cases:
+        code = main(["verify", "--suite", suite, *extra])
+        captured = capsys.readouterr()
+        assert code == 2, (suite, extra)
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+    code, out = run_cli(capsys, ["verify", "--suite", "agreement", "--family", "B",
+                                 "--max-rank", "2", "--budget", "60"])
+    assert code == 0 and out.endswith("\n1/1 checks passed (agreement)\n")
 
 
 def test_preflight_refuses_huge_types(capsys: pytest.CaptureFixture) -> None:

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import gc
 from array import array
-from bisect import bisect_right
 
 import pytest
 from hypothesis import given, strategies as st
@@ -99,54 +98,110 @@ def _walked(rs, seeds, size: int = 4096) -> list[int]:
     return [mask for block in walk(rs, seeds, size) for mask in block]
 
 
-def test_partition_seeds_cover_exactly_once() -> None:
-    # the root state split into 2 x (roots + 1) states, or into single
-    # ideals where there are fewer; each seed walked alone, in order
+def _size(rs, und: int) -> int:
+    return ideals._size(ideals._decisions(rs), {0: 1}, und)
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_size_of_the_root_state_is_the_product_formula(family: str) -> None:
+    # counted without listing, from the undecided sets alone
+    for rank in range(1 if family == "A" else 2, 13):
+        rs = build_root_system(f"{family}{rank}")
+        assert _size(rs, root_state(rs)[1]) == total_count_formula(rs), rank
+    for label in ("G2", "F4", "E6", "E7", "E8"):
+        rs = build_root_system(label)
+        assert _size(rs, root_state(rs)[1]) == total_count_formula(rs), label
+
+
+def test_size_of_every_split_state_is_its_walk() -> None:
+    # the ideals below (ideal, und) are ideal | u for those below (0, und)
     for label in SMALL_TYPES:
         rs = build_root_system(label)
-        seeds = partition_seeds(rs)
-        assert len(seeds) == min(2 * (len(rs) + 1), total_count_formula(rs)), label
-        combined = [ideal for seed in seeds for ideal in _walked(rs, [seed])]
-        assert combined == enumerate_ideal_masks(rs), label
+        for parts in (3, 8):
+            for ideal, und in (state for group in partition_seeds(rs, parts) for state in group):
+                assert _size(rs, und) == len(_walked(rs, [(ideal, und)])), (label, ideal, und)
+
+
+def _sorted_dfs(rs) -> list[int]:
+    return sorted(_dfs_walk(rs, [root_state(rs)]))
+
+
+def _ranges(masks: list[int], parts: int) -> list[list[int]]:
+    """The non-empty ranges of `masks`, the one of rank r being r x parts
+    // len(masks)."""
+    total = len(masks)
+    cuts = [-(-j * total // parts) for j in range(parts + 1)]  # the first rank of range j
+    return [masks[start:end] for start, end in zip(cuts, cuts[1:]) if start < end]
+
+
+def _chunks(masks: list[int], size: int) -> list[list[int]]:
+    return [masks[start:start + size] for start in range(0, len(masks), size)]
+
+
+def test_partition_seeds_cover_exactly_once() -> None:
+    # each state walked alone, in order, group by group, lists every ideal
+    # ascending; the groups are the ranges of the ascending order, one per
+    # part while there are as many ideals
+    for label in SMALL_TYPES:
+        rs = build_root_system(label)
+        want = _sorted_dfs(rs)
+        for parts in (1, 2, 3, 8, 100):
+            groups = partition_seeds(rs, parts)
+            assert len(groups) == min(parts, len(want)), (label, parts)
+            got = [[mask for state in group for mask in _walked(rs, [state])] for group in groups]
+            assert got == _ranges(want, parts), (label, parts)
 
 
 @pytest.mark.parametrize("label", [*SMALL_TYPES, "A10", "E8"])
 def test_one_walk_of_the_seeds_in_order_is_the_enumeration(label: str) -> None:
     rs = build_root_system(label)
-    assert _walked(rs, partition_seeds(rs)) == enumerate_ideal_masks(rs)
+    want = enumerate_ideal_masks(rs)
+    for parts in (1, 3, 8):
+        seeds = [state for group in partition_seeds(rs, parts) for state in group]
+        assert _walked(rs, seeds) == want, parts
 
 
 def test_partition_seeds_are_balanced() -> None:
-    # a pool can only be as fast as its largest seed
+    # a pool can only be as fast as its largest group: the groups' sizes
+    # are within one of each other
     for label in ("E8", "A10", "B8", "C8", "D8"):
         rs = build_root_system(label)
-        sizes = [len(_walked(rs, [seed])) for seed in partition_seeds(rs)]
-        assert sum(sizes) == total_count_formula(rs), label
-        assert max(sizes) <= 0.3 * sum(sizes), (label, max(sizes), sum(sizes))
+        for parts in (2, 8, 12):
+            sizes = [len(_walked(rs, group)) for group in partition_seeds(rs, parts)]
+            assert sum(sizes) == total_count_formula(rs), label
+            assert len(sizes) == parts and max(sizes) - min(sizes) <= 1, (label, sizes)
 
 
 @pytest.mark.parametrize("size", [1, 7, 4096])
 def test_walk_blocks_are_full_but_the_last(size: int) -> None:
+    def full_but_the_last(count: int) -> list[int]:
+        return [size] * (count // size) + [count % size] * (count % size > 0)
+
     for label in ("A1", "D4", "C5", "E6"):
         rs = build_root_system(label)
-        for seeds in ([root_state(rs)], partition_seeds(rs)):
+        total = total_count_formula(rs)
+        groups = partition_seeds(rs, 3)
+        for seeds in ([root_state(rs)], [state for group in groups for state in group]):
             sizes = [len(block) for block in walk(rs, seeds, size)]
-            total = total_count_formula(rs)
-            assert sizes == [size] * (total // size) + [total % size] * (total % size > 0), label
+            assert sizes == full_but_the_last(total), label
+        for group in groups:
+            sizes = [len(block) for block in walk(rs, group, size)]
+            assert sizes == full_but_the_last(len(_walked(rs, group))), label
 
 
 @pytest.mark.parametrize("label", SMALL_TYPES)  # reducible D2 and A1 among them
 def test_any_grouping_of_the_seeds_walks_every_ideal_once(label: str) -> None:
-    # a pool task walks one group of seeds as one walk, with all of them
-    # on its first stack
+    # a pool task walks one group of states as one walk, with all of them
+    # on its first stack; every group lists its own range
     rs = build_root_system(label)
-    want = enumerate_ideal_masks(rs)
+    want = _sorted_dfs(rs)
+    assert want == enumerate_ideal_masks(rs)
     assert len(set(want)) == len(want) == total_count_formula(rs)
-    seeds = partition_seeds(rs)
+    seeds = [state for group in partition_seeds(rs, 8) for state in group]
     assert sorted(_walked(rs, seeds[::-1], 7)) == want
-    for k in (1, 2, 3, 8):
-        groups = [seeds[i::k] for i in range(k)]
-        assert sorted(mask for group in groups for mask in _walked(rs, group, 5)) == want, k
+    for parts in (1, 2, 3, 8, 100):
+        groups = partition_seeds(rs, parts)
+        assert [_walked(rs, group, 5) for group in groups] == _ranges(want, parts), parts
 
 
 def test_walk_of_no_seed_or_a_finished_state() -> None:
@@ -184,45 +239,19 @@ def _dfs_walk(rs, seeds) -> list[int]:
     return out
 
 
-def _sorted_dfs(rs) -> list[int]:
-    return sorted(_dfs_walk(rs, [root_state(rs)]))
-
-
-def _chunks(masks: list[int], size: int) -> list[list[int]]:
-    return [masks[start:start + size] for start in range(0, len(masks), size)]
-
-
-def _sorted_dfs_below(rs, states: list) -> dict:
-    """The ideals below each of the ascending `states`, in ascending order,
-    cut from the sorted antichain DFS: each mask goes to the last state
-    whose ideal it does not precede, and must hold that ideal and agree
-    with it outside the state's undecided roots."""
-    below: dict = {state: [] for state in states}
-    starts = [ideal for ideal, _ in states]
-    for mask in _sorted_dfs(rs):
-        ideal, undecided = state = states[bisect_right(starts, mask) - 1]
-        assert mask & ~undecided == ideal, (state, mask)
-        below[state].append(mask)
-    return below
-
-
 @pytest.mark.parametrize("label", [*SMALL_TYPES, "A10", "B8", "C8", "D8", "E8"])
 def test_walk_replays_the_plain_dfs_block_for_block(label: str) -> None:
     # the memo's replays leave every block as the sorted antichain DFS
-    # cuts it: from the root state, from all the seeds in order, and from
-    # every grouping of the seeds, each group a walk of its own as a pool
-    # task is
+    # cuts it: from the root state (one part), and from every range of the
+    # ascending order, each range a walk of its own as a pool task is
     rs = build_root_system(label)
-    seeds = partition_seeds(rs)
-    below = _sorted_dfs_below(rs, seeds)
-    groupings = [[seeds[i::k] for i in range(k)] for k in (1, 2, 3, 8)]
-    wants = [[_sorted_dfs(rs)]]
-    wants += [[[mask for seed in group for mask in below[seed]] for group in groups]
-              for groups in groupings]
-    for groups, want in zip([[[root_state(rs)]], *groupings], wants):
+    want = _sorted_dfs(rs)
+    assert partition_seeds(rs, 1) == [[root_state(rs)]]
+    for parts in (1, 2, 3, 8):
+        groups = partition_seeds(rs, parts)
         for size in (1, 5, 7, 4096):
             got = [list(walk(rs, group, size)) for group in groups]
-            assert got == [_chunks(masks, size) for masks in want], (size, len(groups))
+            assert got == [_chunks(masks, size) for masks in _ranges(want, parts)], (parts, size)
 
 
 def _walk_memos(monkeypatch: pytest.MonkeyPatch) -> list:
@@ -246,15 +275,33 @@ def test_memo_stores_no_list_longer_than_a_block(monkeypatch: pytest.MonkeyPatch
     assert list(walk(rs, [root_state(rs)], 64)) == _chunks(_sorted_dfs(rs), 64)
     memo = memos[0]
     assert all(m is memo for m in memos)  # one memo for the whole walk
-    stored = [below for below in memo.values() if below]
-    assert stored and max(map(len, stored)) <= 64
-    assert all(isinstance(below, array) for below in stored)  # 55 roots: 8-byte words
-    assert None in memo.values()  # some subtree held more than 64 ideals
+    stored = {undecided: below for undecided, below in memo.items() if below}
+    assert stored and max(map(len, stored.values())) <= 64
+    assert all(len(below) == _size(rs, undecided) for undecided, below in stored.items())
+    assert all(isinstance(below, array) for below in stored.values())  # 55 roots: 8-byte words
+    # some subtree held more than 64 ideals
+    assert any(_size(rs, undecided) > 64 for undecided, below in memo.items() if not below)
     assert all(undecided.bit_count() > 1 for undecided in memo)
     memos.clear()
     rs = build_root_system("A11")  # 66 roots: kept as lists of ints
     assert list(walk(rs, [root_state(rs)], 4096)) == _chunks(_sorted_dfs(rs), 4096)
     assert all(type(below) is list for below in memos[0].values() if below)
+
+
+@pytest.mark.parametrize("label, sets, masks", [
+    ("A8", 20, 1420), ("A10", 34, 11922), ("B8", 35, 3416), ("C8", 35, 3416), ("D8", 33, 2469),
+])
+def test_memo_keeps_every_set_of_fewer_ideals_than_a_block_seen_twice(
+    monkeypatch: pytest.MonkeyPatch, label: str, sets: int, masks: int,
+) -> None:
+    # the undecided sets kept, and the masks kept for them, over one walk
+    # of the root state in blocks of 4096
+    memos = _walk_memos(monkeypatch)
+    rs = build_root_system(label)
+    for _ in walk(rs, [root_state(rs)], 4096):
+        pass
+    stored = [below for below in memos[0].values() if below]
+    assert (len(stored), sum(map(len, stored))) == (sets, masks)
 
 
 def test_walk_memo_dies_with_its_walk() -> None:
@@ -287,8 +334,7 @@ def test_only_classical_types_of_a_full_block_keep_a_memo(monkeypatch: pytest.Mo
         memos.clear()
         assert list(walk(rs, [root_state(rs)], 4096)) == want
         assert {memo is not None for memo in memos} == {memo_kept}, label
-    seeds = partition_seeds(rs)
     memos.clear()
-    for group in (seeds[0::2], seeds[1::2]):
+    for group in partition_seeds(rs, 2):
         list(walk(rs, group, 4096))
     assert len({id(memo) for memo in memos}) == 2  # one memo per walk

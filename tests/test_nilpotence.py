@@ -125,14 +125,18 @@ def _classified(rs, method: str = "oracle") -> tuple[list[int], list[int]]:
 
 @pytest.mark.parametrize("label", SMALL_TYPES)
 def test_oracle_matches_bracket_iteration(label: str) -> None:
-    # every ideal of the type in one block, and every seed in its own
+    # every ideal of the type in one block, every range of the pool's
+    # split in its own, and every state of the split in its own
     rs = build_root_system(label)
     masks = _walked(rs)
     want = {mask: bracket_class(rs.positive_roots, mask) for mask in masks}
     assert block_classes(rs, masks) == list(want.values())
-    for seed in partition_seeds(rs):
-        block = _walked(rs, [seed])
-        assert block_classes(rs, block) == [want[mask] for mask in block], seed
+    for group in partition_seeds(rs, 8):
+        block = _walked(rs, group)
+        assert block_classes(rs, block) == [want[mask] for mask in block], group
+        for seed in group:
+            block = _walked(rs, [seed])
+            assert block_classes(rs, block) == [want[mask] for mask in block], seed
     assert class_distribution(rs, workers=1) == dict(sorted(Counter(want.values()).items()))
 
 
@@ -952,7 +956,7 @@ def test_method_family_validation() -> None:
 
 
 def test_parallel_distribution_matches_serial() -> None:
-    # the pool takes the walk's split states as seeds: cover
+    # the pool takes ranges of the walk's ascending order: cover
     # every classical family, on types of two full blocks or more, so
     # that a real pool of 2 runs
     for label in ("A9", "B8", "C8", "D8"):
@@ -1045,26 +1049,28 @@ def inline_pool(monkeypatch: pytest.MonkeyPatch) -> dict[str, list]:
     return record
 
 
-def test_pool_is_capped_at_the_seed_count(
+def test_pool_groups_are_capped_at_the_ideal_count(
     monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture, inline_pool: dict
 ) -> None:
-    # blocks of one ideal, so that A4's block cap (42 processes) lies above
-    # its seed cap (22 seeds)
+    # blocks of one ideal, so that A4's block cap is 42 processes; their
+    # 4 x 42 ranges leave 42 non-empty, one ideal each, one per process
     monkeypatch.setattr(nilpotence, "BUDGET_BLOCK", 1)
     requested = inline_pool["sizes"]
     rs = build_root_system("A4")
     dist = {0: 1, 1: 15, 2: 18, 3: 7, 4: 1}
-    assert len(partition_seeds(rs)) == 22
     assert resolve_workers(10**9, 42) == 42
     assert class_distribution(rs, workers=10**9) == dist
     monkeypatch.setenv("ADNIL_WORKERS", str(10**9))
     assert class_distribution(rs) == dist
     assert main(["table", "--type", "A4", "--workers", str(10**9)]) == 0
     assert capsys.readouterr().out == "K,count\n0,1\n1,15\n2,18\n3,7\n4,1\ntotal,42\n"
-    assert requested == [22, 22, 22]
+    assert requested == [42, 42, 42]
+    groups = [group for group, in inline_pool["tasks"]]
+    assert groups == 3 * partition_seeds(rs, 4 * 42)
+    assert [len(_walked(rs, group)) for group in groups] == [1] * 3 * 42
     # a cap of one runs serially, with no pool at all
     assert class_distribution(rs, workers=1) == dist
-    assert requested == [22, 22, 22]
+    assert requested == [42, 42, 42]
 
 
 def test_pool_starts_no_more_processes_than_full_blocks(
@@ -1098,8 +1104,7 @@ def test_worker_runs_one_root_system_after_another(monkeypatch: pytest.MonkeyPat
     for label in ("D8", "E6", "B8", "D8"):
         rs = build_root_system(label)
         nilpotence._worker_init(rs, "oracle", math.inf)
-        seeds = partition_seeds(rs)
-        hist = sum(map(nilpotence._worker_run, [seeds[i::3] for i in range(3)]), Counter())
+        hist = sum(map(nilpotence._worker_run, partition_seeds(rs, 3)), Counter())
         assert hist == Counter(class_distribution(rs, workers=1)), label
 
 
@@ -1118,32 +1123,33 @@ def test_serial_run_classifies_full_blocks(monkeypatch: pytest.MonkeyPatch) -> N
     assert sizes == [BUDGET_BLOCK] * 6 + [25080 - 6 * BUDGET_BLOCK]
 
 
-def test_pool_takes_interleaved_seed_groups(
+def test_pool_takes_equal_range_groups(
     monkeypatch: pytest.MonkeyPatch, inline_pool: dict
 ) -> None:
-    # k = min(seeds, 4 x workers) tasks, seed i going to task i mod k, and
-    # no more processes than tasks; A2 runs in blocks of one ideal, so that
-    # its 5 ideals allow 3 processes and its 5 seeds, one ideal each, cap
-    # the tasks
+    # 4 x workers tasks, the ranges of the ascending order with sizes
+    # within one, on a pool of the capped worker count; A2 runs in blocks
+    # of one ideal, so that its 5 ideals allow 3 processes and make 5
+    # non-empty ranges of the 12, one ideal each
     for label, workers, k in (("E8", 2, 8), ("E8", 3, 12), ("A2", 3, 5)):
         if label == "A2":
             monkeypatch.setattr(nilpotence, "BUDGET_BLOCK", 1)
         rs = build_root_system(label)
-        seeds = partition_seeds(rs)
-        assert k == min(len(seeds), POOL_GROUPS_PER_WORKER * workers)
         inline_pool["sizes"].clear()
         inline_pool["tasks"].clear()
         assert class_distribution(rs, workers=workers) == class_distribution(rs, workers=1)
-        assert inline_pool["sizes"] == [min(workers, k)]
+        assert inline_pool["sizes"] == [workers]
         groups = [group for group, in inline_pool["tasks"]]
-        assert groups == [seeds[i::k] for i in range(k)]
-        # every seed in exactly one group
-        assert sorted(seed for group in groups for seed in group) == sorted(seeds)
+        assert groups == partition_seeds(rs, POOL_GROUPS_PER_WORKER * workers)
+        walked = [_walked(rs, group) for group in groups]
+        # the groups in order walk every ideal once, ascending
+        assert [mask for masks in walked for mask in masks] == enumerate_ideal_masks(rs)
+        sizes = [len(masks) for masks in walked]
+        assert len(sizes) == k and max(sizes) - min(sizes) <= 1, (label, sizes)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_progress_counts_ideals(workers: int) -> None:
-    # serial parts are blocks, pooled parts are seed groups; either way
+    # serial parts are blocks, pooled parts are ranges; either way
     # the ideals done rise to the product formula's total.  E8 has 7
     # blocks, the last one partial, and pools at 2 workers
     rs = build_root_system("E8")
@@ -1158,8 +1164,8 @@ def test_progress_counts_ideals(workers: int) -> None:
 def test_exceptional_rows_at_any_worker_count() -> None:
     # Table 1: the same rows at 1, 2 and 3 workers.  Only E8 (6 full
     # blocks) runs on real pools of 2 and 3; E6 and E7, under two blocks,
-    # run serially at any count.  E8's 121 seeds make its 12 groups at 3
-    # workers uneven
+    # run serially at any count.  E8's 12 ranges at 3 workers hold 2090
+    # ideals each
     for label in ("E6", "E7", "E8"):
         rs = build_root_system(label)
         want = EXCEPTIONAL_CLASS_COUNTS[label]
