@@ -7,12 +7,42 @@ stored as integer bit masks, bit i marking positive_roots[i].
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+import sys
+from array import array
+from typing import Iterable, Iterator
 
 from .rootsys import RootSystem, total_count_formula
 
 Seed = tuple[int, int]  # a walk state (ideal mask, mask of the roots still undecided)
-Memo = dict[int, Sequence[int] | bool]  # a walk's subtrees by undecided set (`walk`)
+WORD_ROOTS = 64  # a type of at most this many roots has each mask in one 8-byte word
+Block = array | list[int]  # ideal masks: an array of words ("Q") up to WORD_ROOTS roots, else ints
+Memo = dict[int, int | list[int] | bool]  # a walk's subtrees by undecided set (`walk`)
+
+
+def _spread(mask: int, count: int) -> int:
+    """The int whose `count` little-endian 8-byte words all are `mask`."""
+    return int.from_bytes(mask.to_bytes(8, "little") * count, "little")
+
+
+def word_bytes(words: array) -> bytes:
+    """The 8-byte words as little-endian bytes (on a big-endian host
+    `words` is byte-swapped in place first)."""
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words.tobytes()
+
+
+def _pack(words: array, und: int) -> int:
+    """The int whose little-endian 8-byte word i is words[i] & und."""
+    return int.from_bytes(word_bytes(words), "little") & _spread(und, len(words))
+
+
+def _unpack(packed: int, count: int) -> array:
+    """The `count` little-endian 8-byte words of `packed`, as an array."""
+    words = array("Q", packed.to_bytes(8 * count, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
 
 
 def mask_indices(mask: int) -> list[int]:
@@ -63,16 +93,21 @@ def _size(decisions: list[tuple[int, int, int]], sizes: dict[int, int], und: int
 
 def _descend(
     decisions: list[tuple[int, int, int]], memo: Memo | None, sizes: dict[int, int],
-    stack: list[Seed], out: list[int], limit: int,
+    stack: list[Seed], out: Block, limit: int,
 ) -> None:
     """Pop states off `stack` and append their ideals to `out`, in walk
     order, until the stack is empty or `out` holds `limit` masks.  A state
     follows "out" down to its least ideal and pushes each "in" on the way.
     The ideals below (ideal, und) are ideal | u for u in U(und), those
     below (0, und).  So `memo`, unless None, maps an undecided set of two
-    roots or more to False once seen, then to U(und) (an array of 8-byte
-    words over at most 64 roots) if it holds fewer than `limit` masks
-    (`_size`), walked from its two children by a call of its own."""
+    roots or more to False once seen, then, if it holds fewer than `limit`
+    masks (`_size`), to U(und), walked from its two children by a call of
+    its own.  Into a list it is kept as a list.  Into an array of 8-byte
+    words it is kept as one int whose word i is u_i & und, and replayed by
+    one addition: every root above an undecided root is undecided or in
+    `ideal`, so u & ~und lies in `ideal`, ideal and u & und are disjoint,
+    and ideal | u = ideal + (u & und) in every word at once."""
+    words = isinstance(out, array)
     while stack and len(out) < limit:
         ideal, und = stack.pop()
         if memo is not None and und.bit_count() > 1:
@@ -82,15 +117,15 @@ def _descend(
             elif known or _size(decisions, sizes, und) < limit:
                 if not known:
                     up, keep_in, keep_out = decisions[und.bit_length() - 1]
-                    below: list[int] = []
+                    below: Block = array("Q") if words else []
                     _descend(decisions, memo, sizes, [(up, und & keep_in), (0, und & keep_out)],
                              below, limit)
-                    # imported on first use: a process that walks no memo
-                    # never loads the array module (about 76 KiB of RSS)
-                    from array import array
-
-                    memo[und] = known = array("Q", below) if len(decisions) <= 64 else below
-                out += [ideal | u for u in known]
+                    memo[und] = known = _pack(below, und) if words else below
+                if words:
+                    count = sizes[und]
+                    out += _unpack(known + _spread(ideal, count), count)
+                else:
+                    out += [ideal | u for u in known]
                 continue
         while und & (und - 1):
             up, keep_in, keep_out = decisions[und.bit_length() - 1]
@@ -101,20 +136,22 @@ def _descend(
             out.append(ideal | decisions[und.bit_length() - 1][0])
 
 
-def walk(rs: RootSystem, seeds: Iterable[Seed], size: int) -> Iterator[list[int]]:
-    """Every ideal mask below the states `seeds`, seed by seed, in lists of
-    exactly `size` masks but the last.  A state (ideal, und) stands for the
-    ideals that agree with `ideal` outside `und`, its undecided roots.  For
-    any root k they split into those without k (nor any root below it) and
-    those with k's filter: deciding the highest undecided root first, "out"
-    before "in", lists them ascending.  Only a classical type (`rs.rows`)
-    of a full block of ideals or more keeps a memo (`_descend`): a smaller
-    one repeats too little, an exceptional one has many small subtrees."""
+def walk(rs: RootSystem, seeds: Iterable[Seed], size: int) -> Iterator[Block]:
+    """Every ideal mask below the states `seeds`, seed by seed, in blocks of
+    exactly `size` masks but the last: arrays of 8-byte words ("Q") for a
+    type of at most `WORD_ROOTS` roots, else lists of ints.  A state
+    (ideal, und) stands for the ideals that agree with `ideal` outside
+    `und`, its undecided roots.  For any root k they split into those
+    without k (nor any root below it) and those with k's filter: deciding
+    the highest undecided root first, "out" before "in", lists them
+    ascending.  Only a classical type (`rs.rows`) of a full block of
+    ideals or more keeps a memo (`_descend`): a smaller one repeats too
+    little, an exceptional one has many small subtrees."""
     memo: Memo | None = {} if rs.rows and total_count_formula(rs) >= size else None
     decisions = _decisions(rs)
     sizes = {0: 1}
     stack = list(seeds)[::-1]
-    block: list[int] = []
+    block: Block = array("Q") if len(rs) <= WORD_ROOTS else []
     while stack:
         _descend(decisions, memo, sizes, stack, block, size + 1)
         while len(block) >= size:  # a yielded block is not also kept in `block`

@@ -18,12 +18,13 @@ from __future__ import annotations
 import math
 import os
 import time
+from array import array
 from collections import Counter
 from functools import cache, partial
 from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple
 
-from .ideals import Seed, partition_seeds, root_state, walk
+from .ideals import WORD_ROOTS, Block, Seed, partition_seeds, root_state, walk, word_bytes
 from .rootsys import FAMILIES, RootSystem, total_count_formula
 
 Partition = tuple[int, ...]
@@ -38,21 +39,39 @@ POOL_GROUPS_PER_WORKER = 4  # pool tasks per worker, so that the workers finish 
 _LANES = bytes.maketrans(b"01", b"\0\1")  # binary digits to byte lanes
 _BITS = [bytes(x >> s & 1 for x in range(256)) for s in range(8)]  # bit s of each byte
 _DIGITS = [bytes(0x30 | x >> s & 1 for x in range(256)) for s in range(8)]  # bit s as "0" or "1"
+_UNDER = [bytes(range(1 << bits)) for bits in range(8)]  # the bytes of no bit from `bits` on
 
 
-def _mask_bytes(rs: RootSystem, ideals: list[int]) -> list[bytes]:
+def _mask_bytes(rs: RootSystem, ideals: Block) -> list[bytes]:
     """Byte j of every mask of a nonempty block, the last ideal first, one
-    strided slice of the joined little-endian masks per mask byte j.  A
-    mask that is negative or wider than the roots raises ValueError."""
+    strided slice of the joined little-endian masks per mask byte j.  Up
+    to `WORD_ROOTS` roots the masks are packed as 8-byte words (by
+    `array("Q")`, a copy of an array); else each mask is written in the
+    roots' bytes.  A mask that is negative or wider than the roots raises
+    ValueError: as OverflowError in the packing, or as a byte outside
+    `_UNDER` in a byte column past the roots."""
     size = len(rs)
-    if min(ideals) < 0 or max(ideals) >> size:
-        raise ValueError(f"a mask of the block is no set of roots of {rs.lie_type}")
     width = (size + 7) >> 3
-    data = b"".join([ideal.to_bytes(width, "little") for ideal in reversed(ideals)])
-    return [data[j::width] for j in range(width)]
+    message = f"a mask of the block is no set of roots of {rs.lie_type}"
+    if size > WORD_ROOTS:
+        if min(ideals) < 0 or max(ideals) >> size:
+            raise ValueError(message)
+        data = b"".join([ideal.to_bytes(width, "little") for ideal in reversed(ideals)])
+        return [data[j::width] for j in range(width)]
+    try:
+        words = array("Q", ideals)
+    except OverflowError:
+        raise ValueError(message) from None
+    words.reverse()
+    data = word_bytes(words)
+    columns = [data[j::8] for j in range(8)]
+    for j in range(size >> 3, 8):  # the byte columns that hold bits past the roots
+        if columns[j].translate(None, _UNDER[max(size - 8 * j, 0)]):
+            raise ValueError(message)
+    return columns[:width]
 
 
-def block_columns(rs: RootSystem, ideals: list[int]) -> list[int]:
+def block_columns(rs: RootSystem, ideals: Block) -> list[int]:
     """Transpose a nonempty block of ideal masks to one int per root: bit b
     of column k is set when ideal b holds root k (one `translate` per root
     of its mask byte to binary digits, the last ideal's first).  A mask
@@ -61,7 +80,7 @@ def block_columns(rs: RootSystem, ideals: list[int]) -> list[int]:
     return [int(data[k >> 3].translate(_DIGITS[k & 7]), 2) for k in range(len(rs))]
 
 
-def block_lanes(rs: RootSystem, ideals: list[int]) -> list[int]:
+def block_lanes(rs: RootSystem, ideals: Block) -> list[int]:
     """Transpose a nonempty block of ideal masks to one int per root in byte
     lanes: byte b of lane k is 1 when ideal b holds root k, else 0 (one
     `translate` per root of its mask byte, read big-endian since the last

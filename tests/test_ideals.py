@@ -98,6 +98,12 @@ def _walked(rs, seeds, size: int = 4096) -> list[int]:
     return [mask for block in walk(rs, seeds, size) for mask in block]
 
 
+def _blocks(blocks) -> list[list[int]]:
+    """A walk's blocks as lists of ints: arrays of 8-byte words up to 64
+    roots, lists past them."""
+    return [list(block) for block in blocks]
+
+
 def _size(rs, und: int) -> int:
     return ideals._size(ideals._decisions(rs), {0: 1}, und)
 
@@ -209,8 +215,8 @@ def test_walk_of_no_seed_or_a_finished_state() -> None:
     assert list(walk(rs, [], 4096)) == []
     full = (1 << len(rs)) - 1
     for ideal in (0, full, rs.filter_masks[2]):
-        assert list(walk(rs, [(ideal, 0)], 4096)) == [[ideal]]
-    assert list(walk(rs, [(0, 0), (full, 0)], 1)) == [[0], [full]]  # seed by seed
+        assert _blocks(walk(rs, [(ideal, 0)], 4096)) == [[ideal]]
+    assert _blocks(walk(rs, [(0, 0), (full, 0)], 1)) == [[0], [full]]  # seed by seed
 
 
 def _dfs_walk(rs, seeds) -> list[int]:
@@ -247,10 +253,13 @@ def test_walk_replays_the_plain_dfs_block_for_block(label: str) -> None:
     rs = build_root_system(label)
     want = _sorted_dfs(rs)
     assert partition_seeds(rs, 1) == [[root_state(rs)]]
+    kind = array if len(rs) <= 64 else list  # E8's 120 roots take lists
     for parts in (1, 2, 3, 8):
         groups = partition_seeds(rs, parts)
         for size in (1, 5, 7, 4096):
-            got = [list(walk(rs, group, size)) for group in groups]
+            walks = [list(walk(rs, group, size)) for group in groups]
+            assert {type(block) for blocks in walks for block in blocks} == {kind}
+            got = [_blocks(blocks) for blocks in walks]
             assert got == [_chunks(masks, size) for masks in _ranges(want, parts)], (parts, size)
 
 
@@ -267,24 +276,37 @@ def _walk_memos(monkeypatch: pytest.MonkeyPatch) -> list:
     return memos
 
 
+def _kept(memo) -> dict[int, list[int]]:
+    """The kept entries of a walk memo, each as its list of masks: a list
+    as is, and a packed int read 8-byte word by word, the low word first
+    (its top word, u & und of the largest u, is und itself, never 0)."""
+    return {
+        und: below if isinstance(below, list)
+        else [below >> 64 * i & (1 << 64) - 1 for i in range(-(-below.bit_length() // 64))]
+        for und, below in memo.items() if below
+    }
+
+
 def test_memo_stores_no_list_longer_than_a_block(monkeypatch: pytest.MonkeyPatch) -> None:
     # a subtree of more ideals than a block is walked as is at every
     # sighting, and an undecided set of at most one root is never stored
     memos = _walk_memos(monkeypatch)
     rs = build_root_system("A10")
-    assert list(walk(rs, [root_state(rs)], 64)) == _chunks(_sorted_dfs(rs), 64)
+    assert _blocks(walk(rs, [root_state(rs)], 64)) == _chunks(_sorted_dfs(rs), 64)
     memo = memos[0]
     assert all(m is memo for m in memos)  # one memo for the whole walk
-    stored = {undecided: below for undecided, below in memo.items() if below}
+    assert all(type(below) is int for below in memo.values() if below)  # 55 roots: packed words
+    stored = _kept(memo)
     assert stored and max(map(len, stored.values())) <= 64
-    assert all(len(below) == _size(rs, undecided) for undecided, below in stored.items())
-    assert all(isinstance(below, array) for below in stored.values())  # 55 roots: 8-byte words
+    for undecided, below in stored.items():  # the masks of U(und), each ANDed with und
+        assert below == [u & undecided for u in _walked(rs, [(0, undecided)])]
+        assert len(below) == _size(rs, undecided)
     # some subtree held more than 64 ideals
     assert any(_size(rs, undecided) > 64 for undecided, below in memo.items() if not below)
     assert all(undecided.bit_count() > 1 for undecided in memo)
     memos.clear()
     rs = build_root_system("A11")  # 66 roots: kept as lists of ints
-    assert list(walk(rs, [root_state(rs)], 4096)) == _chunks(_sorted_dfs(rs), 4096)
+    assert _blocks(walk(rs, [root_state(rs)], 4096)) == _chunks(_sorted_dfs(rs), 4096)
     assert all(type(below) is list for below in memos[0].values() if below)
 
 
@@ -300,8 +322,58 @@ def test_memo_keeps_every_set_of_fewer_ideals_than_a_block_seen_twice(
     rs = build_root_system(label)
     for _ in walk(rs, [root_state(rs)], 4096):
         pass
-    stored = [below for below in memos[0].values() if below]
+    stored = list(_kept(memos[0]).values())
     assert (len(stored), sum(map(len, stored))) == (sets, masks)
+
+
+class _Popped(list):
+    """A walk stack that records every state popped off it."""
+
+    def __init__(self, stack: list, popped: list) -> None:
+        super().__init__(stack)
+        self.popped = popped
+
+    def pop(self):
+        state = super().pop()
+        self.popped.append(state)
+        return state
+
+
+@pytest.mark.parametrize("label", ["A8", "A10", "B8", "C8", "D8"])
+def test_every_replay_adds_the_ideal_to_disjoint_words(
+    monkeypatch: pytest.MonkeyPatch, label: str,
+) -> None:
+    # a state (ideal, und) of the walk has every root above an undecided
+    # root undecided or in `ideal`, so for each u below (0, und) the roots
+    # of u outside und lie in `ideal`: ideal | u = ideal + (u & und), the
+    # one addition of a replay, with no carry between the 8-byte words
+    popped: list = []
+    memos: list = []
+    depth = [0]
+    descend = ideals._descend
+
+    def spy(decisions, memo, sizes, stack, *rest):
+        memos.append(memo)
+        depth[0] += 1
+        try:  # the states of the walk itself, not those of a memo's fill
+            recorded = _Popped(stack, popped if depth[0] == 1 else [])
+            descend(decisions, memo, sizes, recorded, *rest)
+            stack[:] = recorded
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(ideals, "_descend", spy)
+    rs = build_root_system(label)
+    assert _blocks(walk(rs, [root_state(rs)], 4096)) == _chunks(_sorted_dfs(rs), 4096)
+    monkeypatch.undo()
+    stored = _kept(memos[0])
+    below = {und: _walked(rs, [(0, und)]) for und in stored}
+    replays = [(ideal, und) for ideal, und in popped if und in stored]
+    assert len({und for _, und in replays}) == len(stored)  # every kept set is replayed
+    for ideal, und in replays:
+        assert all(rs.filter_masks[k] & ~und & ~ideal == 0 for k in mask_indices(und))
+        assert stored[und] == [u & und for u in below[und]]
+        assert [ideal | u for u in below[und]] == [ideal + w for w in stored[und]]
 
 
 def test_walk_memo_dies_with_its_walk() -> None:
@@ -332,7 +404,7 @@ def test_only_classical_types_of_a_full_block_keep_a_memo(monkeypatch: pytest.Mo
         rs = build_root_system(label)  # 4160, 3432, 25080, 4862 and 9438 ideals
         want = _chunks(_sorted_dfs(rs), 4096)
         memos.clear()
-        assert list(walk(rs, [root_state(rs)], 4096)) == want
+        assert _blocks(walk(rs, [root_state(rs)], 4096)) == want
         assert {memo is not None for memo in memos} == {memo_kept}, label
     memos.clear()
     for group in partition_seeds(rs, 2):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from array import array
 from collections import Counter
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
@@ -449,6 +450,48 @@ def test_block_lanes_transpose_the_masks(label: str, count: int) -> None:
     for mask in (-1, 1 << len(rs)):
         with pytest.raises(ValueError, match=message):
             block_lanes(rs, [*block, mask])
+
+
+@pytest.mark.parametrize("label, masks", [
+    ("A10", (1 << 55, 1 << 63, -1)),  # 55 roots: bits 55 to 63 lie in the word, past the roots
+    ("B8", (1 << 64, -1)),  # 64 roots: the next bit needs a ninth byte
+])
+def test_masks_past_the_roots_are_refused_in_lists_and_arrays(
+    label: str, masks: tuple[int, ...],
+) -> None:
+    # the packing to 8-byte words refuses a negative or wider mask, and a
+    # byte column past the roots a stray bit inside the word; an array
+    # holds only the masks that fit a word
+    rs = build_root_system(label)
+    ideals = _walked(rs)[:100]
+    message = f"^a mask of the block is no set of roots of {label}$"
+    for mask in masks:
+        blocks = [[*ideals, mask]]
+        if 0 <= mask < 1 << 64:
+            blocks.append(array("Q", blocks[0]))
+        for block in blocks:
+            for transpose in (block_lanes, block_columns, block_classes):
+                with pytest.raises(ValueError, match=message):
+                    transpose(rs, block)
+        with pytest.raises(ValueError, match=message):
+            ROUTES["filling" if label[0] == "A" else "completion"][1](rs, [mask, *ideals])
+
+
+@pytest.mark.parametrize("label", ["E7", "B8", "A11", "E8"])
+def test_transpositions_of_a_list_and_an_array_block_agree(label: str) -> None:
+    # E7 and B8 (63 and 64 roots) pack 8-byte words, A11 and E8 (66 and
+    # 120 roots) write each mask in the roots' bytes; past 64 roots an
+    # array holds the masks of the roots below 64 only
+    rs = build_root_system(label)
+    bits = min(len(rs), 64)
+    rng = random.Random(bits)
+    low = [0, *(rng.getrandbits(bits) for _ in range(BUDGET_BLOCK - 2)), (1 << bits) - 1]
+    blocks = [low[:1], low[:7], low]
+    if len(rs) <= 64:
+        blocks += [list(block) for block in walk(rs, [root_state(rs)], BUDGET_BLOCK)]
+    for block in blocks:
+        for transpose in (block_lanes, block_columns):
+            assert transpose(rs, array("Q", block)) == transpose(rs, block)
 
 
 @pytest.mark.parametrize(
