@@ -7,8 +7,8 @@ stored as integer bit masks, bit i marking positive_roots[i].
 """
 from __future__ import annotations
 
-import sys
 from array import array
+from sys import byteorder
 from typing import Iterable, Iterator
 
 from .rootsys import RootSystem, total_count_formula
@@ -18,31 +18,51 @@ WORD_ROOTS = 64  # a type of at most this many roots has each mask in one 8-byte
 Block = array | list[int]  # ideal masks: an array of words ("Q") up to WORD_ROOTS roots, else ints
 Memo = dict[int, int | list[int] | bool]  # a walk's subtrees by undecided set (`walk`)
 
+_UNDER = [bytes(range(1 << bits)) for bits in range(8)]  # the bytes of no bit from `bits` on
+
+
+def block_bytes(rs: RootSystem, block: Block) -> list[bytes]:
+    """Byte j of every mask of a nonempty block, the last ideal first, for
+    each j below the record width.  Each mask is one record of fixed width
+    in native byte order (an 8-byte word by `array("Q")` up to `WORD_ROOTS`
+    roots, else the roots' bytes), and byte j of every record is one
+    strided slice taken backwards.  A mask that is negative or wider than
+    the roots raises ValueError: as OverflowError in the packing, or as a
+    byte outside `_UNDER` in a column past the roots."""
+    size = len(rs)
+    width = 8 if size <= WORD_ROOTS else (size + 7) >> 3
+    message = f"a mask of the block is no set of roots of {rs.lie_type}"
+    try:
+        if width == 8:
+            data = array("Q", block).tobytes()
+        else:
+            data = b"".join([mask.to_bytes(width, byteorder) for mask in block])
+    except OverflowError:
+        raise ValueError(message) from None
+    last = len(data) - width  # the last record's first byte
+    columns = [data[last + (j if byteorder == "little" else width - 1 - j)::-width]
+               for j in range(width)]
+    for j in range(size >> 3, width):  # the columns that hold bits past the roots
+        if columns[j].translate(None, _UNDER[max(size - 8 * j, 0)]):
+            raise ValueError(message)
+    return columns
+
 
 def _spread(mask: int, count: int) -> int:
-    """The int whose `count` little-endian 8-byte words all are `mask`."""
-    return int.from_bytes(mask.to_bytes(8, "little") * count, "little")
-
-
-def word_bytes(words: array) -> bytes:
-    """The 8-byte words as little-endian bytes (on a big-endian host
-    `words` is byte-swapped in place first)."""
-    if sys.byteorder == "big":
-        words.byteswap()
-    return words.tobytes()
+    """The int of `count` words `mask`, in the layout of `_pack`."""
+    return int.from_bytes(array("Q", [mask]) * count, byteorder)
 
 
 def _pack(words: array, und: int) -> int:
-    """The int whose little-endian 8-byte word i is words[i] & und."""
-    return int.from_bytes(word_bytes(words), "little") & _spread(und, len(words))
+    """The int whose bytes, in native order, are those of the words, each
+    word ANDed with `und`.  The replay's addition (`_descend`) never
+    carries, so it is exact in either byte order."""
+    return int.from_bytes(words, byteorder) & _spread(und, len(words))
 
 
 def _unpack(packed: int, count: int) -> array:
-    """The `count` little-endian 8-byte words of `packed`, as an array."""
-    words = array("Q", packed.to_bytes(8 * count, "little"))
-    if sys.byteorder == "big":
-        words.byteswap()
-    return words
+    """The `count` words of `packed`, as `_pack` lays them out."""
+    return array("Q", packed.to_bytes(8 * count, byteorder))
 
 
 def mask_indices(mask: int) -> list[int]:
@@ -103,8 +123,8 @@ def _descend(
     roots or more to False once seen, then, if it holds fewer than `limit`
     masks (`_size`), to U(und), walked from its two children by a call of
     its own.  Into a list it is kept as a list.  Into an array of 8-byte
-    words it is kept as one int whose word i is u_i & und, and replayed by
-    one addition: every root above an undecided root is undecided or in
+    words it is kept as one int of the words u_i & und (`_pack`), and
+    replayed by one addition: every root above an undecided root is undecided or in
     `ideal`, so u & ~und lies in `ideal`, ideal and u & und are disjoint,
     and ideal | u = ideal + (u & und) in every word at once."""
     words = isinstance(out, array)
@@ -146,7 +166,10 @@ def walk(rs: RootSystem, seeds: Iterable[Seed], size: int) -> Iterator[Block]:
     the highest undecided root first, "out" before "in", lists them
     ascending.  Only a classical type (`rs.rows`) of a full block of
     ideals or more keeps a memo (`_descend`): a smaller one repeats too
-    little, an exceptional one has many small subtrees."""
+    little, an exceptional one has many small subtrees.  A size below 1
+    raises ValueError."""
+    if size < 1:
+        raise ValueError(f"block size must be a positive integer, got {size}")
     memo: Memo | None = {} if rs.rows and total_count_formula(rs) >= size else None
     decisions = _decisions(rs)
     sizes = {0: 1}
@@ -170,7 +193,10 @@ def partition_seeds(rs: RootSystem, parts: int) -> list[list[Seed]]:
     """The walk's ideals cut into `parts` ranges of the ascending order,
     rank r in range r x parts // total: the non-empty ranges, ascending, as
     lists of states.  A state, in walk order, goes whole into the range of
-    its first ideal if its last one falls there too; else it is split."""
+    its first ideal if its last one falls there too; else it is split.
+    Fewer than one part raises ValueError."""
+    if parts < 1:
+        raise ValueError(f"parts must be a positive integer, got {parts}")
     decisions = _decisions(rs)
     sizes = {0: 1}
     total = _size(decisions, sizes, root_state(rs)[1])

@@ -18,13 +18,12 @@ from __future__ import annotations
 import math
 import os
 import time
-from array import array
 from collections import Counter
 from functools import cache, partial
 from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple
 
-from .ideals import WORD_ROOTS, Block, Seed, partition_seeds, root_state, walk, word_bytes
+from .ideals import Block, Seed, block_bytes, partition_seeds, root_state, walk
 from .rootsys import FAMILIES, RootSystem, total_count_formula
 
 Partition = tuple[int, ...]
@@ -39,36 +38,6 @@ POOL_GROUPS_PER_WORKER = 4  # pool tasks per worker, so that the workers finish 
 _LANES = bytes.maketrans(b"01", b"\0\1")  # binary digits to byte lanes
 _BITS = [bytes(x >> s & 1 for x in range(256)) for s in range(8)]  # bit s of each byte
 _DIGITS = [bytes(0x30 | x >> s & 1 for x in range(256)) for s in range(8)]  # bit s as "0" or "1"
-_UNDER = [bytes(range(1 << bits)) for bits in range(8)]  # the bytes of no bit from `bits` on
-
-
-def _mask_bytes(rs: RootSystem, ideals: Block) -> list[bytes]:
-    """Byte j of every mask of a nonempty block, the last ideal first, one
-    strided slice of the joined little-endian masks per mask byte j.  Up
-    to `WORD_ROOTS` roots the masks are packed as 8-byte words (by
-    `array("Q")`, a copy of an array); else each mask is written in the
-    roots' bytes.  A mask that is negative or wider than the roots raises
-    ValueError: as OverflowError in the packing, or as a byte outside
-    `_UNDER` in a byte column past the roots."""
-    size = len(rs)
-    width = (size + 7) >> 3
-    message = f"a mask of the block is no set of roots of {rs.lie_type}"
-    if size > WORD_ROOTS:
-        if min(ideals) < 0 or max(ideals) >> size:
-            raise ValueError(message)
-        data = b"".join([ideal.to_bytes(width, "little") for ideal in reversed(ideals)])
-        return [data[j::width] for j in range(width)]
-    try:
-        words = array("Q", ideals)
-    except OverflowError:
-        raise ValueError(message) from None
-    words.reverse()
-    data = word_bytes(words)
-    columns = [data[j::8] for j in range(8)]
-    for j in range(size >> 3, 8):  # the byte columns that hold bits past the roots
-        if columns[j].translate(None, _UNDER[max(size - 8 * j, 0)]):
-            raise ValueError(message)
-    return columns[:width]
 
 
 def block_columns(rs: RootSystem, ideals: Block) -> list[int]:
@@ -76,7 +45,7 @@ def block_columns(rs: RootSystem, ideals: Block) -> list[int]:
     of column k is set when ideal b holds root k (one `translate` per root
     of its mask byte to binary digits, the last ideal's first).  A mask
     that is negative or wider than the roots raises ValueError."""
-    data = _mask_bytes(rs, ideals)
+    data = block_bytes(rs, ideals)
     return [int(data[k >> 3].translate(_DIGITS[k & 7]), 2) for k in range(len(rs))]
 
 
@@ -86,7 +55,7 @@ def block_lanes(rs: RootSystem, ideals: Block) -> list[int]:
     `translate` per root of its mask byte, read big-endian since the last
     ideal comes first).  A mask that is negative or wider than the roots
     raises ValueError."""
-    data = _mask_bytes(rs, ideals)
+    data = block_bytes(rs, ideals)
     return [int.from_bytes(data[k >> 3].translate(_BITS[k & 7]), "big") for k in range(len(rs))]
 
 
@@ -95,7 +64,7 @@ def byte_lanes(bits: int, count: int) -> int:
     return int.from_bytes(f"{bits:0{count}b}".encode().translate(_LANES), "big")
 
 
-def block_classes(rs: RootSystem, ideals: list[int]) -> list[int]:
+def block_classes(rs: RootSystem, ideals: Block) -> list[int]:
     """Class of nilpotence of each ideal of a block: the length of its
     lower central series I = I^1, I^{k+1} = [I^k, I], bit-sliced.
 
@@ -140,7 +109,7 @@ def block_classes(rs: RootSystem, ideals: list[int]) -> list[int]:
 # diagrams
 
 
-def _block_cells(rs: RootSystem, ideals: list[int]) -> list[list[int]]:
+def _block_cells(rs: RootSystem, ideals: Block) -> list[list[int]]:
     """The cells of each (shifted) staircase row of a nonempty block, one
     byte lane per cell (`block_lanes`), once the whole block is known to be
     ideals: a mask that holds a root without one of its covers raises
@@ -226,7 +195,7 @@ def staircase_filling(parts: Partition, n: int) -> list[list[int]]:
     return _block_filling(n, ([int(j < a) for j in range(n - i)] for i, a in enumerate(lam)), 1)
 
 
-def _filling_classes(rs: RootSystem, ideals: list[int]) -> list[int]:
+def _filling_classes(rs: RootSystem, ideals: Block) -> list[int]:
     """Entry (1,1) of the filling of each ideal of a type-A block, filled on
     the block's cells (`_block_cells`)."""
     if not ideals:
@@ -361,7 +330,7 @@ def symmetric_completion(parts: Partition, family: str, n: int) -> Partition:
     return tuple(lam)
 
 
-def _completion_classes(rs: RootSystem, ideals: list[int]) -> list[int]:
+def _completion_classes(rs: RootSystem, ideals: Block) -> list[int]:
     """Class of each ideal of a B, C or D block: the truncation recursion
     on its completed ordinary diagram."""
     if not ideals:
@@ -525,7 +494,7 @@ def two_ray_classify(parts: Partition, n: int, family: str) -> TwoRayResult:
 # distributions
 
 
-def _on_lanes(rs: RootSystem, ideals: list[int], lane_walk) -> list[int]:
+def _on_lanes(rs: RootSystem, ideals: Block, lane_walk) -> list[int]:
     """A lane walk, which takes (row-length lanes, rank, block size), on
     the rows of `_block_cells`."""
     if not ideals:
@@ -534,7 +503,7 @@ def _on_lanes(rs: RootSystem, ideals: list[int], lane_walk) -> list[int]:
     return lane_walk(rows, rs.lie_type.rank, len(ideals))
 
 
-def _tworay_classes(rs: RootSystem, ideals: list[int]) -> list[int]:
+def _tworay_classes(rs: RootSystem, ideals: Block) -> list[int]:
     results = partial(_two_ray_results, family=rs.lie_type.family)
     return [result[2] for result in _on_lanes(rs, ideals, results)]
 
@@ -588,7 +557,7 @@ def _worker_run(group: list[Seed]) -> Counter:
 def classified_blocks(
     rs: RootSystem, method: str = "oracle", deadline: float = math.inf,
     seeds: list[Seed] | None = None,
-) -> Iterator[tuple[list[int], list[int]]]:
+) -> Iterator[tuple[Block, list[int]]]:
     """Each block of the walk below `seeds` (the root state when None), in
     full blocks of `BUDGET_BLOCK` ideals but the last, with the classes of
     its ideals by `method`.  The clock (`time.monotonic`, the same in every

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import sys
 from array import array
 
 import pytest
@@ -276,13 +277,13 @@ def _walk_memos(monkeypatch: pytest.MonkeyPatch) -> list:
     return memos
 
 
-def _kept(memo) -> dict[int, list[int]]:
+def _kept(rs, memo) -> dict[int, list[int]]:
     """The kept entries of a walk memo, each as its list of masks: a list
-    as is, and a packed int read 8-byte word by word, the low word first
-    (its top word, u & und of the largest u, is und itself, never 0)."""
+    as is, and a packed int read as the bytes, in native order, of as many
+    8-byte words as the set has ideals."""
     return {
         und: below if isinstance(below, list)
-        else [below >> 64 * i & (1 << 64) - 1 for i in range(-(-below.bit_length() // 64))]
+        else list(array("Q", below.to_bytes(8 * _size(rs, und), sys.byteorder)))
         for und, below in memo.items() if below
     }
 
@@ -296,7 +297,7 @@ def test_memo_stores_no_list_longer_than_a_block(monkeypatch: pytest.MonkeyPatch
     memo = memos[0]
     assert all(m is memo for m in memos)  # one memo for the whole walk
     assert all(type(below) is int for below in memo.values() if below)  # 55 roots: packed words
-    stored = _kept(memo)
+    stored = _kept(rs, memo)
     assert stored and max(map(len, stored.values())) <= 64
     for undecided, below in stored.items():  # the masks of U(und), each ANDed with und
         assert below == [u & undecided for u in _walked(rs, [(0, undecided)])]
@@ -322,7 +323,7 @@ def test_memo_keeps_every_set_of_fewer_ideals_than_a_block_seen_twice(
     rs = build_root_system(label)
     for _ in walk(rs, [root_state(rs)], 4096):
         pass
-    stored = list(_kept(memos[0]).values())
+    stored = list(_kept(rs, memos[0]).values())
     assert (len(stored), sum(map(len, stored))) == (sets, masks)
 
 
@@ -366,7 +367,7 @@ def test_every_replay_adds_the_ideal_to_disjoint_words(
     rs = build_root_system(label)
     assert _blocks(walk(rs, [root_state(rs)], 4096)) == _chunks(_sorted_dfs(rs), 4096)
     monkeypatch.undo()
-    stored = _kept(memos[0])
+    stored = _kept(rs, memos[0])
     below = {und: _walked(rs, [(0, und)]) for und in stored}
     replays = [(ideal, und) for ideal, und in popped if und in stored]
     assert len({und for _, und in replays}) == len(stored)  # every kept set is replayed
@@ -374,6 +375,40 @@ def test_every_replay_adds_the_ideal_to_disjoint_words(
         assert all(rs.filter_masks[k] & ~und & ~ideal == 0 for k in mask_indices(und))
         assert stored[und] == [u & und for u in below[und]]
         assert [ideal | u for u in below[und]] == [ideal + w for w in stored[und]]
+
+
+@pytest.mark.parametrize("label", ["A8", "A10", "B8", "D8"])
+def test_walk_is_the_same_in_either_byte_order(monkeypatch: pytest.MonkeyPatch, label: str) -> None:
+    # the memo packs and replays its words in the byte order that `ideals`
+    # reads; swapped to the other one, as on a host of the other order, each
+    # kept int is laid out otherwise, yet the replay's addition still never
+    # carries and the blocks are those of the unswapped walk
+    memos = _walk_memos(monkeypatch)
+    rs = build_root_system(label)
+    want = _blocks(walk(rs, [root_state(rs)], 4096))
+    native = {und: below for und, below in memos[0].items() if below}
+    memos.clear()
+    monkeypatch.setattr(ideals, "byteorder", {"little": "big", "big": "little"}[sys.byteorder])
+    got = list(walk(rs, [root_state(rs)], 4096))
+    assert {type(block) for block in got} == {array}
+    assert _blocks(got) == want == _chunks(_sorted_dfs(rs), 4096)
+    swapped = {und: below for und, below in memos[0].items() if below}
+    assert native and swapped.keys() == native.keys()
+    assert all(swapped[und] != native[und] for und in native)
+
+
+def test_walk_refuses_a_block_size_below_one() -> None:
+    rs = build_root_system("B3")
+    for size in (0, -1):
+        with pytest.raises(ValueError, match=f"^block size must be a positive integer, got {size}$"):
+            next(walk(rs, [root_state(rs)], size))
+
+
+def test_partition_seeds_refuses_fewer_than_one_part() -> None:
+    rs = build_root_system("B3")
+    for parts in (0, -1):
+        with pytest.raises(ValueError, match=f"^parts must be a positive integer, got {parts}$"):
+            partition_seeds(rs, parts)
 
 
 def test_walk_memo_dies_with_its_walk() -> None:

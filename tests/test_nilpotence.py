@@ -455,13 +455,15 @@ def test_block_lanes_transpose_the_masks(label: str, count: int) -> None:
 @pytest.mark.parametrize("label, masks", [
     ("A10", (1 << 55, 1 << 63, -1)),  # 55 roots: bits 55 to 63 lie in the word, past the roots
     ("B8", (1 << 64, -1)),  # 64 roots: the next bit needs a ninth byte
+    ("A11", (1 << 66, 1 << 71, 1 << 72, -1)),  # 66 roots in 9 bytes: bits 66 to 71 lie in the last
 ])
 def test_masks_past_the_roots_are_refused_in_lists_and_arrays(
     label: str, masks: tuple[int, ...],
 ) -> None:
-    # the packing to 8-byte words refuses a negative or wider mask, and a
-    # byte column past the roots a stray bit inside the word; an array
-    # holds only the masks that fit a word
+    # the packing to records (8-byte words up to 64 roots, else the roots'
+    # bytes) refuses a negative or wider mask, and a byte column past the
+    # roots a stray bit inside the record; an array holds only the masks
+    # that fit a word
     rs = build_root_system(label)
     ideals = _walked(rs)[:100]
     message = f"^a mask of the block is no set of roots of {label}$"
