@@ -9,10 +9,11 @@ paths.
 """
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from . import closedform, genfun
+from . import closedform, genfun, poly
 from .ideals import enumerate_ideal_masks
 from .nilpotence import (
     ROUTES,
@@ -53,7 +54,7 @@ class CheckResult:
 
 def distribution(label: str) -> dict[int, int]:
     """Serial oracle histogram {class: count} of a small type, the
-    enumeration that the formulas, gf, paths and abelian suites check."""
+    enumeration that the gf, paths and abelian suites check."""
     return class_distribution(build_root_system(label), workers=1)
 
 
@@ -149,16 +150,23 @@ def suite_table1(workers: int | None = None, budget: float | None = None) -> lis
 
 
 def suite_formulas() -> list[CheckResult]:
-    """Multisum and (q,t) formulas against brute-force histograms."""
+    """Multisum and (q,t) formulas against brute-force histograms, one
+    joint (dimension, class) histogram per type and its class marginal."""
+    joint, hists = {}, {}
+    for label in [f"A{n}" for n in range(1, 7)] + [f"C{n}" for n in range(2, 7)]:
+        joint[label] = joint_histogram(build_root_system(label))
+        hists[label] = hist = Counter()
+        for (_, K), c in joint[label].items():
+            hist[K] += c
     results = []
     for n in range(1, 7):
-        hist = distribution(f"A{n}")
-        ok = all(closedform.alpha_A(n, K) == hist.get(K, 0) for K in range(n + 1))
-        results.append(CheckResult(f"class multisum A{n}", ok, f"{sum(hist.values())} ideals"))
+        hist = hists[f"A{n}"]
+        ok = all(closedform.alpha_A(n, K) == hist[K] for K in range(n + 1))
+        results.append(CheckResult(f"class multisum A{n}", ok, f"{hist.total()} ideals"))
     for n in range(2, 7):
-        hist = distribution(f"C{n}")
-        ok = all(closedform.gamma_C(n, K) == hist.get(K, 0) for K in range(2 * n))
-        results.append(CheckResult(f"class multisum C{n}", ok, f"{sum(hist.values())} ideals"))
+        hist = hists[f"C{n}"]
+        ok = all(closedform.gamma_C(n, K) == hist[K] for K in range(2 * n))
+        results.append(CheckResult(f"class multisum C{n}", ok, f"{hist.total()} ideals"))
         ok2 = all(
             closedform.c4_count(n, h) == sum(c for K, c in hist.items() if K <= h)
             for h in range(2 * n + 1)
@@ -167,22 +175,21 @@ def suite_formulas() -> list[CheckResult]:
     for name, fam, qt in [("qt catalan", "A", closedform.catalan_qt),
                           ("qt central", "C", closedform.gamma_qt)]:
         for n in range(1, 6):
-            rs = build_root_system(f"{fam}{n}" if n >= 2 else "A1")  # C1 is A1
-            want = {(K, h): c for (h, K), c in joint_histogram(rs).items()}
+            pairs = joint[f"{fam}{n}" if n >= 2 else "A1"]  # C1 is A1
+            want = {(K, h): c for (h, K), c in pairs.items()}
             results.append(CheckResult(f"{name} {fam}{n}", qt(n) == want, f"{len(want)} terms"))
-    ok = all(
-        closedform.odd_sum_product(i1, i2)[0] == closedform.odd_sum_product(i1, i2)[1]
-        for i2 in range(1, 9)
-        for i1 in range(-i2 + 1, 1)
-    )
+    sides = (closedform.odd_sum_product(i1, i2) for i2 in range(1, 9) for i1 in range(-i2 + 1, 1))
+    ok = all(lhs == rhs for lhs, rhs in sides)
     results.append(CheckResult("inner-sum collapse", ok, "|i1|, i2 <= 8"))
     for fam, lo in [("A", 1), ("B", 1), ("C", 1), ("D", 2)]:
-        ok = True
-        for n in range(lo, 9):
-            k = genfun.x_power(fam, n)
-            for h in (2, 3):
-                if closedform.corollary_values(fam, n, h) != genfun.family_series(fam, h, k)[k]:
-                    ok = False
+        # a coefficient does not depend on the order: one series serves every rank
+        top = genfun.x_power(fam, 8)
+        series = {h: genfun.family_series(fam, h, top) for h in (2, 3)}
+        ok = all(
+            closedform.corollary_values(fam, n, h) == series[h][genfun.x_power(fam, n)]
+            for n in range(lo, 9)
+            for h in (2, 3)
+        )
         results.append(CheckResult(f"small-class closed forms {fam}", ok, "n <= 8, h in {2,3}"))
     return results
 
@@ -195,23 +202,22 @@ def suite_gf() -> list[CheckResult]:
         for fam in "ABCD"
     }
     order = 7  # one power past the largest rank, 6
+    series = {(fam, h): genfun.family_series(fam, h, order) for h in range(13) for fam in hists}
     for h in range(13):
-        ok = True
-        for fam, by_rank in hists.items():
-            series = genfun.family_series(fam, h, order)
-            for n, hist in by_rank.items():
-                ok &= series[genfun.x_power(fam, n)] == sum(c for K, c in hist.items() if K <= h)
+        ok = all(
+            series[fam, h][genfun.x_power(fam, n)] == sum(c for K, c in hist.items() if K <= h)
+            for fam, by_rank in hists.items()
+            for n, hist in by_rank.items()
+        )
         results.append(CheckResult(f"cumulative series h={h}", ok, "families A,B,C,D"))
     for K in range(13):
         ok = True
         for fam in "BD":
-            series = genfun.family_series(fam, K, order, exact=True)
-            ok &= all(series[n] == hist.get(K, 0) for n, hist in hists[fam].items())
+            exact = genfun.family_series(fam, K, order, exact=True)
+            ok &= all(exact[n] == hist.get(K, 0) for n, hist in hists[fam].items())
         results.append(CheckResult(f"exact-class series K={K}", ok, "families B,D"))
-    ok = True
-    for h in range(1, 13):
-        diff = genfun.gf_C_le(h, order) - genfun.gf_C_le(h - 1, order)
-        ok &= all(c >= 0 for c in diff.coefficients)
+    steps = (series["C", h] - series["C", h - 1] for h in range(1, 13))
+    ok = all(c >= 0 for step in steps for c in step.coefficients)
     results.append(CheckResult("cumulative telescoping C", ok, "h <= 12"))
     return results
 
@@ -254,7 +260,10 @@ def suite_abelian() -> list[CheckResult]:
 def suite_series() -> list[CheckResult]:
     """Series-engine guards: every counting series expands with no odd
     sqrt(x) residue and integer nonnegative coefficients (asserted
-    internally), and the continued-fraction and product identities hold."""
+    internally), each continued fraction of depth <= 10 equals its
+    Chebyshev ratio, and, once for each k <= 12 as they do not depend on
+    the depth, U_k U_(k+1) = U_1 + U_3 + ... + U_(2k+1) and U_(k+1)^2 -
+    U_k^2 = U_(2k+2)."""
     results = []
     ok = True
     detail = ""
@@ -273,8 +282,14 @@ def suite_series() -> list[CheckResult]:
             detail or "6 series families, parameter <= 10, order 12",
         )
     )
-    cf_ok = all(genfun.verify_cf_identity(h, 20) for h in range(11))
-    results.append(CheckResult("continued fraction identity", cf_ok, "depth <= 10"))
+    u = genfun.u_tilde  # the image of U_k under x -> t/2
+    ok = all(genfun.verify_cf_identity(h, 20) for h in range(11)) and all(
+        poly.mul(u(k), u(k + 1)) == poly.add(*map(u, range(1, 2 * k + 2, 2)))
+        and poly.add(poly.mul(u(k + 1), u(k + 1)), poly.scale(poly.mul(u(k), u(k)), -1))
+        == u(2 * k + 2)
+        for k in range(13)
+    )
+    results.append(CheckResult("continued fraction identity", ok, "depth <= 10"))
     return results
 
 

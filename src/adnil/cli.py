@@ -238,6 +238,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_gf(args: argparse.Namespace) -> int:
     kind, bound = ("exact", args.exact) if args.le is None else ("le", args.le)
+    if bound < 0:
+        raise ValueError("class bound must be nonnegative")
+    if args.order < 1:
+        raise ValueError("--order must be at least 1")
     if bound > MAX_GF_CLASS or args.order > MAX_GF_ORDER:
         raise ValueError(
             f"gf expands classes up to {MAX_GF_CLASS} and orders up to {MAX_GF_ORDER}, "
@@ -260,6 +264,8 @@ def cmd_gf(args: argparse.Namespace) -> int:
 
 
 def cmd_qt(args: argparse.Namespace) -> int:
+    if args.lie_type.family not in "AC":
+        raise ValueError("qt polynomials are defined for families A and C")
     n = args.lie_type.rank
     if n > MAX_QT_RANK:
         raise ValueError(f"qt refuses ranks above {MAX_QT_RANK}, got rank {n}")
@@ -302,23 +308,28 @@ def _add_output_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", help="write to this path instead of stdout")
 
 
-def _resolve_type(parser: argparse.ArgumentParser, args: argparse.Namespace) -> LieType:
+def _resolve_type(args: argparse.Namespace) -> LieType:
     label = args.type
     family = args.family
     if label and len(label) == 1 and label.isalpha():
         family, label = label.upper(), None
-    try:
-        if label:
-            return LieType.parse(label)
-        if family and args.rank is not None:
-            return LieType(family, args.rank)
-    except ValueError as exc:
-        parser.error(str(exc))
-    parser.error("specify --type LABEL or a family letter plus --rank")
+    if label:
+        return LieType.parse(label)
+    if family and args.rank is not None:
+        return LieType(family, args.rank)
+    raise ValueError("specify --type LABEL or a family letter plus --rank")
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser, subcommands' too, whose refusal raises ValueError: `main`
+    reports it in one `error:` line with status 2, not argparse's usage."""
+
+    def error(self, message: str):
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="adnil",
         description="Enumerate ad-nilpotent ideals and verify their statistics.",
     )
@@ -368,18 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command in ("roots", "enumerate", "table", "qt"):
-        args.lie_type = _resolve_type(parser, args)
-        if args.command == "qt" and args.lie_type.family not in "AC":
-            parser.error("qt polynomials are defined for families A and C")
-    if args.command == "gf":
-        if (args.le if args.le is not None else args.exact) < 0:
-            parser.error("class bound must be nonnegative")
-        if args.order < 1:
-            parser.error("--order must be at least 1")
     try:
+        args = build_parser().parse_args(argv)
+        if args.command in ("roots", "enumerate", "table", "qt"):
+            args.lie_type = _resolve_type(args)
         # refuse a bad count or budget for every command, also where unused
         if getattr(args, "workers", None) is not None:
             resolve_workers(args.workers)

@@ -232,36 +232,14 @@ def x_power(family: str, rank: int) -> int:
     return rank + 1 if family == "A" else rank
 
 
-def _cf_series(depth: int, order: int) -> PowerSeries:
-    """Bottom-up expansion of 1/(1 - x/(1 - x/(... 1 - x))) with `depth`
-    occurrences of x, as an exact rational function num/den in t: each
-    level 1/(1 - x num/den) is t**2 den / (t**2 den - num)."""
+def verify_cf_identity(h: int, order: int = 20) -> bool:
+    """Check the depth-h continued fraction 1/(1 - x/(1 - x/(... 1 - x))),
+    with h occurrences of x, against u_tilde(h) / (sqrt(x) u_tilde(h+1))
+    through x**order.  It is built bottom up as an exact ratio num/den in
+    t: each level 1/(1 - x num/den) is t**2 den / (t**2 den - num)."""
     num: poly.Poly = (1,)
     den: poly.Poly = (1,)
-    for _ in range(depth):
+    for _ in range(h):
         num, den = poly.mul(T2, den), poly.add(poly.mul(T2, den), poly.scale(num, -1))
-    return series_of_ratio(num, den, order)
-
-
-def verify_cf_identity(h: int, order: int = 20) -> bool:
-    """Check the depth-h continued fraction against u_tilde(h) /
-    (sqrt(x) u_tilde(h+1)), plus the two product identities
-    U_k U_{k+1} = U_{2k+1} + U_{2k-1} + ... + U_1 and
-    U_{k+1}^2 - U_k^2 = U_{2k+2} as exact polynomial equalities on
-    u_tilde, the image of U_k under x -> t/2."""
-    cf = _cf_series(h, order)
     closed = series_of_ratio(poly.mul(T, u_tilde(h)), u_tilde(h + 1), order)
-    if cf.coefficients != closed.coefficients:
-        return False
-    for k in range(13):
-        lhs = poly.mul(u_tilde(k), u_tilde(k + 1))
-        rhs = poly.add(*(u_tilde(i) for i in range(1, 2 * k + 2, 2)))
-        if lhs != rhs:
-            return False
-        sq = poly.add(
-            poly.mul(u_tilde(k + 1), u_tilde(k + 1)),
-            poly.scale(poly.mul(u_tilde(k), u_tilde(k)), -1),
-        )
-        if sq != u_tilde(2 * k + 2):
-            return False
-    return True
+    return series_of_ratio(num, den, order) == closed

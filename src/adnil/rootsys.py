@@ -52,9 +52,10 @@ class LieType:
 
     @classmethod
     def parse(cls, text: str) -> "LieType":
-        """Parse a label such as 'A3', 'b4' or 'E8'."""
+        """Parse a label such as 'A3', 'b4' or 'E8': a letter, then ASCII
+        digits only."""
         text = text.strip()
-        if len(text) < 2 or not text[1:].isdigit():
+        if len(text) < 2 or not (text[1:].isascii() and text[1:].isdigit()):
             raise ValueError(f"cannot parse Lie type {text!r}")
         return cls(text[0].upper(), int(text[1:]))
 

@@ -32,6 +32,13 @@ def test_parse_rejects(bad: str) -> None:
         LieType.parse(bad)
 
 
+@pytest.mark.parametrize("bad", ["A\uff13", "A\u0663", "A\u00b9", "E\u0668", "A1\u0660"])
+def test_parse_accepts_ascii_digits_only(bad: str) -> None:
+    # fullwidth, Arabic-Indic and superscript digits pass str.isdigit
+    with pytest.raises(ValueError, match="cannot parse Lie type"):
+        LieType.parse(bad)
+
+
 def test_positive_root_counts() -> None:
     expected = {"A": lambda n: n * (n + 1) // 2, "B": lambda n: n * n,
                 "C": lambda n: n * n, "D": lambda n: n * (n - 1)}
