@@ -18,6 +18,7 @@ import sys
 from .checks import SUITES, refuse_huge, run_suite
 from .closedform import catalan_qt, gamma_qt
 from .genfun import family_series
+from .ideals import block_masks
 from .nilpotence import (
     BUDGET_BLOCK,
     POOL_MIN_IDEALS,
@@ -81,12 +82,22 @@ def format_distribution(dist: dict[int, int], fmt: str, label: str = "") -> str:
     )
 
 
-def _decimal(text: object) -> int:
+def integer(text: object) -> int:
     """The integer spelled by a decimal string: ASCII digits with an
-    optional minus sign, nothing else (no number, bool, space or '_')."""
+    optional minus sign, nothing else (no number, bool, space, '_' or
+    other Unicode digit, all of which `int` takes).  The type of every
+    integer option."""
     if not isinstance(text, str) or not re.fullmatch(r"-?[0-9]+", text):
         raise ValueError(f"expected a decimal string, got {text!r}")
     return int(text)
+
+
+def number(text: str) -> float:
+    """A float spelled in ASCII, with no space or '_' (`float` takes those
+    and any Unicode digit): the type of `--budget`."""
+    if not re.fullmatch(r"[-+.0-9A-Za-z]+", text):
+        raise ValueError(f"expected an ASCII number, got {text!r}")
+    return float(text)
 
 
 def parse_distribution(text: str, fmt: str) -> dict[int, int]:
@@ -97,8 +108,8 @@ def parse_distribution(text: str, fmt: str) -> dict[int, int]:
     try:
         if fmt == "json":
             doc = json.loads(text)
-            dist = {_decimal(k): _decimal(v) for k, v in doc["counts"].items()}
-            total = _decimal(doc["total"])
+            dist = {integer(k): integer(v) for k, v in doc["counts"].items()}
+            total = integer(doc["total"])
         else:
             rows = list(csv.reader(io.StringIO(text)))
             if not rows or rows[0] != ["K", "count"]:
@@ -109,12 +120,12 @@ def parse_distribution(text: str, fmt: str) -> dict[int, int]:
                 if len(row) != 2:
                     raise ValueError(f"expected two fields, got {row}")
                 if row[0] == "total":
-                    total = _decimal(row[1])
+                    total = integer(row[1])
                     continue
-                k = _decimal(row[0])
+                k = integer(row[0])
                 if k in dist:
                     raise ValueError(f"class {k} listed twice")
-                dist[k] = _decimal(row[1])
+                dist[k] = integer(row[1])
     except (LookupError, TypeError, AttributeError, OverflowError, RecursionError,
             csv.Error) as exc:
         raise ValueError(f"malformed {fmt} distribution: {exc!r}") from exc
@@ -172,7 +183,8 @@ def _enumerable(lt: LieType) -> RootSystem:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     rs = _enumerable(args.lie_type)
     blocks = classified_blocks(rs, args.method)
-    rows = [(m, m.bit_count(), k) for block, ks in blocks for m, k in zip(block, ks)]
+    rows = [(m, m.bit_count(), k)
+            for block, ks in blocks for m, k in zip(block_masks(rs, block), ks)]
     _emit(_format(
         args.format,
         lambda: {
@@ -300,7 +312,7 @@ COMMANDS = {
 def _add_type_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--type", help="Lie type label, e.g. B3 (or a family letter with --rank)")
     sub.add_argument("--family", choices=list("ABCDEFG"), help="family letter")
-    sub.add_argument("--rank", type=int, help="rank, combined with a family letter")
+    sub.add_argument("--rank", type=integer, help="rank, combined with a family letter")
 
 
 def _add_output_args(sub: argparse.ArgumentParser) -> None:
@@ -348,28 +360,29 @@ def build_parser() -> argparse.ArgumentParser:
     _add_type_args(p)
     _add_output_args(p)
     p.add_argument("--method", choices=list(ROUTES), default="oracle")
-    p.add_argument("--workers", type=int, help=f"largest process count (default: ${WORKER_ENV}, then "
+    p.add_argument("--workers", type=integer,
+                   help=f"largest process count (default: ${WORKER_ENV}, then "
                    f"one for a type under {POOL_MIN_IDEALS} ideals, else all cores); "
                    f"never more than the type's full blocks of {BUDGET_BLOCK} ideals")
-    p.add_argument("--budget", type=float, help="wall-time cap in seconds")
+    p.add_argument("--budget", type=number, help="wall-time cap in seconds")
 
     p = sub.add_parser("verify", help="run a cross-check suite")
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
     p.add_argument("--family", choices=list("ABCD"), help="restrict agreement suite")
-    p.add_argument("--max-rank", type=int, dest="max_rank")
+    p.add_argument("--max-rank", type=integer, dest="max_rank")
     p.add_argument("--keep-going", action="store_true", dest="keep_going",
                    help="report every failure instead of stopping at the first")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--budget", type=float)
+    p.add_argument("--workers", type=integer)
+    p.add_argument("--budget", type=number)
     # plain text only, so no --format
     p.add_argument("--output", help="write to this path instead of stdout")
 
     p = sub.add_parser("gf", help="expand a counting series")
     p.add_argument("--family", choices=list("ABCD"), required=True)
     bound = p.add_mutually_exclusive_group(required=True)
-    bound.add_argument("--le", type=int, help="count ideals of class at most this")
-    bound.add_argument("--exact", type=int, help="count ideals of exactly this class")
-    p.add_argument("--order", type=int, default=12, help="highest power expanded")
+    bound.add_argument("--le", type=integer, help="count ideals of class at most this")
+    bound.add_argument("--exact", type=integer, help="count ideals of exactly this class")
+    p.add_argument("--order", type=integer, default=12, help="highest power expanded")
     _add_output_args(p)
 
     p = sub.add_parser("qt", help="joint (dimension, class) polynomial for A or C")

@@ -11,7 +11,9 @@ a symmetric completion of the shifted diagram.  Every route classifies a
 block of ideals (`ROUTES`); `classify_ideal` asks for a block of one.
 The diagram routes read a whole block in byte lanes (`block_lanes`: one
 int per root, one byte per ideal), after one check over the root covers
-that the block holds ideals only, and then run lane-wise on it.
+that the block holds ideals only, and then run lane-wise on it.  A block
+is the walk's records (`adnil.ideals`), or a list of masks; every route
+returns its classes as one `bytes`, byte b the class of ideal b.
 """
 from __future__ import annotations
 
@@ -23,7 +25,9 @@ from functools import cache, partial
 from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple
 
-from .ideals import Block, Seed, block_bytes, partition_seeds, root_state, walk
+from .ideals import (
+    Seed, block_bytes, block_length, block_masks, partition_seeds, root_state, walk,
+)
 from .rootsys import FAMILIES, RootSystem, total_count_formula
 
 Partition = tuple[int, ...]
@@ -36,11 +40,10 @@ POOL_GROUPS_PER_WORKER = 4  # pool tasks per worker, so that the workers finish 
 
 
 _LANES = bytes.maketrans(b"01", b"\0\1")  # binary digits to byte lanes
-_BITS = [bytes(x >> s & 1 for x in range(256)) for s in range(8)]  # bit s of each byte
 _DIGITS = [bytes(0x30 | x >> s & 1 for x in range(256)) for s in range(8)]  # bit s as "0" or "1"
 
 
-def block_columns(rs: RootSystem, ideals: Block) -> list[int]:
+def block_columns(rs: RootSystem, ideals: bytes | list[int]) -> list[int]:
     """Transpose a nonempty block of ideal masks to one int per root: bit b
     of column k is set when ideal b holds root k (one `translate` per root
     of its mask byte to binary digits, the last ideal's first).  A mask
@@ -49,14 +52,17 @@ def block_columns(rs: RootSystem, ideals: Block) -> list[int]:
     return [int(data[k >> 3].translate(_DIGITS[k & 7]), 2) for k in range(len(rs))]
 
 
-def block_lanes(rs: RootSystem, ideals: Block) -> list[int]:
-    """Transpose a nonempty block of ideal masks to one int per root in byte
-    lanes: byte b of lane k is 1 when ideal b holds root k, else 0 (one
-    `translate` per root of its mask byte, read big-endian since the last
-    ideal comes first).  A mask that is negative or wider than the roots
-    raises ValueError."""
+def block_lanes(rs: RootSystem, ideals: bytes | list[int]) -> list[int]:
+    """Transpose a block of ideal masks to one int per root in byte
+    lanes: byte b of lane k is 1 when ideal b holds root k, else 0.  Each
+    mask byte column is read once as an int (big-endian, since the last
+    ideal comes first), and lane k is column k >> 3 shifted by k & 7 and
+    masked to the low bit of every byte.  A mask that is negative or wider
+    than the roots raises ValueError."""
     data = block_bytes(rs, ideals)
-    return [int.from_bytes(data[k >> 3].translate(_BITS[k & 7]), "big") for k in range(len(rs))]
+    ones = int.from_bytes(b"\1" * len(data[0]), "big")
+    columns = [int.from_bytes(column, "big") for column in data]
+    return [columns[k >> 3] >> (k & 7) & ones for k in range(len(rs))]
 
 
 def byte_lanes(bits: int, count: int) -> int:
@@ -64,7 +70,7 @@ def byte_lanes(bits: int, count: int) -> int:
     return int.from_bytes(f"{bits:0{count}b}".encode().translate(_LANES), "big")
 
 
-def block_classes(rs: RootSystem, ideals: Block) -> list[int]:
+def block_classes(rs: RootSystem, ideals: bytes | list[int]) -> bytes:
     """Class of nilpotence of each ideal of a block: the length of its
     lower central series I = I^1, I^{k+1} = [I^k, I], bit-sliced.
 
@@ -78,11 +84,11 @@ def block_classes(rs: RootSystem, ideals: Block) -> list[int]:
     depth) is checked at every stage, skipped for reducible D2, which has
     no highest root."""
     if not ideals:
-        return []
+        return b""
     if rs.coxeter_number > 256:  # no class exceeds the height of the highest root
         raise ValueError(f"classes of {rs.lie_type} do not fit in byte lanes")
     columns = block_columns(rs, ideals)
-    count = len(ideals)
+    count = block_length(rs, ideals)
     size = len(rs)
     theta = rs.highest_index
     partners = rs.partners
@@ -93,7 +99,7 @@ def block_classes(rs: RootSystem, ideals: Block) -> list[int]:
         for col in stage:
             reached |= col
         if not reached:
-            return list(total.to_bytes(count, "little"))
+            return total.to_bytes(count, "little")
         if theta is not None and reached & ~stage[theta]:
             raise AssertionError("the highest root does not carry the largest depth")
         total += byte_lanes(reached, count)
@@ -109,8 +115,8 @@ def block_classes(rs: RootSystem, ideals: Block) -> list[int]:
 # diagrams
 
 
-def _block_cells(rs: RootSystem, ideals: Block) -> list[list[int]]:
-    """The cells of each (shifted) staircase row of a nonempty block, one
+def _block_cells(rs: RootSystem, ideals: bytes | list[int]) -> list[list[int]]:
+    """The cells of each (shifted) staircase row of a block, one
     byte lane per cell (`block_lanes`), once the whole block is known to be
     ideals: a mask that holds a root without one of its covers raises
     ValueError naming the first such mask.  In type D the two fork cells of
@@ -125,7 +131,7 @@ def _block_cells(rs: RootSystem, ideals: Block) -> list[list[int]]:
         for up in covers:
             bad |= lane ^ (lane & lanes[up])  # lane & ~lanes[up], without a negative int
     if bad:
-        mask = ideals[(bad & -bad).bit_length() - 1 >> 3]
+        mask = block_masks(rs, ideals)[(bad & -bad).bit_length() - 1 >> 3]
         raise ValueError(f"mask {mask} is not an ideal of {rs.lie_type}")
     rows = [lanes[first : first + width] for first, width in rs.rows]
     if rs.lie_type.family == "D":
@@ -195,14 +201,12 @@ def staircase_filling(parts: Partition, n: int) -> list[list[int]]:
     return _block_filling(n, ([int(j < a) for j in range(n - i)] for i, a in enumerate(lam)), 1)
 
 
-def _filling_classes(rs: RootSystem, ideals: Block) -> list[int]:
+def _filling_classes(rs: RootSystem, ideals: bytes | list[int]) -> bytes:
     """Entry (1,1) of the filling of each ideal of a type-A block, filled on
     the block's cells (`_block_cells`)."""
-    if not ideals:
-        return []
-    count = len(ideals)
+    count = block_length(rs, ideals)
     table = _block_filling(rs.lie_type.rank, _block_cells(rs, ideals), count)
-    return list(table[0][0].to_bytes(count, "little"))
+    return table[0][0].to_bytes(count, "little")
 
 
 def _staircase_bytes(rows: list[int], top: int, count: int, step: int = 1) -> list[bytes]:
@@ -226,7 +230,7 @@ def _equal_lanes(data: bytes, top: int) -> Iterator[tuple[int, int]]:
             yield v, int.from_bytes(data.translate(bytes(v) + b"\xff" + bytes(255 - v)), "little")
 
 
-def _block_truncations(rows: list[int], n: int, count: int) -> list[int]:
+def _block_truncations(rows: list[int], n: int, count: int) -> bytes:
     """Truncation steps of a block of diagrams, the byte lanes of their n
     row lengths.  Truncating the rows from s on at first part v > 0 keeps
     the rows from n+1-v on: steps[s] = [v > 0](1 + steps[n+1-v]), evaluated
@@ -237,7 +241,7 @@ def _block_truncations(rows: list[int], n: int, count: int) -> list[int]:
     for s in range(n - 1, -1, -1):
         for v, lanes in _equal_lanes(data[s], n - s):
             steps[s] |= (steps[n + 1 - v] + ones) & lanes
-    return list(steps[0].to_bytes(count, "little"))
+    return steps[0].to_bytes(count, "little")
 
 
 def nilpotence_from_partition(parts: Partition, n: int) -> int:
@@ -330,15 +334,13 @@ def symmetric_completion(parts: Partition, family: str, n: int) -> Partition:
     return tuple(lam)
 
 
-def _completion_classes(rs: RootSystem, ideals: Block) -> list[int]:
+def _completion_classes(rs: RootSystem, ideals: bytes | list[int]) -> bytes:
     """Class of each ideal of a B, C or D block: the truncation recursion
     on its completed ordinary diagram."""
-    if not ideals:
-        return []
     family, n = rs.lie_type.family, rs.lie_type.rank
     cells = [cell for row in _block_cells(rs, ideals) for cell in row]
     rows = _block_completion(cells, family, n)
-    return _block_truncations(rows, _completion_size(family, n), len(ideals))
+    return _block_truncations(rows, _completion_size(family, n), block_length(rs, ideals))
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +381,10 @@ def _broken_ray(
     return down, x, touches
 
 
-def _zigzag_classes(rows: list[int], n: int, count: int) -> list[int]:
+def _zigzag_classes(rows: list[int], n: int, count: int) -> bytes:
     """Diagonal touchings of the zigzag ray on a block of n-staircase
     diagrams: unshifted, off x+y=n+1, with no mid-drop stop."""
-    return list(_broken_ray(rows, 0, n + 1, 0, False, count)[2].to_bytes(count, "little"))
+    return _broken_ray(rows, 0, n + 1, 0, False, count)[2].to_bytes(count, "little")
 
 
 def zigzag_class(parts: Partition, n: int) -> int:
@@ -392,10 +394,10 @@ def zigzag_class(parts: Partition, n: int) -> int:
     return _zigzag_classes(_pad(parts, n), n, 1)[0]
 
 
-def _single_ray_classes(rows: list[int], n: int, count: int) -> list[int]:
+def _single_ray_classes(rows: list[int], n: int, count: int) -> bytes:
     """`single_ray_class` on a block of shifted C diagrams."""
     down, _, touches = _broken_ray(rows, 0, 2 * n, n, True, count)
-    return list((2 * touches + down).to_bytes(count, "little"))
+    return (2 * touches + down).to_bytes(count, "little")
 
 
 def single_ray_class(parts: Partition, n: int) -> int:
@@ -494,18 +496,16 @@ def two_ray_classify(parts: Partition, n: int, family: str) -> TwoRayResult:
 # distributions
 
 
-def _on_lanes(rs: RootSystem, ideals: Block, lane_walk) -> list[int]:
+def _on_lanes(rs: RootSystem, ideals: bytes | list[int], lane_walk):
     """A lane walk, which takes (row-length lanes, rank, block size), on
     the rows of `_block_cells`."""
-    if not ideals:
-        return []
     rows = [sum(cells) for cells in _block_cells(rs, ideals)]
-    return lane_walk(rows, rs.lie_type.rank, len(ideals))
+    return lane_walk(rows, rs.lie_type.rank, block_length(rs, ideals))
 
 
-def _tworay_classes(rs: RootSystem, ideals: Block) -> list[int]:
+def _tworay_classes(rs: RootSystem, ideals: bytes | list[int]) -> bytes:
     results = partial(_two_ray_results, family=rs.lie_type.family)
-    return [result[2] for result in _on_lanes(rs, ideals, results)]
+    return bytes([result[2] for result in _on_lanes(rs, ideals, results)])
 
 
 # method -> (families it applies to, classes of a block of ideals); the
@@ -547,17 +547,28 @@ def _worker_init(rs: RootSystem, method: str, deadline: float) -> None:
 
 
 def _worker_run(group: list[Seed]) -> Counter:
-    """Histogram of a group of seeds, walked as one (`classified_blocks`)."""
-    hist: Counter = Counter()
-    for _, classes in classified_blocks(*_WORKER_STATE, group):
-        hist.update(classes)
-    return hist
+    """Histogram of a group of seeds, walked as one."""
+    return sum(_histograms(*_WORKER_STATE, group), Counter())
+
+
+def _histograms(
+    rs: RootSystem, method: str, deadline: float, seeds: list[Seed] | None = None,
+) -> Iterator[Counter]:
+    """{class: count} of each block of `classified_blocks`, one `bytes.count`
+    per class below the Coxeter number (no class reaches it).  Counts that
+    do not add up to the block's ideals, as when a class is past that bound,
+    raise AssertionError."""
+    for block, classes in classified_blocks(rs, method, deadline, seeds):
+        hist = Counter({k: n for k in range(rs.coxeter_number) if (n := classes.count(k))})
+        if hist.total() != block_length(rs, block):
+            raise AssertionError(f"the class counts of a block of {rs.lie_type} miss its size")
+        yield hist
 
 
 def classified_blocks(
     rs: RootSystem, method: str = "oracle", deadline: float = math.inf,
     seeds: list[Seed] | None = None,
-) -> Iterator[tuple[Block, list[int]]]:
+) -> Iterator[tuple[bytes, bytes]]:
     """Each block of the walk below `seeds` (the root state when None), in
     full blocks of `BUDGET_BLOCK` ideals but the last, with the classes of
     its ideals by `method`.  The clock (`time.monotonic`, the same in every
@@ -653,7 +664,7 @@ def class_distribution(
         groups = partition_seeds(rs, POOL_GROUPS_PER_WORKER * nworkers)
         parts = _pooled(nworkers, (rs, method, deadline), groups)
     else:
-        parts = (Counter(classes) for _, classes in classified_blocks(rs, method, deadline))
+        parts = _histograms(rs, method, deadline)
     hist: Counter = Counter()
     done = 0
     for part in parts:
@@ -668,5 +679,7 @@ def joint_histogram(rs: RootSystem, method: str = "oracle") -> dict[tuple[int, i
     """Histogram {(dimension, class): count} over every ideal."""
     hist: Counter = Counter()
     for block, classes in classified_blocks(rs, method):
-        hist.update(zip(map(int.bit_count, block), classes))
+        # one popcount lane: no enumerable type has 256 roots, so no lane carries
+        dimensions = sum(block_lanes(rs, block)).to_bytes(len(classes), "little")
+        hist.update(zip(dimensions, classes))
     return dict(hist)

@@ -352,6 +352,36 @@ def test_usage_errors_exit_two(capsys: pytest.CaptureFixture, argv: list[str]) -
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("option, argv", [
+    ("--rank", ["table", "--family", "A", "--rank", "\uff13"]),
+    ("--workers", ["table", "--type", "A3", "--workers", "\uff12"]),
+    ("--budget", ["table", "--type", "A3", "--budget", "\uff15"]),
+    ("--max-rank", ["verify", "--suite", "agreement", "--max-rank", "\u0662"]),
+    ("--le", ["gf", "--family", "A", "--le", "\uff12", "--order", "3"]),
+    ("--exact", ["gf", "--family", "A", "--exact", "\u0662", "--order", "3"]),
+    ("--order", ["gf", "--family", "A", "--le", "2", "--order", "\uff13"]),
+])
+def test_numeric_options_take_ascii_digits_only(
+    capsys: pytest.CaptureFixture, option: str, argv: list[str],
+) -> None:
+    # `int` and `float` take any Unicode decimal digit (here fullwidth and
+    # Arabic-Indic), a space or a '_'; every numeric option refuses them
+    # with one `error:` line naming it, and takes the ASCII spelling
+    for value in (argv[argv.index(option) + 1], " 2", "1_0"):
+        bad = [*argv]
+        bad[argv.index(option) + 1] = value
+        code = main(bad)
+        captured = capsys.readouterr()
+        assert code == 2, bad
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: argument {option}: invalid ")
+        assert captured.err.count("\n") == 1
+    good = [*argv]
+    good[argv.index(option) + 1] = "2" if option != "--budget" else "60"
+    assert main(good) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["table", "--help"], ["verify", "-h"]])
 def test_help_exits_zero(capsys: pytest.CaptureFixture, argv: list[str]) -> None:
     with pytest.raises(SystemExit) as exc:

@@ -1,8 +1,6 @@
 from __future__ import annotations
 
 import gc
-import sys
-from array import array
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,10 +14,13 @@ from adnil import (
 from adnil import ideals
 from adnil.checks import SMALL_TYPES
 from adnil.ideals import (
+    block_length,
+    block_masks,
     enumerate_ideal_masks,
     is_upward_closed,
     mask_indices,
     partition_seeds,
+    record_width,
     root_state,
     walk,
 )
@@ -96,13 +97,12 @@ def test_empty_antichain_gives_zero_ideal() -> None:
 
 
 def _walked(rs, seeds, size: int = 4096) -> list[int]:
-    return [mask for block in walk(rs, seeds, size) for mask in block]
+    return [mask for block in walk(rs, seeds, size) for mask in block_masks(rs, block)]
 
 
-def _blocks(blocks) -> list[list[int]]:
-    """A walk's blocks as lists of ints: arrays of 8-byte words up to 64
-    roots, lists past them."""
-    return [list(block) for block in blocks]
+def _blocks(rs, blocks) -> list[list[int]]:
+    """A walk's blocks of records as lists of ints."""
+    return [block_masks(rs, block) for block in blocks]
 
 
 def _size(rs, und: int) -> int:
@@ -189,10 +189,10 @@ def test_walk_blocks_are_full_but_the_last(size: int) -> None:
         total = total_count_formula(rs)
         groups = partition_seeds(rs, 3)
         for seeds in ([root_state(rs)], [state for group in groups for state in group]):
-            sizes = [len(block) for block in walk(rs, seeds, size)]
+            sizes = [block_length(rs, block) for block in walk(rs, seeds, size)]
             assert sizes == full_but_the_last(total), label
         for group in groups:
-            sizes = [len(block) for block in walk(rs, group, size)]
+            sizes = [block_length(rs, block) for block in walk(rs, group, size)]
             assert sizes == full_but_the_last(len(_walked(rs, group))), label
 
 
@@ -216,8 +216,8 @@ def test_walk_of_no_seed_or_a_finished_state() -> None:
     assert list(walk(rs, [], 4096)) == []
     full = (1 << len(rs)) - 1
     for ideal in (0, full, rs.filter_masks[2]):
-        assert _blocks(walk(rs, [(ideal, 0)], 4096)) == [[ideal]]
-    assert _blocks(walk(rs, [(0, 0), (full, 0)], 1)) == [[0], [full]]  # seed by seed
+        assert _blocks(rs, walk(rs, [(ideal, 0)], 4096)) == [[ideal]]
+    assert _blocks(rs, walk(rs, [(0, 0), (full, 0)], 1)) == [[0], [full]]  # seed by seed
 
 
 def _dfs_walk(rs, seeds) -> list[int]:
@@ -254,13 +254,14 @@ def test_walk_replays_the_plain_dfs_block_for_block(label: str) -> None:
     rs = build_root_system(label)
     want = _sorted_dfs(rs)
     assert partition_seeds(rs, 1) == [[root_state(rs)]]
-    kind = array if len(rs) <= 64 else list  # E8's 120 roots take lists
+    width = record_width(rs)  # E8's 120 roots take 15 bytes a record
     for parts in (1, 2, 3, 8):
         groups = partition_seeds(rs, parts)
         for size in (1, 5, 7, 4096):
             walks = [list(walk(rs, group, size)) for group in groups]
-            assert {type(block) for blocks in walks for block in blocks} == {kind}
-            got = [_blocks(blocks) for blocks in walks]
+            assert {type(block) for blocks in walks for block in blocks} == {bytearray}
+            assert all(len(block) % width == 0 for blocks in walks for block in blocks)
+            got = [_blocks(rs, blocks) for blocks in walks]
             assert got == [_chunks(masks, size) for masks in _ranges(want, parts)], (parts, size)
 
 
@@ -278,12 +279,12 @@ def _walk_memos(monkeypatch: pytest.MonkeyPatch) -> list:
 
 
 def _kept(rs, memo) -> dict[int, list[int]]:
-    """The kept entries of a walk memo, each as its list of masks: a list
-    as is, and a packed int read as the bytes, in native order, of as many
-    8-byte words as the set has ideals."""
+    """The kept entries of a walk memo, each as its list of masks: the
+    packed int read as the little-endian records of as many masks as the
+    set has ideals."""
+    width = record_width(rs)
     return {
-        und: below if isinstance(below, list)
-        else list(array("Q", below.to_bytes(8 * _size(rs, und), sys.byteorder)))
+        und: block_masks(rs, below.to_bytes(width * _size(rs, und), "little"))
         for und, below in memo.items() if below
     }
 
@@ -293,10 +294,10 @@ def test_memo_stores_no_list_longer_than_a_block(monkeypatch: pytest.MonkeyPatch
     # sighting, and an undecided set of at most one root is never stored
     memos = _walk_memos(monkeypatch)
     rs = build_root_system("A10")
-    assert _blocks(walk(rs, [root_state(rs)], 64)) == _chunks(_sorted_dfs(rs), 64)
+    assert _blocks(rs, walk(rs, [root_state(rs)], 64)) == _chunks(_sorted_dfs(rs), 64)
     memo = memos[0]
     assert all(m is memo for m in memos)  # one memo for the whole walk
-    assert all(type(below) is int for below in memo.values() if below)  # 55 roots: packed words
+    assert all(type(below) is int for below in memo.values() if below)  # 55 roots: 7-byte records
     stored = _kept(rs, memo)
     assert stored and max(map(len, stored.values())) <= 64
     for undecided, below in stored.items():  # the masks of U(und), each ANDed with und
@@ -306,9 +307,11 @@ def test_memo_stores_no_list_longer_than_a_block(monkeypatch: pytest.MonkeyPatch
     assert any(_size(rs, undecided) > 64 for undecided, below in memo.items() if not below)
     assert all(undecided.bit_count() > 1 for undecided in memo)
     memos.clear()
-    rs = build_root_system("A11")  # 66 roots: kept as lists of ints
-    assert _blocks(walk(rs, [root_state(rs)], 4096)) == _chunks(_sorted_dfs(rs), 4096)
-    assert all(type(below) is list for below in memos[0].values() if below)
+    rs = build_root_system("A11")  # 66 roots: kept as 9-byte records, one int per set
+    assert _blocks(rs, walk(rs, [root_state(rs)], 4096)) == _chunks(_sorted_dfs(rs), 4096)
+    stored = _kept(rs, memos[0])
+    assert stored and max(map(len, stored.values())) <= 4096
+    assert all(below == [u & und for u in _walked(rs, [(0, und)])] for und, below in stored.items())
 
 
 @pytest.mark.parametrize("label, sets, masks", [
@@ -347,7 +350,7 @@ def test_every_replay_adds_the_ideal_to_disjoint_words(
     # a state (ideal, und) of the walk has every root above an undecided
     # root undecided or in `ideal`, so for each u below (0, und) the roots
     # of u outside und lie in `ideal`: ideal | u = ideal + (u & und), the
-    # one addition of a replay, with no carry between the 8-byte words
+    # one addition of a replay, with no carry between the records
     popped: list = []
     memos: list = []
     depth = [0]
@@ -365,7 +368,7 @@ def test_every_replay_adds_the_ideal_to_disjoint_words(
 
     monkeypatch.setattr(ideals, "_descend", spy)
     rs = build_root_system(label)
-    assert _blocks(walk(rs, [root_state(rs)], 4096)) == _chunks(_sorted_dfs(rs), 4096)
+    assert _blocks(rs, walk(rs, [root_state(rs)], 4096)) == _chunks(_sorted_dfs(rs), 4096)
     monkeypatch.undo()
     stored = _kept(rs, memos[0])
     below = {und: _walked(rs, [(0, und)]) for und in stored}
@@ -377,24 +380,59 @@ def test_every_replay_adds_the_ideal_to_disjoint_words(
         assert [ideal | u for u in below[und]] == [ideal + w for w in stored[und]]
 
 
+def _little(masks, width: int) -> bytes:
+    return b"".join(mask.to_bytes(width, "little") for mask in masks)
+
+
 @pytest.mark.parametrize("label", ["A8", "A10", "B8", "D8"])
 def test_walk_is_the_same_in_either_byte_order(monkeypatch: pytest.MonkeyPatch, label: str) -> None:
-    # the memo packs and replays its words in the byte order that `ideals`
-    # reads; swapped to the other one, as on a host of the other order, each
-    # kept int is laid out otherwise, yet the replay's addition still never
-    # carries and the blocks are those of the unswapped walk
+    # no step reads the host's byte order: every record of a block, replayed
+    # from the memo or walked as is, is its mask's little-endian bytes, and
+    # each kept set is one int of the little-endian records of u & und
     memos = _walk_memos(monkeypatch)
     rs = build_root_system(label)
-    want = _blocks(walk(rs, [root_state(rs)], 4096))
-    native = {und: below for und, below in memos[0].items() if below}
-    memos.clear()
-    monkeypatch.setattr(ideals, "byteorder", {"little": "big", "big": "little"}[sys.byteorder])
-    got = list(walk(rs, [root_state(rs)], 4096))
-    assert {type(block) for block in got} == {array}
-    assert _blocks(got) == want == _chunks(_sorted_dfs(rs), 4096)
-    swapped = {und: below for und, below in memos[0].items() if below}
-    assert native and swapped.keys() == native.keys()
-    assert all(swapped[und] != native[und] for und in native)
+    width = record_width(rs)
+    blocks = list(walk(rs, [root_state(rs)], 4096))
+    assert [bytes(block) for block in blocks] == [
+        _little(masks, width) for masks in _chunks(_sorted_dfs(rs), 4096)
+    ]
+    kept = {und: below for und, below in memos[0].items() if below}
+    assert kept
+    for und, packed in kept.items():
+        below = _walked(rs, [(0, und)])
+        assert packed.to_bytes(width * len(below), "little") == _little([u & und for u in below], width)
+
+
+@pytest.mark.parametrize("label", ["A1", "C5", "E6", "E7", "E8", "A11"])
+def test_each_record_is_the_mask_in_little_endian(label: str) -> None:
+    # record widths 1, 4, 5, 8, 15 and 9 bytes, walked without a memo
+    # (packed 8-byte words cut to the width, or one `to_bytes` per mask past
+    # 8 bytes) and, for A11, with one; `block_masks` reads them back
+    rs = build_root_system(label)
+    width = record_width(rs)
+    assert width == -(-len(rs) // 8)
+    want = _chunks(_sorted_dfs(rs), 4096)
+    blocks = list(walk(rs, [root_state(rs)], 4096))
+    assert [bytes(block) for block in blocks] == [_little(masks, width) for masks in want]
+    assert _blocks(rs, blocks) == want
+    assert block_masks(rs, want[0]) is want[0]  # a list is already masks
+
+
+def test_a_walk_of_fewer_ideals_than_a_block_keeps_no_memo(monkeypatch: pytest.MonkeyPatch) -> None:
+    # the memo is chosen by the ideals below the walk's own seeds, not by
+    # its type's: each of A10's 16 ranges holds fewer than 4096 of its 58786
+    # ideals and walks without one, and with one at a block of its own size
+    memos = _walk_memos(monkeypatch)
+    rs = build_root_system("A10")
+    ranges = _ranges(_sorted_dfs(rs), 16)
+    for group, masks in zip(partition_seeds(rs, 16), ranges):
+        assert len(masks) < 4096
+        memos.clear()
+        assert _blocks(rs, walk(rs, group, 4096)) == [masks]
+        assert memos and all(memo is None for memo in memos)
+        memos.clear()
+        assert _blocks(rs, walk(rs, group, len(masks))) == [masks]
+        assert memos and all(memo is not None for memo in memos)
 
 
 def test_walk_refuses_a_block_size_below_one() -> None:
@@ -439,7 +477,7 @@ def test_only_classical_types_of_a_full_block_keep_a_memo(monkeypatch: pytest.Mo
         rs = build_root_system(label)  # 4160, 3432, 25080, 4862 and 9438 ideals
         want = _chunks(_sorted_dfs(rs), 4096)
         memos.clear()
-        assert _blocks(walk(rs, [root_state(rs)], 4096)) == want
+        assert _blocks(rs, walk(rs, [root_state(rs)], 4096)) == want
         assert {memo is not None for memo in memos} == {memo_kept}, label
     memos.clear()
     for group in partition_seeds(rs, 2):

@@ -9,12 +9,11 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from array import array
 from collections import Counter
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from functools import cache
-from itertools import product
+from itertools import islice, product
 from operator import add
 from pathlib import Path
 
@@ -37,7 +36,10 @@ from adnil import (
 from adnil import nilpotence
 from adnil.checks import SMALL_TYPES, suite_agreement
 from adnil.cli import main
-from adnil.ideals import enumerate_ideal_masks, partition_seeds, root_state, walk
+from adnil.ideals import (
+    block_length, block_masks, enumerate_ideal_masks, partition_seeds, record_width, root_state,
+    walk,
+)
 from adnil.nilpotence import (
     BUDGET_BLOCK,
     POOL_GROUPS_PER_WORKER,
@@ -81,8 +83,8 @@ def test_oracle_requires_ideal_through_highest_root() -> None:
     assert classify_ideal(rs, 7) == 2
     # bracketing the two simple roots reaches the highest root
     assert classify_ideal(rs, 1) == 1
-    assert block_classes(rs, [0, 7, 1]) == [0, 2, 1]
-    assert block_classes(rs, []) == []
+    assert list(block_classes(rs, [0, 7, 1])) == [0, 2, 1]
+    assert block_classes(rs, []) == b""
 
 
 @cache
@@ -110,7 +112,7 @@ def _walked(rs, seeds=None) -> list[int]:
     """Every ideal mask below `seeds`, by default of the type, in the
     walk's order."""
     blocks = walk(rs, seeds or [root_state(rs)], BUDGET_BLOCK)
-    return [mask for block in blocks for mask in block]
+    return [mask for block in blocks for mask in block_masks(rs, block)]
 
 
 def _classified(rs, method: str = "oracle") -> tuple[list[int], list[int]]:
@@ -119,7 +121,7 @@ def _classified(rs, method: str = "oracle") -> tuple[list[int], list[int]]:
     masks: list[int] = []
     classes: list[int] = []
     for block, part in classified_blocks(rs, method):
-        masks += block
+        masks += block_masks(rs, block)
         classes += part
     return masks, classes
 
@@ -131,13 +133,13 @@ def test_oracle_matches_bracket_iteration(label: str) -> None:
     rs = build_root_system(label)
     masks = _walked(rs)
     want = {mask: bracket_class(rs.positive_roots, mask) for mask in masks}
-    assert block_classes(rs, masks) == list(want.values())
+    assert list(block_classes(rs, masks)) == list(want.values())
     for group in partition_seeds(rs, 8):
         block = _walked(rs, group)
-        assert block_classes(rs, block) == [want[mask] for mask in block], group
+        assert list(block_classes(rs, block)) == [want[mask] for mask in block], group
         for seed in group:
             block = _walked(rs, [seed])
-            assert block_classes(rs, block) == [want[mask] for mask in block], seed
+            assert list(block_classes(rs, block)) == [want[mask] for mask in block], seed
     assert class_distribution(rs, workers=1) == dict(sorted(Counter(want.values()).items()))
 
 
@@ -147,15 +149,15 @@ def test_block_oracle_matches_per_ideal_oracle(label: str) -> None:
     # it gets beside every other ideal of the type: no lane leaks
     rs = build_root_system(label)
     masks = _walked(rs)
-    assert [classify_ideal(rs, mask) for mask in masks] == block_classes(rs, masks)
+    assert [classify_ideal(rs, mask) for mask in masks] == list(block_classes(rs, masks))
 
 
 def test_root_seed_histogram_spans_two_blocks() -> None:
     rs = build_root_system("A8")  # 4862 ideals
     blocks = list(walk(rs, [root_state(rs)], BUDGET_BLOCK))
-    assert [len(block) for block in blocks] == [BUDGET_BLOCK, 4862 - BUDGET_BLOCK]
+    assert [block_length(rs, block) for block in blocks] == [BUDGET_BLOCK, 4862 - BUDGET_BLOCK]
     assert [block for block, _ in classified_blocks(rs)] == blocks
-    want = [bracket_class(rs.positive_roots, mask) for block in blocks for mask in block]
+    want = [bracket_class(rs.positive_roots, mask) for mask in _walked(rs)]
     assert _classified(rs) == (_walked(rs), want)
     parts = [Counter(classes) for _, classes in classified_blocks(rs, "oracle", math.inf)]
     assert [part.total() for part in parts] == [BUDGET_BLOCK, 4862 - BUDGET_BLOCK]
@@ -177,7 +179,7 @@ def test_oracle_guard_rejects_non_ideal() -> None:
 def test_block_guard_rejects_non_ideal() -> None:
     # the same root set beside genuine ideals fails the whole block
     rs = build_root_system("A2")
-    assert block_classes(rs, [0, 1, 3]) == [0, 1, 1]
+    assert list(block_classes(rs, [0, 1, 3])) == [0, 1, 1]
     with pytest.raises(AssertionError, match="highest root"):
         block_classes(rs, [0, 1, 3, _non_ideal(rs)])
     # a mask with a bit past the roots is no root set at all
@@ -261,7 +263,7 @@ def test_block_rows_count_the_cells_of_each_row(label: str) -> None:
     got = []
     for block in walk(rs, [root_state(rs)], BUDGET_BLOCK):
         rows = [sum(cells) for cells in nilpotence._block_cells(rs, block)]
-        got += zip(*[lanes.to_bytes(len(block), "little") for lanes in rows])
+        got += zip(*[lanes.to_bytes(block_length(rs, block), "little") for lanes in rows])
     assert got == want
     step = max(1, len(masks) // 500)
     for mask, rows in zip(masks[::step], want[::step]):
@@ -452,25 +454,29 @@ def test_block_lanes_transpose_the_masks(label: str, count: int) -> None:
             block_lanes(rs, [*block, mask])
 
 
+def _records(masks, width: int) -> bytearray:
+    return bytearray(b"".join(mask.to_bytes(width, "little") for mask in masks))
+
+
 @pytest.mark.parametrize("label, masks", [
-    ("A10", (1 << 55, 1 << 63, -1)),  # 55 roots: bits 55 to 63 lie in the word, past the roots
+    ("A10", (1 << 55, 1 << 63, -1)),  # 55 roots in 7 bytes: bit 55 is in the record, past the roots
     ("B8", (1 << 64, -1)),  # 64 roots: the next bit needs a ninth byte
     ("A11", (1 << 66, 1 << 71, 1 << 72, -1)),  # 66 roots in 9 bytes: bits 66 to 71 lie in the last
 ])
 def test_masks_past_the_roots_are_refused_in_lists_and_arrays(
     label: str, masks: tuple[int, ...],
 ) -> None:
-    # the packing to records (8-byte words up to 64 roots, else the roots'
-    # bytes) refuses a negative or wider mask, and a byte column past the
-    # roots a stray bit inside the record; an array holds only the masks
-    # that fit a word
+    # a list of ints is refused by its range before it is packed, and a
+    # bytearray of records by a byte past the roots in its last column;
+    # records hold only the masks that fit their width
     rs = build_root_system(label)
+    width = record_width(rs)
     ideals = _walked(rs)[:100]
     message = f"^a mask of the block is no set of roots of {label}$"
     for mask in masks:
         blocks = [[*ideals, mask]]
-        if 0 <= mask < 1 << 64:
-            blocks.append(array("Q", blocks[0]))
+        if 0 <= mask < 1 << 8 * width:
+            blocks.append(_records(blocks[0], width))
         for block in blocks:
             for transpose in (block_lanes, block_columns, block_classes):
                 with pytest.raises(ValueError, match=message):
@@ -481,19 +487,19 @@ def test_masks_past_the_roots_are_refused_in_lists_and_arrays(
 
 @pytest.mark.parametrize("label", ["E7", "B8", "A11", "E8"])
 def test_transpositions_of_a_list_and_an_array_block_agree(label: str) -> None:
-    # E7 and B8 (63 and 64 roots) pack 8-byte words, A11 and E8 (66 and
-    # 120 roots) write each mask in the roots' bytes; past 64 roots an
-    # array holds the masks of the roots below 64 only
+    # a list of ints and the bytearray of its records, 8 bytes wide for E7
+    # and B8 (63 and 64 roots), 9 for A11 and 15 for E8 (66 and 120 roots):
+    # random root sets, and the walk's first blocks read back as lists
     rs = build_root_system(label)
-    bits = min(len(rs), 64)
-    rng = random.Random(bits)
-    low = [0, *(rng.getrandbits(bits) for _ in range(BUDGET_BLOCK - 2)), (1 << bits) - 1]
-    blocks = [low[:1], low[:7], low]
-    if len(rs) <= 64:
-        blocks += [list(block) for block in walk(rs, [root_state(rs)], BUDGET_BLOCK)]
-    for block in blocks:
+    width = record_width(rs)
+    rng = random.Random(len(rs))
+    low = [0, *(rng.getrandbits(len(rs)) for _ in range(BUDGET_BLOCK - 2)), (1 << len(rs)) - 1]
+    pairs = [(_records(masks, width), masks) for masks in (low[:1], low[:7], low)]
+    pairs += [(block, block_masks(rs, block))
+              for block in islice(walk(rs, [root_state(rs)], BUDGET_BLOCK), 3)]
+    for block, masks in pairs:
         for transpose in (block_lanes, block_columns):
-            assert transpose(rs, array("Q", block)) == transpose(rs, block)
+            assert transpose(rs, block) == transpose(rs, masks)
 
 
 @pytest.mark.parametrize(
@@ -695,7 +701,7 @@ def test_lane_routes_agree_on_a_block_and_on_blocks_of_one(method: str, label: s
     ideals = _walked(rs)
     route = ROUTES[method][1]
     classes = route(rs, ideals)
-    assert classes == [route(rs, [ideal])[0] for ideal in ideals]
+    assert list(classes) == [route(rs, [ideal])[0] for ideal in ideals]
     if method == "completion":
         cells = [cell for row in nilpotence._block_cells(rs, ideals) for cell in row]
         lanes = nilpotence._block_completion(cells, family, n)
@@ -731,7 +737,7 @@ def test_type_a_methods_agree_with_oracle() -> None:
     for n in range(1, 6):
         rs = build_root_system(f"A{n}")
         masks = _walked(rs)
-        want = block_classes(rs, masks)
+        want = list(block_classes(rs, masks))
         for method in ("filling", "recursion", "zigzag"):
             assert _classified(rs, method) == (masks, want), (n, method)
 
@@ -741,7 +747,7 @@ def test_completion_agrees_with_oracle() -> None:
     for family, n in product("BCD", range(2, 8)):
         rs = build_root_system(f"{family}{n}")
         masks, got = _classified(rs, "completion")
-        assert got == block_classes(rs, masks), rs
+        assert got == list(block_classes(rs, masks)), rs
 
 
 def test_completion_guard_survives_optimize() -> None:
@@ -774,7 +780,7 @@ def test_ray_methods_agree_with_oracle() -> None:
         for label in labels:
             rs = build_root_system(label)
             masks, got = _classified(rs, method)
-            assert got == block_classes(rs, masks), label
+            assert got == list(block_classes(rs, masks)), label
 
 
 def test_two_ray_cases_are_total() -> None:
@@ -1043,7 +1049,7 @@ def test_budget_expiring_inside_a_block_stops_the_next(monkeypatch: pytest.Monke
     classified = []
 
     def slow_block(rs, ideals):
-        classified.append(len(ideals))
+        classified.append(block_length(rs, ideals))
         while time.monotonic() <= deadline:
             time.sleep(0.01)
         return block_classes(rs, ideals)
@@ -1153,6 +1159,46 @@ def test_worker_runs_one_root_system_after_another(monkeypatch: pytest.MonkeyPat
         assert hist == Counter(class_distribution(rs, workers=1)), label
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_class_past_the_coxeter_number_is_not_dropped(
+    monkeypatch: pytest.MonkeyPatch, inline_pool: dict, workers: int,
+) -> None:
+    # the histogram counts each class below the Coxeter number by
+    # `bytes.count`; a route that returns one class at or past it (here the
+    # last ideal of each block) leaves an ideal uncounted, which raises,
+    # serially and in a pool's worker
+    rs = build_root_system("D8")  # 9438 ideals, Coxeter number 14: 3 blocks, a pool of 2
+
+    def past(rs, ideals):
+        return block_classes(rs, ideals)[:-1] + bytes([rs.coxeter_number])
+
+    monkeypatch.setitem(nilpotence.ROUTES, "oracle", (nilpotence.FAMILIES, past))
+    message = "^the class counts of a block of D8 miss its size$"
+    with pytest.raises(AssertionError, match=message):
+        class_distribution(rs, workers=workers)
+    assert inline_pool["sizes"] == ([2] if workers == 2 else [])
+
+
+@pytest.mark.parametrize("label", ["A9", "B7", "C7", "D7", "E6", "A11"])
+def test_every_route_returns_bytes_of_the_block_length(label: str) -> None:
+    # random blocks of the walk's records (A11: 9-byte records), of
+    # random lengths, and each block's classes agree with the oracle's
+    rs = build_root_system(label)
+    rng = random.Random(label)
+    blocks = list(islice(walk(rs, [root_state(rs)], BUDGET_BLOCK), 4))
+    for block in rng.sample(blocks, min(2, len(blocks))):
+        count = block_length(rs, block)
+        start = rng.randrange(count)
+        width = record_width(rs)
+        for part in (block, block[start * width:], block[start * width:(start + 1) * width]):
+            want = block_classes(rs, part)
+            assert type(want) is bytes and len(want) == block_length(rs, part)
+            for method, (families, route) in ROUTES.items():
+                if label[0] in families:
+                    got = route(rs, part)
+                    assert type(got) is bytes and got == want, method
+
+
 def test_serial_run_classifies_full_blocks(monkeypatch: pytest.MonkeyPatch) -> None:
     # one chain over the whole walk: E8's 25080 ideals in 7 blocks, where
     # a block per seed made 122
@@ -1160,7 +1206,7 @@ def test_serial_run_classifies_full_blocks(monkeypatch: pytest.MonkeyPatch) -> N
     sizes = []
 
     def counted(rs, ideals):
-        sizes.append(len(ideals))
+        sizes.append(block_length(rs, ideals))
         return block_classes(rs, ideals)
 
     monkeypatch.setitem(nilpotence.ROUTES, "oracle", (nilpotence.FAMILIES, counted))
