@@ -3,7 +3,9 @@
 The reference computation ("oracle", `block_classes`) follows the lower
 central series of a whole block of ideals at once, bit-sliced: one int
 per root holds one bit per ideal, and one sweep over the root sums
-advances every ideal of the block by one stage.  Independent routes
+advances every ideal of the block by one stage.  The block goes in,
+and its classes, counted in bit planes, come out through one 8x8
+bit-matrix transpose by delta swaps (`_transpose8`).  Independent routes
 recover the same number from diagram combinatorics: a staircase filling,
 a truncation recursion, and broken-ray walks on (shifted) Ferrers
 diagrams, which share one lane walk.  Types B, C and D are routed through
@@ -39,17 +41,40 @@ POOL_MIN_IDEALS = 100_000  # fewest ideals that the default worker count pools
 POOL_GROUPS_PER_WORKER = 4  # pool tasks per worker, so that the workers finish close together
 
 
-_LANES = bytes.maketrans(b"01", b"\0\1")  # binary digits to byte lanes
-_DIGITS = [bytes(0x30 | x >> s & 1 for x in range(256)) for s in range(8)]  # bit s as "0" or "1"
+def _transpose8(xs: list[int], length: int) -> list[int]:
+    """Transpose every 8x8 bit matrix of each int of `length` bytes (a
+    multiple of 8), one matrix per 8-byte group, by three delta swaps
+    (Warren, Hacker's Delight, 7-3): bit i of byte r goes to bit r of byte
+    i.  The masks, built on each call, serve every int of the list.  The
+    transpose is its own inverse."""
+    groups = length >> 3
+    masks = [(s, int.from_bytes(m.to_bytes(8, "little") * groups, "little"))
+             for s, m in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
+                          (28, 0x00000000F0F0F0F0))]
+    out = []
+    for x in xs:
+        for s, m in masks:
+            t = (x ^ x >> s) & m
+            x ^= t ^ t << s
+        out.append(x)
+    return out
 
 
 def block_columns(rs: RootSystem, ideals: bytes | list[int]) -> list[int]:
-    """Transpose a nonempty block of ideal masks to one int per root: bit b
-    of column k is set when ideal b holds root k (one `translate` per root
-    of its mask byte to binary digits, the last ideal's first).  A mask
-    that is negative or wider than the roots raises ValueError."""
+    """Transpose a block of ideal masks to one int per root: bit b of
+    column k is set when ideal b holds root k.  Each mask-byte column is
+    read once as an int, byte b from ideal b, and transposed in groups of
+    8 ideals (`_transpose8`, a partial last group zero-padded); root k's
+    column is then every eighth byte of its column's transpose, from byte
+    k & 7.  A mask that is negative or wider than the roots raises
+    ValueError."""
     data = block_bytes(rs, ideals)
-    return [int(data[k >> 3].translate(_DIGITS[k & 7]), 2) for k in range(len(rs))]
+    length = -(-len(data[0]) // 8) * 8
+    columns = []
+    for x in _transpose8([int.from_bytes(column, "big") for column in data], length):
+        rows = x.to_bytes(length, "little")
+        columns += [int.from_bytes(rows[i::8], "little") for i in range(8)]
+    return columns[: len(rs)]
 
 
 def block_lanes(rs: RootSystem, ideals: bytes | list[int]) -> list[int]:
@@ -65,9 +90,16 @@ def block_lanes(rs: RootSystem, ideals: bytes | list[int]) -> list[int]:
     return [columns[k >> 3] >> (k & 7) & ones for k in range(len(rs))]
 
 
-def byte_lanes(bits: int, count: int) -> int:
-    """Byte b of the result is bit b of `bits`, for b < count."""
-    return int.from_bytes(f"{bits:0{count}b}".encode().translate(_LANES), "big")
+def _plane_bytes(planes: list[int], count: int) -> bytes:
+    """The `count` bytes held in up to 8 bit planes, bit p of byte b being
+    bit b of `planes[p]`: plane p laid into byte p of every 8-byte group,
+    and each group transposed (`_transpose8`)."""
+    length = -(-count // 8) * 8
+    groups = bytearray(length)
+    for p, plane in enumerate(planes):
+        groups[p::8] = plane.to_bytes(length >> 3, "little")
+    [x] = _transpose8([int.from_bytes(groups, "little")], length)
+    return x.to_bytes(length, "little")[:count]
 
 
 def block_classes(rs: RootSystem, ideals: bytes | list[int]) -> bytes:
@@ -79,30 +111,36 @@ def block_classes(rs: RootSystem, ideals: bytes | list[int]) -> bytes:
     I^{s+1} when k = i + j with i in I^s and j in I, so one sweep over
     `rs.partners` advances the whole block one stage.  The union of stage
     s over the roots marks the ideals of class at least s, and these
-    nested masks are summed into one byte lane per ideal.  That the
-    highest root lies in every nonempty stage (it carries the largest
-    depth) is checked at every stage, skipped for reducible D2, which has
-    no highest root."""
-    if not ideals:
-        return b""
+    nested masks are added into a bit-sliced counter: plane p holds bit p
+    of every ideal's class so far, the carry passed on by XOR and AND.  No
+    class reaches the Coxeter number, at most 256, so 8 planes suffice;
+    they are laid out as one byte per ideal at the end (`_plane_bytes`).
+    That the highest root lies in every nonempty stage (it carries the
+    largest depth) is checked at every stage, skipped for reducible D2,
+    which has no highest root."""
     if rs.coxeter_number > 256:  # no class exceeds the height of the highest root
         raise ValueError(f"classes of {rs.lie_type} do not fit in byte lanes")
     columns = block_columns(rs, ideals)
-    count = block_length(rs, ideals)
     size = len(rs)
     theta = rs.highest_index
     partners = rs.partners
     stage = columns
-    total = 0  # byte b is the class of ideal b so far
+    planes: list[int] = []  # bit b of plane p is bit p of the class of ideal b so far
     while True:
         reached = 0
         for col in stage:
             reached |= col
         if not reached:
-            return total.to_bytes(count, "little")
+            return _plane_bytes(planes, block_length(rs, ideals))
         if theta is not None and reached & ~stage[theta]:
             raise AssertionError("the highest root does not carry the largest depth")
-        total += byte_lanes(reached, count)
+        carry = reached
+        for p, plane in enumerate(planes):
+            planes[p], carry = plane ^ carry, plane & carry
+            if not carry:
+                break
+        else:
+            planes.append(carry)
         nxt = [0] * size
         for i, deep in enumerate(stage):
             if deep:
@@ -591,22 +629,22 @@ def budget_deadline(budget: float | None) -> float:
 
 
 def resolve_workers(requested: int | None, ideals: int | None = None) -> int:
-    """Worker count: explicit request, then the environment, then one
-    worker for a run of fewer than `POOL_MIN_IDEALS` ideals (where a pool
-    costs more than it saves), then every core this process may run on.
-    For a run of `ideals` ideals, any of these is an upper bound: a run
-    starts no more processes than it has full blocks of `BUDGET_BLOCK`
-    ideals, since a process without one costs more to start than it saves
-    (so a run of fewer than two blocks is serial)."""
+    """Worker count: explicit request, then the environment (a positive
+    integer in ASCII digits), then one worker for a run of fewer than
+    `POOL_MIN_IDEALS` ideals (where a pool costs more than it saves), then
+    every core this process may run on.  For a run of `ideals` ideals, any
+    of these is an upper bound: a run starts no more processes than it has
+    full blocks of `BUDGET_BLOCK` ideals, since a process without one costs
+    more to start than it saves (so a run of fewer than two blocks is
+    serial)."""
     if requested is not None:
         if requested < 1:
             raise ValueError(f"workers must be a positive integer, got {requested}")
         count = requested
     elif env := os.environ.get(WORKER_ENV):
-        try:
-            count = int(env)
-        except ValueError:
-            count = 0
+        # ASCII digits only, as the CLI's integer options: `int` also takes
+        # any Unicode digit, a space or a '_'
+        count = int(env) if env.isascii() and env.isdigit() else 0
         if count < 1:
             raise ValueError(f"{WORKER_ENV} must be a positive integer, got {env!r}")
     elif ideals is not None and ideals < POOL_MIN_IDEALS:

@@ -408,6 +408,21 @@ def test_nonpositive_workers_exit_two(capsys: pytest.CaptureFixture) -> None:
             assert captured.out == ""
 
 
+def test_worker_variable_takes_ascii_digits_only(
+    capsys: pytest.CaptureFixture, monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    for value in ("\uff12", "\u0663", " 2", "2_0"):
+        monkeypatch.setenv("ADNIL_WORKERS", value)
+        code = main(["table", "--type", "A3"])
+        captured = capsys.readouterr()
+        assert code == 2, value
+        assert captured.out == ""
+        assert captured.err == f"error: ADNIL_WORKERS must be a positive integer, got {value!r}\n"
+    monkeypatch.setenv("ADNIL_WORKERS", "2")
+    assert main(["table", "--type", "A3"]) == 0
+    capsys.readouterr()
+
+
 def test_nonpositive_budget_exit_two(capsys: pytest.CaptureFixture) -> None:
     # nan too: a deadline of now + nan is never passed
     commands = (["table", "--type", "A9", "--workers", "1"],

@@ -152,6 +152,35 @@ def test_block_oracle_matches_per_ideal_oracle(label: str) -> None:
     assert [classify_ideal(rs, mask) for mask in masks] == list(block_classes(rs, masks))
 
 
+@pytest.mark.parametrize("label, method", [("A33", "zigzag"), ("C20", "ray")])
+def test_full_ideal_class_fills_six_planes(label: str, method: str) -> None:
+    # the full ideal's class, h - 1 (33 = 0b100001 and 39 = 0b100111), is
+    # counted into 6 bit planes, the carry passed through every one of them
+    rs = build_root_system(label)
+    full = (1 << len(rs)) - 1
+    want = rs.coxeter_number - 1
+    assert want.bit_length() == 6
+    assert classify_ideal(rs, full) == classify_ideal(rs, full, method) == want
+
+
+@pytest.mark.parametrize("count", [1, 9, BUDGET_BLOCK])
+def test_eight_planes_lay_out_classes_up_to_255(count: int) -> None:
+    # the eighth plane holds bit 7 of a class, 128 or more, which no type
+    # built here reaches: synthetic planes stand in, up to class 255
+    classes = bytes([255, *random.Random(count).randbytes(count - 1)])
+    planes = [sum((k >> p & 1) << b for b, k in enumerate(classes)) for p in range(8)]
+    assert nilpotence._plane_bytes(planes, count) == classes
+
+
+@pytest.mark.parametrize("label", ["A1", "A3", "B3", "C3", "D4", "E6", "F4", "G2"])
+def test_an_empty_block_gives_empty_bytes_from_every_route(label: str) -> None:
+    rs = build_root_system(label)
+    for method, (families, route) in ROUTES.items():
+        if label[0] in families:
+            for block in ([], b"", bytearray()):
+                assert route(rs, block) == b"", method
+
+
 def test_root_seed_histogram_spans_two_blocks() -> None:
     rs = build_root_system("A8")  # 4862 ideals
     blocks = list(walk(rs, [root_state(rs)], BUDGET_BLOCK))
@@ -415,13 +444,27 @@ def test_block_routes_refuse_masks_outside_the_roots(method: str) -> None:
             ROUTES[method][1](rs, [0, mask])
 
 
-@pytest.mark.parametrize("count", [1, BUDGET_BLOCK - 1, BUDGET_BLOCK])
+@pytest.mark.parametrize("length", [8, 4096])
+def test_transpose8_transposes_every_group_and_is_its_own_inverse(length: int) -> None:
+    # bit i of byte r goes to bit r of byte i in every 8-byte group
+    data = random.Random(length).randbytes(length)
+    x = int.from_bytes(data, "little")
+    [y] = nilpotence._transpose8([x], length)
+    out = y.to_bytes(length, "little")
+    for g in range(0, length, 8):
+        for r, i in product(range(8), repeat=2):
+            assert out[g + i] >> r & 1 == data[g + r] >> i & 1, (g, r, i)
+    assert nilpotence._transpose8([y, x], length) == [x, y]
+
+
+@pytest.mark.parametrize("count", [1, 7, 9, BUDGET_BLOCK - 1, BUDGET_BLOCK])
 def test_block_columns_transpose_the_masks(count: int) -> None:
     # checked bit by bit, apart from the routes that read the columns: A1
-    # has 1 root, D8 56 (its last mask byte is partial), B8 64 (exactly 8
-    # bytes), E8 120 (15 bytes); the full ideal, last in every block and
-    # alone in a block of one, sets the top root's bit
-    for label in ("A1", "B8", "D8", "E8"):
+    # has 1 root, A2 3, D8 56 (its last mask byte is partial), B8 64
+    # (exactly 8 bytes), E8 120 (15 bytes); 7 and 9 ideals leave a partial
+    # group of 8; the full ideal, last in every block and alone in a block
+    # of one, sets the top root's bit
+    for label in ("A1", "A2", "B8", "D8", "E8"):
         rs = build_root_system(label)
         full = (1 << len(rs)) - 1
         block = [*random.Random(count).choices(_walked(rs), k=count - 1), full]
@@ -1318,7 +1361,8 @@ def test_resolve_workers(monkeypatch: pytest.MonkeyPatch) -> None:
     for bad in (0, -3):
         with pytest.raises(ValueError, match="workers"):
             resolve_workers(bad)
-    for bad in ("abc", "0", "-2", "1.5"):
+    # `int` takes the fullwidth and Arabic-Indic digits, a space and a '_'
+    for bad in ("abc", "0", "-2", "1.5", "\uff12", "\u0663", " 2", "2_0"):
         monkeypatch.setenv("ADNIL_WORKERS", bad)
         with pytest.raises(ValueError, match="ADNIL_WORKERS"):
             resolve_workers(None)
