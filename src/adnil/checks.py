@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import closedform, genfun, poly
 # enumerate_ideal_masks is unused here, but bench/tracing.py wraps this name
-from .ideals import block_length, enumerate_ideal_masks, root_state, walk  # noqa: F401
+from .ideals import block_length, enumerate_ideal_masks, walk  # noqa: F401
 from .nilpotence import (
     ROUTES,
     budget_deadline,
@@ -87,7 +87,7 @@ def suite_agreement(
     """Per-ideal agreement of every applicable class algorithm with the
     oracle, for one family or all four.  A run over more than MAX_IDEALS
     ideals in all is refused up front; `budget` caps wall time in
-    seconds, checked every `BUDGET_BLOCK` ideals."""
+    seconds, checked every `ideals.BLOCK` ideals."""
     if max_rank is not None and max_rank < 1:
         raise ValueError(f"max rank must be at least 1, got {max_rank}")
     tops = {"A": 8, "B": 6, "C": 7, "D": 6}
@@ -127,7 +127,7 @@ def suite_totals() -> list[CheckResult]:
     for label in SMALL_TYPES + ("E8",):
         rs = build_root_system(label)
         want = total_count_formula(rs)
-        got = sum(block_length(rs, block) for block in walk(rs, [root_state(rs)], 4096))
+        got = sum(block_length(rs, block) for block in walk(rs))
         results.append(
             CheckResult(f"total {label}", got == want, f"enumerated {got}, formula {want}")
         )

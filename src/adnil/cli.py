@@ -18,17 +18,8 @@ import sys
 from .checks import SUITES, refuse_huge, run_suite
 from .closedform import catalan_qt, gamma_qt
 from .genfun import family_series
-from .ideals import block_masks
-from .nilpotence import (
-    BUDGET_BLOCK,
-    POOL_MIN_IDEALS,
-    ROUTES,
-    WORKER_ENV,
-    budget_deadline,
-    class_distribution,
-    classified_blocks,
-    resolve_workers,
-)
+from .ideals import BLOCK, block_masks
+from .nilpotence import POOL_MIN_IDEALS, ROUTES, WORKER_ENV, class_distribution, classified_blocks
 from .rootsys import LieType, RootSystem, build_root_system, positive_root_count
 
 # `qt` runs one transfer DP over chain tails, on packed ints.  Type C is
@@ -363,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=integer,
                    help=f"largest process count (default: ${WORKER_ENV}, then "
                    f"one for a type under {POOL_MIN_IDEALS} ideals, else all cores); "
-                   f"never more than the type's full blocks of {BUDGET_BLOCK} ideals")
+                   f"never more than the type's full blocks of {BLOCK} ideals")
     p.add_argument("--budget", type=number, help="wall-time cap in seconds")
 
     p = sub.add_parser("verify", help="run a cross-check suite")
@@ -396,11 +387,6 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         if args.command in ("roots", "enumerate", "table", "qt"):
             args.lie_type = _resolve_type(args)
-        # refuse a bad count or budget for every command, also where unused
-        if getattr(args, "workers", None) is not None:
-            resolve_workers(args.workers)
-        if getattr(args, "budget", None) is not None:
-            budget_deadline(args.budget)
         return COMMANDS[args.command](args)
     except TimeoutError as exc:  # an OSError, so caught before the others
         print(f"error: {exc}", file=sys.stderr)

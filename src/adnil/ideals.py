@@ -4,7 +4,7 @@ An ideal is a set of positive roots closed upward in dominance order
 (its root spaces span an ideal of the Borel subalgebra).  Ideals are in
 bijection with antichains via their minimal elements.  Both sets are
 stored as integer bit masks, bit i marking positive_roots[i].  The walk
-yields its ideals in blocks of fixed-width records: each mask in
+yields its ideals in blocks of `BLOCK` fixed-width records: each mask in
 `record_width` bytes, little-endian, the records one after the other.
 """
 from __future__ import annotations
@@ -16,6 +16,7 @@ from .rootsys import RootSystem, total_count_formula
 
 Seed = tuple[int, int]  # a walk state (ideal mask, mask of the roots still undecided)
 Memo = dict[int, int | bool]  # a walk's replays by undecided set (`_descend`)
+BLOCK = 4096  # ideals in each block of a walk but its last
 LEAF_BATCH = 512  # masks a walk without a memo gathers as ints between two packings
 
 
@@ -92,14 +93,22 @@ def mask_indices(mask: int) -> list[int]:
     return out
 
 
+def _root_indices(rs: RootSystem, mask: int) -> list[int]:
+    """The roots of a mask (`mask_indices`); a mask that is negative or
+    has a bit past the roots raises ValueError."""
+    if mask < 0 or mask >> len(rs):
+        raise ValueError(f"mask {mask} is no set of roots of {rs.lie_type}")
+    return mask_indices(mask)
+
+
 def is_upward_closed(rs: RootSystem, mask: int) -> bool:
-    return all(rs.filter_masks[i] & ~mask == 0 for i in mask_indices(mask))
+    return all(rs.filter_masks[i] & ~mask == 0 for i in _root_indices(rs, mask))
 
 
 def antichain_to_ideal(rs: RootSystem, antichain: int) -> int:
     """Union of the principal filters over the antichain's elements."""
     mask = 0
-    for i in mask_indices(antichain):
+    for i in _root_indices(rs, antichain):
         mask |= rs.filter_masks[i]
     return mask
 
@@ -107,7 +116,7 @@ def antichain_to_ideal(rs: RootSystem, antichain: int) -> int:
 def ideal_minimal_elements(rs: RootSystem, ideal: int) -> int:
     """The antichain of roots in the ideal with nothing below them in it."""
     mask = 0
-    for i in mask_indices(ideal):
+    for i in _root_indices(rs, ideal):
         if not ideal & rs.below_masks[i]:
             mask |= 1 << i
     return mask
@@ -131,20 +140,20 @@ def _size(decisions: list[tuple[int, int, int]], sizes: dict[int, int], und: int
 
 def _descend(
     decisions: list[tuple[int, int, int]], memo: Memo | None, sizes: dict[int, int],
-    stack: list[Seed], out: bytearray, limit: int, width: int,
+    stack: list[Seed], out: bytearray, width: int,
 ) -> None:
     """Pop states off `stack` and append their ideals to `out` as records
     of `width` bytes, in walk order, until the stack is empty or `out`
-    holds `limit` records; without a memo, until `LEAF_BATCH` masks more,
-    gathered as ints and packed once.  A state follows "out" down to its
-    least ideal and pushes each "in" on the way.  The ideals below
-    (ideal, und) are ideal | u for u in U(und), those below (0, und).  So
-    `memo` maps an undecided set of two roots or more to False once seen,
-    then, if it holds fewer than `limit` masks (`_size`), to U(und), walked
-    from its two children and kept as one int of the records u & und.  A
-    replay is one addition: a root above an undecided root is undecided or
-    in `ideal`, so u & ~und lies in `ideal` and ideal | u = ideal + (u & und)
-    in every record."""
+    holds more than `BLOCK` records; without a memo, until `LEAF_BATCH`
+    masks more, gathered as ints and packed once.  A state follows "out"
+    down to its least ideal and pushes each "in" on the way.  The ideals
+    below (ideal, und) are ideal | u for u in U(und), those below (0, und).
+    So `memo` maps an undecided set of two roots or more to False once
+    seen, then, if it holds at most `BLOCK` masks (`_size`), to U(und),
+    walked from its two children and kept as one int of the records u & und.
+    A replay is one addition: a root above an undecided root is undecided
+    or in `ideal`, so u & ~und lies in `ideal` and ideal | u = ideal +
+    (u & und) in every record."""
     if memo is None:
         masks: list[int] = []
         while stack and len(masks) < LEAF_BATCH:
@@ -158,20 +167,20 @@ def _descend(
                 masks.append(ideal | decisions[und.bit_length() - 1][0])
         out += _records(masks, width)
         return
-    end = limit * width
-    while stack and len(out) < end:
+    end = BLOCK * width
+    while stack and len(out) <= end:
         ideal, und = stack.pop()
         if und & (und - 1):
             known = memo.get(und)
             if known is None:
                 memo[und] = False
-            elif known or _size(decisions, sizes, und) < limit:
+            elif known or _size(decisions, sizes, und) <= BLOCK:
                 count = sizes[und]
                 if not known:
                     up, keep_in, keep_out = decisions[und.bit_length() - 1]
                     below = bytearray()
                     _descend(decisions, memo, sizes, [(up, und & keep_in), (0, und & keep_out)],
-                             below, limit, width)
+                             below, width)
                     memo[und] = known = int.from_bytes(below, "little") & _spread(und, count, width)
                 out += (known + _spread(ideal, count, width)).to_bytes(count * width, "little")
                 continue
@@ -184,33 +193,31 @@ def _descend(
             out += (ideal | decisions[und.bit_length() - 1][0]).to_bytes(width, "little")
 
 
-def walk(rs: RootSystem, seeds: Iterable[Seed], size: int) -> Iterator[bytes]:
-    """Every ideal mask below the states `seeds`, seed by seed, in blocks of
-    exactly `size` records (`_records`) but the last.  A state (ideal, und)
-    stands for the ideals that agree with `ideal` outside `und`, its
-    undecided roots.  For any root k they split into those without k (nor
-    any root below it) and those with k's filter: deciding the highest
-    undecided root first, "out" before "in", lists them ascending.  Only a
-    walk of a full block or more below its seeds, of a classical type
-    (`rs.rows`), keeps a memo (`_descend`): a smaller one repeats too
-    little, an exceptional one has many small subtrees.  A size below 1
-    raises ValueError."""
-    if size < 1:
-        raise ValueError(f"block size must be a positive integer, got {size}")
+def walk(rs: RootSystem, seeds: Iterable[Seed] | None = None) -> Iterator[bytes]:
+    """Every ideal mask below the states `seeds` (the root state when
+    None), seed by seed, in blocks of exactly `BLOCK` records (`_records`)
+    but the last.  A state (ideal, und) stands for the ideals that agree
+    with `ideal` outside `und`, its undecided roots.  For any root k they
+    split into those without k (nor any root below it) and those with k's
+    filter: deciding the highest undecided root first, "out" before "in",
+    lists them ascending.  Only a walk of a full block or more below its
+    seeds, of a classical type (`rs.rows`), keeps a memo (`_descend`): a
+    smaller one repeats too little, an exceptional one has many small
+    subtrees."""
     decisions = _decisions(rs)
     sizes = {0: 1}
-    stack = list(seeds)[::-1]
+    stack = [root_state(rs)] if seeds is None else list(seeds)[::-1]
     # a memo needs a full block below the seeds; the type's own count, a
     # formula, bounds theirs without sizing a set
     memo: Memo | None = (
-        {} if rs.rows and total_count_formula(rs) >= size
-        and sum(_size(decisions, sizes, und) for _, und in stack) >= size else None
+        {} if rs.rows and total_count_formula(rs) >= BLOCK
+        and sum(_size(decisions, sizes, und) for _, und in stack) >= BLOCK else None
     )
     width = record_width(rs)
-    end = size * width
+    end = BLOCK * width
     block = bytearray()
     while stack:
-        _descend(decisions, memo, sizes, stack, block, size + 1, width)
+        _descend(decisions, memo, sizes, stack, block, width)
         while len(block) >= end:  # a yielded block is not also kept in `block`
             chunk, block = block[:end], block[end:]
             yield chunk
@@ -250,4 +257,4 @@ def partition_seeds(rs: RootSystem, parts: int) -> list[list[Seed]]:
 
 def enumerate_ideal_masks(rs: RootSystem) -> list[int]:
     """Every ideal of the root system as a bit mask, ascending."""
-    return [mask for block in walk(rs, [root_state(rs)], 4096) for mask in block_masks(rs, block)]
+    return [mask for block in walk(rs) for mask in block_masks(rs, block)]

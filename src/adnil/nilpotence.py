@@ -10,7 +10,8 @@ recover the same number from diagram combinatorics: a staircase filling,
 a truncation recursion, and broken-ray walks on (shifted) Ferrers
 diagrams, which share one lane walk.  Types B, C and D are routed through
 a symmetric completion of the shifted diagram.  Every route classifies a
-block of ideals (`ROUTES`); `classify_ideal` asks for a block of one.
+block of ideals (`ROUTES`); `classify_ideal` asks for a block of one,
+once the one mask is known to be an ideal.
 The diagram routes read a whole block in byte lanes (`block_lanes`: one
 int per root, one byte per ideal), after one check over the root covers
 that the block holds ideals only, and then run lane-wise on it.  A block
@@ -28,14 +29,13 @@ from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple
 
 from .ideals import (
-    Seed, block_bytes, block_length, block_masks, partition_seeds, root_state, walk,
+    BLOCK, Seed, block_bytes, block_length, block_masks, is_upward_closed, partition_seeds, walk,
 )
 from .rootsys import FAMILIES, RootSystem, total_count_formula
 
 Partition = tuple[int, ...]
 
 WORKER_ENV = "ADNIL_WORKERS"
-BUDGET_BLOCK = 4096  # ideals classified between two looks at the clock
 BUDGET_MESSAGE = "class distribution exceeded its budget"
 POOL_MIN_IDEALS = 100_000  # fewest ideals that the default worker count pools
 POOL_GROUPS_PER_WORKER = 4  # pool tasks per worker, so that the workers finish close together
@@ -572,8 +572,12 @@ def _class_function(rs: RootSystem, method: str):
 
 
 def classify_ideal(rs: RootSystem, ideal: int, method: str = "oracle") -> int:
-    """Class of nilpotence of a single ideal by the chosen algorithm."""
-    return _class_function(rs, method)([ideal])[0]
+    """Class of nilpotence of a single ideal by the chosen algorithm.  A
+    mask that is no ideal raises ValueError, whatever the method."""
+    classify = _class_function(rs, method)
+    if not is_upward_closed(rs, ideal):
+        raise ValueError(f"mask {ideal} is not an ideal of {rs.lie_type}")
+    return classify([ideal])[0]
 
 
 _WORKER_STATE: tuple[RootSystem, str, float] | None = None
@@ -608,12 +612,12 @@ def classified_blocks(
     seeds: list[Seed] | None = None,
 ) -> Iterator[tuple[bytes, bytes]]:
     """Each block of the walk below `seeds` (the root state when None), in
-    full blocks of `BUDGET_BLOCK` ideals but the last, with the classes of
+    full blocks of `BLOCK` ideals but the last, with the classes of
     its ideals by `method`.  The clock (`time.monotonic`, the same in every
     process) is read once per block, and a block drawn past `deadline`
     raises TimeoutError."""
     classify = _class_function(rs, method)
-    for block in walk(rs, [root_state(rs)] if seeds is None else seeds, BUDGET_BLOCK):
+    for block in walk(rs, seeds):
         if time.monotonic() > deadline:
             raise TimeoutError(BUDGET_MESSAGE)
         yield block, classify(block)
@@ -634,7 +638,7 @@ def resolve_workers(requested: int | None, ideals: int | None = None) -> int:
     `POOL_MIN_IDEALS` ideals (where a pool costs more than it saves), then
     every core this process may run on.  For a run of `ideals` ideals, any
     of these is an upper bound: a run starts no more processes than it has
-    full blocks of `BUDGET_BLOCK` ideals, since a process without one costs
+    full blocks of `BLOCK` ideals, since a process without one costs
     more to start than it saves (so a run of fewer than two blocks is
     serial)."""
     if requested is not None:
@@ -653,7 +657,7 @@ def resolve_workers(requested: int | None, ideals: int | None = None) -> int:
         count = len(os.sched_getaffinity(0))
     else:
         count = os.cpu_count() or 1
-    return count if ideals is None else min(count, max(1, ideals // BUDGET_BLOCK))
+    return count if ideals is None else min(count, max(1, ideals // BLOCK))
 
 
 def _pooled(nworkers: int, initargs: tuple, groups: list[list[Seed]]) -> Iterator[Counter]:
@@ -682,12 +686,12 @@ def class_distribution(
 ) -> dict[int, int]:
     """Histogram {class: count} over every ideal of the root system.
 
-    One worker walks the root state in full blocks of `BUDGET_BLOCK`
-    ideals.  `workers` is an upper bound (`resolve_workers`): a run starts
-    no more processes than it has full blocks, so a type of fewer than two
-    blocks (E6, E7) is serial at any count.  More workers cut the ascending
-    order into `POOL_GROUPS_PER_WORKER` ranges per worker of the capped
-    count (`partition_seeds`), one pool task each, walked in the same block
+    One worker walks the root state in full blocks of `BLOCK` ideals.
+    `workers` is an upper bound (`resolve_workers`): a run starts no more
+    processes than it has full blocks, so a type of fewer than two blocks
+    (E6, E7) is serial at any count.  More workers cut the ascending order
+    into `POOL_GROUPS_PER_WORKER` ranges per worker of the capped count
+    (`partition_seeds`), one pool task each, walked in the same block
     loop.  The parts (blocks or ranges) merge by addition, so the histogram
     is the same for any worker count.  `budget` caps wall time in seconds,
     checked in every process once per block; `progress` is called after
@@ -713,10 +717,10 @@ def class_distribution(
     return dict(sorted(hist.items()))
 
 
-def joint_histogram(rs: RootSystem, method: str = "oracle") -> dict[tuple[int, int], int]:
-    """Histogram {(dimension, class): count} over every ideal."""
+def joint_histogram(rs: RootSystem) -> dict[tuple[int, int], int]:
+    """Histogram {(dimension, class): count} over every ideal, by the oracle."""
     hist: Counter = Counter()
-    for block, classes in classified_blocks(rs, method):
+    for block, classes in classified_blocks(rs):
         # one popcount lane: no enumerable type has 256 roots, so no lane carries
         dimensions = sum(block_lanes(rs, block)).to_bytes(len(classes), "little")
         hist.update(zip(dimensions, classes))

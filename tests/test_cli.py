@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from adnil.checks import MAX_IDEALS, CheckResult
 from adnil.cli import format_distribution, main, parse_distribution
-from adnil.nilpotence import BUDGET_BLOCK, ROUTES, classify_ideal
+from adnil.ideals import BLOCK
+from adnil.nilpotence import ROUTES, classify_ideal
 from adnil.rootsys import build_root_system, total_count_formula
 
 G2_TABLE = "K,count\n0,1\n1,3\n2,2\n3,1\n4,0\n5,1\ntotal,8\n"
@@ -38,7 +39,7 @@ def test_enumerate_across_blocks(capsys: pytest.CaptureFixture, method: str) -> 
     header, *lines = out.splitlines()
     assert header == "mask,dimension,class"
     rows = [tuple(map(int, line.split(","))) for line in lines]
-    assert BUDGET_BLOCK < len(rows) == 4862 < 2 * BUDGET_BLOCK
+    assert BLOCK < len(rows) == 4862 < 2 * BLOCK
     masks = [mask for mask, _, _ in rows]
     assert masks == sorted(set(masks))
     rs = build_root_system("A8")

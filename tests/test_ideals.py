@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import gc
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +15,7 @@ from adnil import (
     ideal_minimal_elements,
     total_count_formula,
 )
+import adnil
 from adnil import ideals
 from adnil.checks import SMALL_TYPES
 from adnil.ideals import (
@@ -96,8 +101,38 @@ def test_empty_antichain_gives_zero_ideal() -> None:
     assert antichain_to_ideal(rs, 0) == 0
 
 
-def _walked(rs, seeds, size: int = 4096) -> list[int]:
-    return [mask for block in walk(rs, seeds, size) for mask in block_masks(rs, block)]
+def test_root_set_functions_refuse_masks_outside_the_roots() -> None:
+    # a negative mask once looped forever in `mask_indices`, and a bit past
+    # the roots raised IndexError: each call must raise ValueError within
+    # 1 s, in a child, so that a hang fails the test instead of stalling it
+    src = str(Path(adnil.__file__).resolve().parents[1])
+    code = (
+        "import time\n"
+        "from adnil import build_root_system\n"
+        "from adnil.ideals import antichain_to_ideal, ideal_minimal_elements, is_upward_closed\n"
+        "rs = build_root_system('B3')\n"
+        "for function in (is_upward_closed, antichain_to_ideal, ideal_minimal_elements):\n"
+        "    for mask in (-1, 1 << len(rs)):\n"
+        "        started = time.monotonic()\n"
+        "        try:\n"
+        "            function(rs, mask)\n"
+        "        except ValueError as exc:\n"
+        "            print(exc, time.monotonic() - started < 1.0)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    want = [f"mask {mask} is no set of roots of B3 True" for mask in (-1, 1 << 9)] * 3
+    assert proc.stdout.splitlines() == want
+
+
+def _walked(rs, seeds) -> list[int]:
+    return [mask for block in walk(rs, seeds) for mask in block_masks(rs, block)]
 
 
 def _blocks(rs, blocks) -> list[list[int]]:
@@ -180,7 +215,9 @@ def test_partition_seeds_are_balanced() -> None:
 
 
 @pytest.mark.parametrize("size", [1, 7, 4096])
-def test_walk_blocks_are_full_but_the_last(size: int) -> None:
+def test_walk_blocks_are_full_but_the_last(monkeypatch: pytest.MonkeyPatch, size: int) -> None:
+    monkeypatch.setattr(ideals, "BLOCK", size)
+
     def full_but_the_last(count: int) -> list[int]:
         return [size] * (count // size) + [count % size] * (count % size > 0)
 
@@ -189,15 +226,17 @@ def test_walk_blocks_are_full_but_the_last(size: int) -> None:
         total = total_count_formula(rs)
         groups = partition_seeds(rs, 3)
         for seeds in ([root_state(rs)], [state for group in groups for state in group]):
-            sizes = [block_length(rs, block) for block in walk(rs, seeds, size)]
+            sizes = [block_length(rs, block) for block in walk(rs, seeds)]
             assert sizes == full_but_the_last(total), label
         for group in groups:
-            sizes = [block_length(rs, block) for block in walk(rs, group, size)]
+            sizes = [block_length(rs, block) for block in walk(rs, group)]
             assert sizes == full_but_the_last(len(_walked(rs, group))), label
 
 
 @pytest.mark.parametrize("label", SMALL_TYPES)  # reducible D2 and A1 among them
-def test_any_grouping_of_the_seeds_walks_every_ideal_once(label: str) -> None:
+def test_any_grouping_of_the_seeds_walks_every_ideal_once(
+    monkeypatch: pytest.MonkeyPatch, label: str,
+) -> None:
     # a pool task walks one group of states as one walk, with all of them
     # on its first stack; every group lists its own range
     rs = build_root_system(label)
@@ -205,19 +244,28 @@ def test_any_grouping_of_the_seeds_walks_every_ideal_once(label: str) -> None:
     assert want == enumerate_ideal_masks(rs)
     assert len(set(want)) == len(want) == total_count_formula(rs)
     seeds = [state for group in partition_seeds(rs, 8) for state in group]
-    assert sorted(_walked(rs, seeds[::-1], 7)) == want
+    monkeypatch.setattr(ideals, "BLOCK", 7)
+    assert sorted(_walked(rs, seeds[::-1])) == want
+    monkeypatch.setattr(ideals, "BLOCK", 5)
     for parts in (1, 2, 3, 8, 100):
         groups = partition_seeds(rs, parts)
-        assert [_walked(rs, group, 5) for group in groups] == _ranges(want, parts), parts
+        assert [_walked(rs, group) for group in groups] == _ranges(want, parts), parts
 
 
-def test_walk_of_no_seed_or_a_finished_state() -> None:
+def test_walk_of_no_seed_or_a_finished_state(monkeypatch: pytest.MonkeyPatch) -> None:
     rs = build_root_system("B3")
-    assert list(walk(rs, [], 4096)) == []
+    assert list(walk(rs, [])) == []
     full = (1 << len(rs)) - 1
     for ideal in (0, full, rs.filter_masks[2]):
-        assert _blocks(rs, walk(rs, [(ideal, 0)], 4096)) == [[ideal]]
-    assert _blocks(rs, walk(rs, [(0, 0), (full, 0)], 1)) == [[0], [full]]  # seed by seed
+        assert _blocks(rs, walk(rs, [(ideal, 0)])) == [[ideal]]
+    monkeypatch.setattr(ideals, "BLOCK", 1)
+    assert _blocks(rs, walk(rs, [(0, 0), (full, 0)])) == [[0], [full]]  # seed by seed
+
+
+@pytest.mark.parametrize("label", ["A10", "E8"])
+def test_walk_starts_at_the_root_state_by_default(label: str) -> None:
+    rs = build_root_system(label)
+    assert list(walk(rs)) == list(walk(rs, [root_state(rs)]))
 
 
 def _dfs_walk(rs, seeds) -> list[int]:
@@ -247,7 +295,9 @@ def _dfs_walk(rs, seeds) -> list[int]:
 
 
 @pytest.mark.parametrize("label", [*SMALL_TYPES, "A10", "B8", "C8", "D8", "E8"])
-def test_walk_replays_the_plain_dfs_block_for_block(label: str) -> None:
+def test_walk_replays_the_plain_dfs_block_for_block(
+    monkeypatch: pytest.MonkeyPatch, label: str,
+) -> None:
     # the memo's replays leave every block as the sorted antichain DFS
     # cuts it: from the root state (one part), and from every range of the
     # ascending order, each range a walk of its own as a pool task is
@@ -258,7 +308,8 @@ def test_walk_replays_the_plain_dfs_block_for_block(label: str) -> None:
     for parts in (1, 2, 3, 8):
         groups = partition_seeds(rs, parts)
         for size in (1, 5, 7, 4096):
-            walks = [list(walk(rs, group, size)) for group in groups]
+            monkeypatch.setattr(ideals, "BLOCK", size)
+            walks = [list(walk(rs, group)) for group in groups]
             assert {type(block) for blocks in walks for block in blocks} == {bytearray}
             assert all(len(block) % width == 0 for blocks in walks for block in blocks)
             got = [_blocks(rs, blocks) for blocks in walks]
@@ -294,7 +345,8 @@ def test_memo_stores_no_list_longer_than_a_block(monkeypatch: pytest.MonkeyPatch
     # sighting, and an undecided set of at most one root is never stored
     memos = _walk_memos(monkeypatch)
     rs = build_root_system("A10")
-    assert _blocks(rs, walk(rs, [root_state(rs)], 64)) == _chunks(_sorted_dfs(rs), 64)
+    monkeypatch.setattr(ideals, "BLOCK", 64)
+    assert _blocks(rs, walk(rs)) == _chunks(_sorted_dfs(rs), 64)
     memo = memos[0]
     assert all(m is memo for m in memos)  # one memo for the whole walk
     assert all(type(below) is int for below in memo.values() if below)  # 55 roots: 7-byte records
@@ -308,7 +360,8 @@ def test_memo_stores_no_list_longer_than_a_block(monkeypatch: pytest.MonkeyPatch
     assert all(undecided.bit_count() > 1 for undecided in memo)
     memos.clear()
     rs = build_root_system("A11")  # 66 roots: kept as 9-byte records, one int per set
-    assert _blocks(rs, walk(rs, [root_state(rs)], 4096)) == _chunks(_sorted_dfs(rs), 4096)
+    monkeypatch.setattr(ideals, "BLOCK", 4096)
+    assert _blocks(rs, walk(rs)) == _chunks(_sorted_dfs(rs), 4096)
     stored = _kept(rs, memos[0])
     assert stored and max(map(len, stored.values())) <= 4096
     assert all(below == [u & und for u in _walked(rs, [(0, und)])] for und, below in stored.items())
@@ -324,7 +377,7 @@ def test_memo_keeps_every_set_of_fewer_ideals_than_a_block_seen_twice(
     # of the root state in blocks of 4096
     memos = _walk_memos(monkeypatch)
     rs = build_root_system(label)
-    for _ in walk(rs, [root_state(rs)], 4096):
+    for _ in walk(rs):
         pass
     stored = list(_kept(rs, memos[0]).values())
     assert (len(stored), sum(map(len, stored))) == (sets, masks)
@@ -368,7 +421,7 @@ def test_every_replay_adds_the_ideal_to_disjoint_words(
 
     monkeypatch.setattr(ideals, "_descend", spy)
     rs = build_root_system(label)
-    assert _blocks(rs, walk(rs, [root_state(rs)], 4096)) == _chunks(_sorted_dfs(rs), 4096)
+    assert _blocks(rs, walk(rs)) == _chunks(_sorted_dfs(rs), 4096)
     monkeypatch.undo()
     stored = _kept(rs, memos[0])
     below = {und: _walked(rs, [(0, und)]) for und in stored}
@@ -392,7 +445,7 @@ def test_walk_is_the_same_in_either_byte_order(monkeypatch: pytest.MonkeyPatch, 
     memos = _walk_memos(monkeypatch)
     rs = build_root_system(label)
     width = record_width(rs)
-    blocks = list(walk(rs, [root_state(rs)], 4096))
+    blocks = list(walk(rs))
     assert [bytes(block) for block in blocks] == [
         _little(masks, width) for masks in _chunks(_sorted_dfs(rs), 4096)
     ]
@@ -412,7 +465,7 @@ def test_each_record_is_the_mask_in_little_endian(label: str) -> None:
     width = record_width(rs)
     assert width == -(-len(rs) // 8)
     want = _chunks(_sorted_dfs(rs), 4096)
-    blocks = list(walk(rs, [root_state(rs)], 4096))
+    blocks = list(walk(rs))
     assert [bytes(block) for block in blocks] == [_little(masks, width) for masks in want]
     assert _blocks(rs, blocks) == want
     assert block_masks(rs, want[0]) is want[0]  # a list is already masks
@@ -428,18 +481,13 @@ def test_a_walk_of_fewer_ideals_than_a_block_keeps_no_memo(monkeypatch: pytest.M
     for group, masks in zip(partition_seeds(rs, 16), ranges):
         assert len(masks) < 4096
         memos.clear()
-        assert _blocks(rs, walk(rs, group, 4096)) == [masks]
+        monkeypatch.setattr(ideals, "BLOCK", 4096)
+        assert _blocks(rs, walk(rs, group)) == [masks]
         assert memos and all(memo is None for memo in memos)
         memos.clear()
-        assert _blocks(rs, walk(rs, group, len(masks))) == [masks]
+        monkeypatch.setattr(ideals, "BLOCK", len(masks))
+        assert _blocks(rs, walk(rs, group)) == [masks]
         assert memos and all(memo is not None for memo in memos)
-
-
-def test_walk_refuses_a_block_size_below_one() -> None:
-    rs = build_root_system("B3")
-    for size in (0, -1):
-        with pytest.raises(ValueError, match=f"^block size must be a positive integer, got {size}$"):
-            next(walk(rs, [root_state(rs)], size))
 
 
 def test_partition_seeds_refuses_fewer_than_one_part() -> None:
@@ -449,16 +497,17 @@ def test_partition_seeds_refuses_fewer_than_one_part() -> None:
             partition_seeds(rs, parts)
 
 
-def test_walk_memo_dies_with_its_walk() -> None:
+def test_walk_memo_dies_with_its_walk(monkeypatch: pytest.MonkeyPatch) -> None:
     # no reference cycle holds a walk's memo until the cyclic collector
     # runs: a finished walk and a dropped one leave no garbage behind
     rs = build_root_system("A10")
+    monkeypatch.setattr(ideals, "BLOCK", 64)
     gc.collect()
     gc.disable()
     try:
-        for _ in walk(rs, [root_state(rs)], 64):
+        for _ in walk(rs):
             pass
-        dropped = walk(rs, [root_state(rs)], 64)
+        dropped = walk(rs)
         for _ in range(100):
             next(dropped)
         del dropped
@@ -477,9 +526,9 @@ def test_only_classical_types_of_a_full_block_keep_a_memo(monkeypatch: pytest.Mo
         rs = build_root_system(label)  # 4160, 3432, 25080, 4862 and 9438 ideals
         want = _chunks(_sorted_dfs(rs), 4096)
         memos.clear()
-        assert _blocks(rs, walk(rs, [root_state(rs)], 4096)) == want
+        assert _blocks(rs, walk(rs)) == want
         assert {memo is not None for memo in memos} == {memo_kept}, label
     memos.clear()
     for group in partition_seeds(rs, 2):
-        list(walk(rs, group, 4096))
+        list(walk(rs, group))
     assert len({id(memo) for memo in memos}) == 2  # one memo per walk

@@ -37,11 +37,9 @@ from adnil import nilpotence
 from adnil.checks import SMALL_TYPES, suite_agreement
 from adnil.cli import main
 from adnil.ideals import (
-    block_length, block_masks, enumerate_ideal_masks, partition_seeds, record_width, root_state,
-    walk,
+    BLOCK, block_length, block_masks, enumerate_ideal_masks, partition_seeds, record_width, walk,
 )
 from adnil.nilpotence import (
-    BUDGET_BLOCK,
     POOL_GROUPS_PER_WORKER,
     POOL_MIN_IDEALS,
     ROUTES,
@@ -111,7 +109,7 @@ def bracket_class(roots: list[tuple[int, ...]], ideal: int) -> int:
 def _walked(rs, seeds=None) -> list[int]:
     """Every ideal mask below `seeds`, by default of the type, in the
     walk's order."""
-    blocks = walk(rs, seeds or [root_state(rs)], BUDGET_BLOCK)
+    blocks = walk(rs, seeds)
     return [mask for block in blocks for mask in block_masks(rs, block)]
 
 
@@ -163,7 +161,7 @@ def test_full_ideal_class_fills_six_planes(label: str, method: str) -> None:
     assert classify_ideal(rs, full) == classify_ideal(rs, full, method) == want
 
 
-@pytest.mark.parametrize("count", [1, 9, BUDGET_BLOCK])
+@pytest.mark.parametrize("count", [1, 9, BLOCK])
 def test_eight_planes_lay_out_classes_up_to_255(count: int) -> None:
     # the eighth plane holds bit 7 of a class, 128 or more, which no type
     # built here reaches: synthetic planes stand in, up to class 255
@@ -183,13 +181,13 @@ def test_an_empty_block_gives_empty_bytes_from_every_route(label: str) -> None:
 
 def test_root_seed_histogram_spans_two_blocks() -> None:
     rs = build_root_system("A8")  # 4862 ideals
-    blocks = list(walk(rs, [root_state(rs)], BUDGET_BLOCK))
-    assert [block_length(rs, block) for block in blocks] == [BUDGET_BLOCK, 4862 - BUDGET_BLOCK]
+    blocks = list(walk(rs))
+    assert [block_length(rs, block) for block in blocks] == [BLOCK, 4862 - BLOCK]
     assert [block for block, _ in classified_blocks(rs)] == blocks
     want = [bracket_class(rs.positive_roots, mask) for mask in _walked(rs)]
     assert _classified(rs) == (_walked(rs), want)
     parts = [Counter(classes) for _, classes in classified_blocks(rs, "oracle", math.inf)]
-    assert [part.total() for part in parts] == [BUDGET_BLOCK, 4862 - BUDGET_BLOCK]
+    assert [part.total() for part in parts] == [BLOCK, 4862 - BLOCK]
     assert sum(parts, Counter()) == Counter(want)
 
 
@@ -199,10 +197,30 @@ def _non_ideal(rs) -> int:
 
 
 def test_oracle_guard_rejects_non_ideal() -> None:
-    # the two simple roots of A2 without their sum, the highest root
+    # the two simple roots of A2 without their sum, the highest root: one
+    # mask is checked to be an ideal before any route sees it
     rs = build_root_system("A2")
-    with pytest.raises(AssertionError, match="highest root"):
-        classify_ideal(rs, _non_ideal(rs))
+    mask = _non_ideal(rs)
+    with pytest.raises(ValueError, match=f"^mask {mask} is not an ideal of A2$"):
+        classify_ideal(rs, mask)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "D4", "G2"])
+def test_classify_ideal_refuses_every_non_ideal_by_every_method(label: str) -> None:
+    # every mask of the type alone: an ideal gets the oracle's class, any
+    # other mask the same ValueError from every method, the oracle's too
+    # (its block kernel alone gives A3's non-ideals 5 and 13 classes 1 and 2)
+    rs = build_root_system(label)
+    masks = enumerate_ideal_masks(rs)
+    want = dict(zip(masks, block_classes(rs, masks)))
+    methods = [method for method, (families, _) in ROUTES.items() if label[0] in families]
+    for mask in range(1 << len(rs)):
+        for method in methods:
+            if mask in want:
+                assert classify_ideal(rs, mask, method) == want[mask], (mask, method)
+            else:
+                with pytest.raises(ValueError, match=f"^mask {mask} is not an ideal of {label}$"):
+                    classify_ideal(rs, mask, method)
 
 
 def test_block_guard_rejects_non_ideal() -> None:
@@ -218,18 +236,19 @@ def test_block_guard_rejects_non_ideal() -> None:
 
 
 def test_oracle_guard_survives_optimize() -> None:
-    # a child under -O drops every bare assert; both guards must still raise
+    # a child under -O drops every bare assert; `classify_ideal` must still
+    # refuse the mask, and the highest-root guard still fail its block
     src = str(Path(adnil.__file__).resolve().parents[1])
     code = (
         "from adnil import build_root_system, classify_ideal\n"
         "from adnil.nilpotence import block_classes\n"
         "rs = build_root_system('A2')\n"
         "mask = sum(1 << rs.positive_roots.index(r) for r in rs.simple_roots)\n"
-        "for check in (lambda: classify_ideal(rs, mask),\n"
-        "              lambda: block_classes(rs, [0, 1, 3, mask])):\n"
+        "for check, error in ((lambda: classify_ideal(rs, mask), ValueError),\n"
+        "                     (lambda: block_classes(rs, [0, 1, 3, mask]), AssertionError)):\n"
         "    try:\n"
         "        check()\n"
-        "    except AssertionError:\n"
+        "    except error:\n"
         "        print('raised')\n"
     )
     proc = subprocess.run(
@@ -290,7 +309,7 @@ def test_block_rows_count_the_cells_of_each_row(label: str) -> None:
     masks = _walked(rs)
     want = rows_by_roots(rs, masks)
     got = []
-    for block in walk(rs, [root_state(rs)], BUDGET_BLOCK):
+    for block in walk(rs):
         rows = [sum(cells) for cells in nilpotence._block_cells(rs, block)]
         got += zip(*[lanes.to_bytes(block_length(rs, block), "little") for lanes in rows])
     assert got == want
@@ -394,7 +413,7 @@ def test_filling_route_matches_oracle_in_blocks() -> None:
     filling = ROUTES["filling"][1]
     for n in range(1, 10):
         rs = build_root_system(f"A{n}")
-        for block in walk(rs, [root_state(rs)], BUDGET_BLOCK):
+        for block in walk(rs):
             assert filling(rs, block) == block_classes(rs, block), (n, len(block))
 
 
@@ -412,12 +431,12 @@ def test_diagram_routes_reject_non_ideal_mid_block(method: str, label: str) -> N
     # second one later in the block, the first is named
     rs = build_root_system(label)
     ideals = _walked(rs)
-    block = [ideals[b % len(ideals)] for b in range(BUDGET_BLOCK)]
+    block = [ideals[b % len(ideals)] for b in range(BLOCK)]
     bads = [(1 << len(rs)) - 1 ^ 1 << rs.highest_index]  # every root but the highest
     if rs.lie_type.family == "D":
         bads.append(_mixed_fork(rs))
     for bad in bads:
-        block[BUDGET_BLOCK // 2] = bad
+        block[BLOCK // 2] = bad
         block[-1] = _non_ideal(rs)
         with pytest.raises(ValueError, match=f"^mask {bad} is not an ideal of {label}$"):
             ROUTES[method][1](rs, block)
@@ -457,7 +476,7 @@ def test_transpose8_transposes_every_group_and_is_its_own_inverse(length: int) -
     assert nilpotence._transpose8([y, x], length) == [x, y]
 
 
-@pytest.mark.parametrize("count", [1, 7, 9, BUDGET_BLOCK - 1, BUDGET_BLOCK])
+@pytest.mark.parametrize("count", [1, 7, 9, BLOCK - 1, BLOCK])
 def test_block_columns_transpose_the_masks(count: int) -> None:
     # checked bit by bit, apart from the routes that read the columns: A1
     # has 1 root, A2 3, D8 56 (its last mask byte is partial), B8 64
@@ -481,7 +500,7 @@ def test_block_columns_transpose_the_masks(count: int) -> None:
 
 
 @pytest.mark.parametrize("label", ["A10", "B8", "E8"])
-@pytest.mark.parametrize("count", [1, BUDGET_BLOCK - 1, BUDGET_BLOCK])
+@pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK])
 def test_block_lanes_transpose_the_masks(label: str, count: int) -> None:
     # checked byte by byte, apart from the routes that read the lanes: A10
     # has 55 roots (its last mask byte is partial), B8 64 (whole bytes), E8 120
@@ -536,10 +555,10 @@ def test_transpositions_of_a_list_and_an_array_block_agree(label: str) -> None:
     rs = build_root_system(label)
     width = record_width(rs)
     rng = random.Random(len(rs))
-    low = [0, *(rng.getrandbits(len(rs)) for _ in range(BUDGET_BLOCK - 2)), (1 << len(rs)) - 1]
+    low = [0, *(rng.getrandbits(len(rs)) for _ in range(BLOCK - 2)), (1 << len(rs)) - 1]
     pairs = [(_records(masks, width), masks) for masks in (low[:1], low[:7], low)]
     pairs += [(block, block_masks(rs, block))
-              for block in islice(walk(rs, [root_state(rs)], BUDGET_BLOCK), 3)]
+              for block in islice(walk(rs), 3)]
     for block, masks in pairs:
         for transpose in (block_lanes, block_columns):
             assert transpose(rs, block) == transpose(rs, masks)
@@ -554,13 +573,13 @@ def test_transpositions_of_a_list_and_an_array_block_agree(label: str) -> None:
         if method != "oracle" and label[0] in families
     ],
 )
-@pytest.mark.parametrize("index", [1, BUDGET_BLOCK - 1])
+@pytest.mark.parametrize("index", [1, BLOCK - 1])
 def test_diagram_routes_name_a_lone_non_ideal(method: str, label: str, index: int) -> None:
     # the lowest bad bit lies in byte `index` of the lanes, so `>> 3` must
     # name the mask at `index`, both next to the first lane and in the last
     rs = build_root_system(label)
     ideals = _walked(rs)
-    block = [ideals[b % len(ideals)] for b in range(BUDGET_BLOCK)]
+    block = [ideals[b % len(ideals)] for b in range(BLOCK)]
     bad = _non_ideal(rs)
     block[index] = bad
     with pytest.raises(ValueError, match=f"^mask {bad} is not an ideal of {label}$"):
@@ -1100,7 +1119,7 @@ def test_budget_expiring_inside_a_block_stops_the_next(monkeypatch: pytest.Monke
     monkeypatch.setitem(nilpotence.ROUTES, "oracle", (nilpotence.FAMILIES, slow_block))
     with pytest.raises(TimeoutError):
         list(classified_blocks(rs, "oracle", deadline))
-    assert classified == [BUDGET_BLOCK]
+    assert classified == [BLOCK]
 
 
 def test_budget_must_be_positive() -> None:
@@ -1115,6 +1134,13 @@ def test_budget_must_be_positive() -> None:
     assert budget_deadline(None) == budget_deadline(math.inf) == math.inf
     assert class_distribution(rs, workers=1, budget=math.inf) == {0: 1, 1: 3, 2: 1}
     assert all(row.passed for row in suite_agreement("A", 2, budget=math.inf))
+
+
+def _blocks_of_one(monkeypatch: pytest.MonkeyPatch) -> None:
+    """Walks in blocks of one ideal, and worker counts capped to match:
+    `nilpotence` reads its own binding of `ideals.BLOCK`."""
+    monkeypatch.setattr("adnil.ideals.BLOCK", 1)
+    monkeypatch.setattr(nilpotence, "BLOCK", 1)
 
 
 @pytest.fixture
@@ -1148,7 +1174,7 @@ def test_pool_groups_are_capped_at_the_ideal_count(
 ) -> None:
     # blocks of one ideal, so that A4's block cap is 42 processes; their
     # 4 x 42 ranges leave 42 non-empty, one ideal each, one per process
-    monkeypatch.setattr(nilpotence, "BUDGET_BLOCK", 1)
+    _blocks_of_one(monkeypatch)
     requested = inline_pool["sizes"]
     rs = build_root_system("A4")
     dist = {0: 1, 1: 15, 2: 18, 3: 7, 4: 1}
@@ -1228,7 +1254,7 @@ def test_every_route_returns_bytes_of_the_block_length(label: str) -> None:
     # random lengths, and each block's classes agree with the oracle's
     rs = build_root_system(label)
     rng = random.Random(label)
-    blocks = list(islice(walk(rs, [root_state(rs)], BUDGET_BLOCK), 4))
+    blocks = list(islice(walk(rs), 4))
     for block in rng.sample(blocks, min(2, len(blocks))):
         count = block_length(rs, block)
         start = rng.randrange(count)
@@ -1254,7 +1280,7 @@ def test_serial_run_classifies_full_blocks(monkeypatch: pytest.MonkeyPatch) -> N
 
     monkeypatch.setitem(nilpotence.ROUTES, "oracle", (nilpotence.FAMILIES, counted))
     assert sum(class_distribution(rs, workers=1).values()) == 25080
-    assert sizes == [BUDGET_BLOCK] * 6 + [25080 - 6 * BUDGET_BLOCK]
+    assert sizes == [BLOCK] * 6 + [25080 - 6 * BLOCK]
 
 
 def test_pool_takes_equal_range_groups(
@@ -1266,7 +1292,7 @@ def test_pool_takes_equal_range_groups(
     # non-empty ranges of the 12, one ideal each
     for label, workers, k in (("E8", 2, 8), ("E8", 3, 12), ("A2", 3, 5)):
         if label == "A2":
-            monkeypatch.setattr(nilpotence, "BUDGET_BLOCK", 1)
+            _blocks_of_one(monkeypatch)
         rs = build_root_system(label)
         inline_pool["sizes"].clear()
         inline_pool["tasks"].clear()
@@ -1314,11 +1340,11 @@ def test_default_workers_stay_serial_below_the_pool_threshold(
     monkeypatch.delenv("ADNIL_WORKERS", raising=False)
     cores = resolve_workers(None)
     assert resolve_workers(None, POOL_MIN_IDEALS - 1) == 1
-    assert resolve_workers(None, POOL_MIN_IDEALS) == min(cores, POOL_MIN_IDEALS // BUDGET_BLOCK)
+    assert resolve_workers(None, POOL_MIN_IDEALS) == min(cores, POOL_MIN_IDEALS // BLOCK)
     # an explicit count, or one from the environment, is an upper bound:
     # honoured up to the run's full blocks
     assert resolve_workers(2, 1) == 1
-    assert resolve_workers(2, 2 * BUDGET_BLOCK) == 2
+    assert resolve_workers(2, 2 * BLOCK) == 2
     rs = build_root_system("E8")  # 25080 ideals, 6 full blocks
     serial = class_distribution(rs, workers=1)
     assert class_distribution(rs) == serial
