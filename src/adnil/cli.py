@@ -34,11 +34,12 @@ MAX_QT_RANK = 37
 MAX_GF_CLASS = 500
 MAX_GF_ORDER = 2000
 
-# `roots` builds the root sum tables, whose cost grows with the square of
-# the number of positive roots: end to end on a 2-CPU host, A84 (3570
-# roots; type A, of the highest rank for its count, is the slowest) took
-# 1.5-1.7 s and B60 (3600) 1.3-1.5 s, so 3600 roots are the most listed
-MAX_ROOTS = 3600
+# `roots` builds no table, only the roots, whose cost grows with their
+# number times the rank: end to end on a 2-CPU host, A154 (11935 roots;
+# type A, of the highest rank for its count, is the slowest) took 0.6 s
+# as CSV and 1.0-1.3 s as JSON, and D110 (11990) 0.44 s and 0.8 s, so
+# 12000 roots are the most listed
+MAX_ROOTS = 12000
 
 
 # ---------------------------------------------------------------------------

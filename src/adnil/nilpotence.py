@@ -10,13 +10,14 @@ recover the same number from diagram combinatorics: a staircase filling,
 a truncation recursion, and broken-ray walks on (shifted) Ferrers
 diagrams, which share one lane walk.  Types B, C and D are routed through
 a symmetric completion of the shifted diagram.  Every route classifies a
-block of ideals (`ROUTES`); `classify_ideal` asks for a block of one,
-once the one mask is known to be an ideal.
+block of ideals (`ROUTES`); `classify_ideal` asks for a block of one.
 The diagram routes read a whole block in byte lanes (`block_lanes`: one
 int per root, one byte per ideal), after one check over the root covers
 that the block holds ideals only, and then run lane-wise on it.  A block
-is the walk's records (`adnil.ideals`), or a list of masks; every route
-returns its classes as one `bytes`, byte b the class of ideal b.
+is the walk's records (`adnil.ideals`), or a list of masks, which the
+oracle checks mask by mask; every route refuses a block holding a mask
+that is no ideal, and returns its classes as one `bytes`, byte b the
+class of ideal b.
 """
 from __future__ import annotations
 
@@ -117,10 +118,17 @@ def block_classes(rs: RootSystem, ideals: bytes | list[int]) -> bytes:
     they are laid out as one byte per ideal at the end (`_plane_bytes`).
     That the highest root lies in every nonempty stage (it carries the
     largest depth) is checked at every stage, skipped for reducible D2,
-    which has no highest root."""
+    which has no highest root.  A list of masks is checked mask by mask
+    (`ideals.is_upward_closed`) once it is transposed: one that is no ideal
+    raises ValueError.  A block of the walk's records holds ideals only and
+    is not checked."""
     if rs.coxeter_number > 256:  # no class exceeds the height of the highest root
         raise ValueError(f"classes of {rs.lie_type} do not fit in byte lanes")
     columns = block_columns(rs, ideals)
+    if isinstance(ideals, list):
+        for mask in ideals:
+            if not is_upward_closed(rs, mask):
+                raise ValueError(f"mask {mask} is not an ideal of {rs.lie_type}")
     size = len(rs)
     theta = rs.highest_index
     partners = rs.partners
@@ -572,12 +580,10 @@ def _class_function(rs: RootSystem, method: str):
 
 
 def classify_ideal(rs: RootSystem, ideal: int, method: str = "oracle") -> int:
-    """Class of nilpotence of a single ideal by the chosen algorithm.  A
-    mask that is no ideal raises ValueError, whatever the method."""
-    classify = _class_function(rs, method)
-    if not is_upward_closed(rs, ideal):
-        raise ValueError(f"mask {ideal} is not an ideal of {rs.lie_type}")
-    return classify([ideal])[0]
+    """Class of nilpotence of a single ideal by the chosen algorithm, as a
+    block of one.  A mask that is no ideal raises ValueError, whatever the
+    method: every route checks a list of masks."""
+    return _class_function(rs, method)([ideal])[0]
 
 
 _WORKER_STATE: tuple[RootSystem, str, float] | None = None
@@ -703,6 +709,8 @@ def class_distribution(
     total = total_count_formula(rs)
     nworkers = resolve_workers(workers, total)
     if nworkers > 1:
+        # the split reads the order tables, and so builds all four (`rootsys._Table`)
+        # before the pool starts: the workers inherit them or unpickle them
         groups = partition_seeds(rs, POOL_GROUPS_PER_WORKER * nworkers)
         parts = _pooled(nworkers, (rs, method, deadline), groups)
     else:

@@ -8,8 +8,7 @@ are listed by height.
 """
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import accumulate
 
 Root = tuple[int, ...]
@@ -27,28 +26,35 @@ _EXCEPTIONAL_EXPONENTS = {
 }
 
 
-@dataclass(frozen=True)
-class LieType:
-    """A simple Lie type: family letter plus rank."""
+class LieType(namedtuple("LieType", "family rank")):
+    """A simple Lie type: family letter plus rank, checked at construction.
+    A tuple (family, rank), so it is immutable, hashable and pickled by
+    its fields; not a dataclass, whose decorator generates its methods by
+    `exec` at every import."""
 
-    family: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.family not in tuple(FAMILIES):  # one letter, not a substring
-            raise ValueError(f"unknown family {self.family!r}")
-        n = self.rank
+    def __new__(cls, family: str, rank: int) -> "LieType":
+        if family not in tuple(FAMILIES):  # one letter, not a substring
+            raise ValueError(f"unknown family {family!r}")
         ok = {
-            "A": n >= 1,
-            "B": n >= 2,
-            "C": n >= 2,
-            "D": n >= 2,  # D2 and D3 are reducible/repeated but allowed
-            "E": n in (6, 7, 8),
-            "F": n == 4,
-            "G": n == 2,
-        }[self.family]
+            "A": rank >= 1,
+            "B": rank >= 2,
+            "C": rank >= 2,
+            "D": rank >= 2,  # D2 and D3 are reducible/repeated but allowed
+            "E": rank in (6, 7, 8),
+            "F": rank == 4,
+            "G": rank == 2,
+        }[family]
         if not ok:
-            raise ValueError(f"invalid rank {n} for family {self.family}")
+            raise ValueError(f"invalid rank {rank} for family {family}")
+        return tuple.__new__(cls, (family, rank))
+
+    @classmethod
+    def _make(cls, fields) -> "LieType":
+        """The namedtuple constructor from an iterable, behind `_replace`
+        too, checked like any other."""
+        return cls(*fields)
 
     @classmethod
     def parse(cls, text: str) -> "LieType":
@@ -192,10 +198,42 @@ def root_leq(a: Root, b: Root) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
+class _Table:
+    """A table of `RootSystem`, built on first read.  A non-data
+    descriptor: the first read of any one builds all four tables
+    (`RootSystem._build_tables`) into the instance's `__dict__`, where
+    every later read finds them before the descriptor, as if they had
+    been set by `__init__`.  Building all four at once keeps a forked pool
+    from building them again in every worker: the parent's split of the
+    walk (`ideals.partition_seeds`) reads the order tables, so it has
+    built the sum table too."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, rs: RootSystem | None, owner: type | None = None):
+        if rs is None:
+            return self
+        rs._build_tables()
+        return rs.__dict__[self.name]
+
+
 class RootSystem:
-    """Positive roots of a simple Lie type with precomputed sum and order
-    tables, sized for exhaustive bit-mask work (at most 120 positive roots).
+    """Positive roots of a simple Lie type, sized for exhaustive bit-mask
+    work (at most 120 positive roots).
+
+    A build computes the sorted roots, the staircase `rows` of a classical
+    type, the exponents, the Coxeter number and the highest root (the one
+    root of greatest height), and checks each.  The tables are built
+    together on the first read of any of them (`_Table`): `partners`, the
+    root sums, and the order tables `covers`, `filter_masks` and
+    `below_masks`.  A pickle holds the tables once they are built.
     """
+
+    partners = _Table()
+    covers = _Table()
+    filter_masks = _Table()
+    below_masks = _Table()
 
     def __init__(self, lie_type: LieType):
         self.lie_type = lie_type
@@ -227,9 +265,14 @@ class RootSystem:
         if self.coxeter_number * n != 2 * len(self.positive_roots):
             raise AssertionError(f"{lie_type}: h*n != 2*#positive roots")
 
-        self._build_tables()
-        # D2 = A1 x A1 is the one permitted type without a highest root
-        if self.highest_index is None and str(lie_type) != "D2":
+        # the highest root is the one root of greatest height; D2 = A1 x A1
+        # is the one permitted type without one (two roots of height 1)
+        heights = [sum(r) for r in self.positive_roots]
+        top = max(heights)
+        theta = heights.index(top) if heights.count(top) == 1 else None
+        self.highest_index: int | None = theta
+        self.highest_root: Root | None = None if theta is None else self.positive_roots[theta]
+        if theta is None and str(lie_type) != "D2":
             raise AssertionError(f"{lie_type}: no unique highest root")
 
     def _build_tables(self) -> None:
@@ -240,7 +283,7 @@ class RootSystem:
         packed = _packed_roots(roots)
         idx = {p: k for k, p in enumerate(packed)}.get
         # (j, k) for every root j whose sum with root i is the root k
-        self.partners: list[list[tuple[int, int]]] = [
+        partners = [
             [(j, k) for j, q in enumerate(packed) if (k := idx(p + q)) is not None]
             for p in packed
         ]
@@ -250,21 +293,17 @@ class RootSystem:
         # filters are filled from the top height down, strict lower sets
         # bottom up
         simples = _packed_roots(self.simple_roots)
-        self.covers: list[list[int]] = [
-            [k for s in simples if (k := idx(p + s)) is not None] for p in packed
-        ]
+        covers = [[k for s in simples if (k := idx(p + s)) is not None] for p in packed]
         by_height = sorted(range(size), key=lambda k: sum(roots[k]))
-        self.filter_masks: list[int] = [1 << k for k in range(size)]   # j >= i
-        self.below_masks: list[int] = [0] * size    # j <= i, j != i
+        up = [1 << k for k in range(size)]  # j >= i
+        down = [0] * size  # j <= i, j != i
         for k in reversed(by_height):
-            for j in self.covers[k]:
-                self.filter_masks[k] |= self.filter_masks[j]
+            for j in covers[k]:
+                up[k] |= up[j]
         for k in by_height:
-            for j in self.covers[k]:
-                self.below_masks[j] |= self.below_masks[k] | 1 << k
-        tops = [k for k in range(size) if self.filter_masks[k] == 1 << k]
-        self.highest_index: int | None = tops[0] if len(tops) == 1 else None
-        self.highest_root: Root | None = roots[tops[0]] if len(tops) == 1 else None
+            for j in covers[k]:
+                down[j] |= down[k] | 1 << k
+        self.partners, self.covers, self.filter_masks, self.below_masks = partners, covers, up, down
 
     def __len__(self) -> int:
         return len(self.positive_roots)

@@ -515,8 +515,8 @@ def test_preflight_refuses_huge_types(capsys: pytest.CaptureFixture) -> None:
          f"the agreement suite has at least 2^24 {too_many}"),
         (["verify", "--suite", "agreement", "--family", "D", "--max-rank", "100000"],
          f"the agreement suite has at least 2^24 {too_many}"),
-        (["roots", "--type", "A300"], "roots lists at most 3600 positive roots, A300 has 45150"),
-        (["roots", "--type", "B61"], "roots lists at most 3600 positive roots, B61 has 3721"),
+        (["roots", "--type", "A300"], "roots lists at most 12000 positive roots, A300 has 45150"),
+        (["roots", "--type", "B110"], "roots lists at most 12000 positive roots, B110 has 12100"),
         (["qt", "--type", "A40"], "qt refuses ranks above 37, got rank 40"),
         (["qt", "--type", "C40"], "qt refuses ranks above 37, got rank 40"),
         (["gf", "--family", "D", "--exact", "3000"], f"{gf_cap} 3000 and order 12"),

@@ -16,6 +16,7 @@ from functools import cache
 from itertools import islice, product
 from operator import add
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -209,7 +210,6 @@ def test_oracle_guard_rejects_non_ideal() -> None:
 def test_classify_ideal_refuses_every_non_ideal_by_every_method(label: str) -> None:
     # every mask of the type alone: an ideal gets the oracle's class, any
     # other mask the same ValueError from every method, the oracle's too
-    # (its block kernel alone gives A3's non-ideals 5 and 13 classes 1 and 2)
     rs = build_root_system(label)
     masks = enumerate_ideal_masks(rs)
     want = dict(zip(masks, block_classes(rs, masks)))
@@ -224,11 +224,16 @@ def test_classify_ideal_refuses_every_non_ideal_by_every_method(label: str) -> N
 
 
 def test_block_guard_rejects_non_ideal() -> None:
-    # the same root set beside genuine ideals fails the whole block
+    # the same root set beside genuine ideals fails the whole block: a list
+    # by its check of each mask, records (which the walk fills with ideals
+    # only, unchecked) by the highest-root guard
     rs = build_root_system("A2")
     assert list(block_classes(rs, [0, 1, 3])) == [0, 1, 1]
+    mask = _non_ideal(rs)
+    with pytest.raises(ValueError, match=f"^mask {mask} is not an ideal of A2$"):
+        block_classes(rs, [0, 1, 3, mask])
     with pytest.raises(AssertionError, match="highest root"):
-        block_classes(rs, [0, 1, 3, _non_ideal(rs)])
+        block_classes(rs, _records([0, 1, 3, mask], record_width(rs)))
     # a mask with a bit past the roots is no root set at all
     for mask in (-1, 1 << len(rs)):
         with pytest.raises(ValueError, match="no set of roots"):
@@ -237,15 +242,17 @@ def test_block_guard_rejects_non_ideal() -> None:
 
 def test_oracle_guard_survives_optimize() -> None:
     # a child under -O drops every bare assert; `classify_ideal` must still
-    # refuse the mask, and the highest-root guard still fail its block
+    # refuse the mask, and the highest-root guard still fail its block of
+    # records
     src = str(Path(adnil.__file__).resolve().parents[1])
     code = (
         "from adnil import build_root_system, classify_ideal\n"
         "from adnil.nilpotence import block_classes\n"
         "rs = build_root_system('A2')\n"
         "mask = sum(1 << rs.positive_roots.index(r) for r in rs.simple_roots)\n"
+        "records = bytes([0, 1, 3, mask])  # one byte per record: A2 has 3 roots\n"
         "for check, error in ((lambda: classify_ideal(rs, mask), ValueError),\n"
-        "                     (lambda: block_classes(rs, [0, 1, 3, mask]), AssertionError)):\n"
+        "                     (lambda: block_classes(rs, records), AssertionError)):\n"
         "    try:\n"
         "        check()\n"
         "    except error:\n"
@@ -1167,6 +1174,27 @@ def inline_pool(monkeypatch: pytest.MonkeyPatch) -> dict[str, list]:
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     monkeypatch.setattr(nilpotence, "_WORKER_STATE", None)
     return record
+
+
+@pytest.mark.parametrize("label, method", [("E8", "oracle"), ("A10", "zigzag"), ("D8", "tworay")])
+def test_a_pool_starts_with_the_tables_of_its_route_built(
+    monkeypatch: pytest.MonkeyPatch, label: str, method: str
+) -> None:
+    # a forked worker inherits the parent's root system: the tables its
+    # route reads must exist there before the pool starts, or each worker
+    # builds them again
+    tables = {"partners", "covers", "filter_masks", "below_masks"}
+    seen = []
+
+    def serial_pool(nworkers: int, initargs: tuple, groups: list) -> Iterator[Counter]:
+        seen.append(tables & vars(initargs[0]).keys())
+        return (sum(nilpotence._histograms(*initargs, group), Counter()) for group in groups)
+
+    monkeypatch.setattr(nilpotence, "_pooled", serial_pool)
+    rs = build_root_system(label)
+    assert not tables & vars(rs).keys()
+    assert sum(class_distribution(rs, method, workers=2).values()) == total_count_formula(label)
+    assert seen == [tables]
 
 
 def test_pool_groups_are_capped_at_the_ideal_count(

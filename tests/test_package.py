@@ -13,9 +13,10 @@ import adnil
 SRC = str(Path(adnil.__file__).resolve().parents[1])
 
 
-def _loaded_after(code: str) -> list[str]:
-    """The adnil modules loaded in a fresh interpreter after `code`."""
-    probe = code + "\nimport sys\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == 'adnil'))\n"
+def _loaded_after(code: str, package: str = "adnil") -> list[str]:
+    """The modules of `package` loaded in a fresh interpreter after `code`."""
+    probe = code + (f"\nimport sys\nprint(*sorted(m for m in sys.modules"
+                    f" if m.split('.')[0] == {package!r}))\n")
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
@@ -35,6 +36,12 @@ def test_import_loads_each_submodule_on_first_use() -> None:
         "adnil", "adnil.ideals", "adnil.nilpotence", "adnil.rootsys",
     ]
     assert _loaded_after("import adnil; adnil.__version__") == ["adnil"]
+
+
+def test_rootsys_loads_no_dataclasses() -> None:
+    # the `dataclass` decorator generates its methods by `exec` at every
+    # import, compiled from source when no bytecode is cached
+    assert _loaded_after("import adnil.rootsys", "dataclasses") == []
 
 
 def test_every_export_is_its_home_modules_object() -> None:

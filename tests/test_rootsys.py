@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import hashlib
+import pickle
 from math import comb
 
 import pytest
 
 from adnil import LieType, build_root_system, root_leq, total_count_formula
 from adnil import rootsys
-from adnil.rootsys import _packed_roots, cartan_matrix
+from adnil.rootsys import RootSystem, _packed_roots, cartan_matrix
 
 ALL_SMALL = (
     ["A1", "A2", "A3", "A4", "A5"]
@@ -24,6 +26,41 @@ def test_parse_labels() -> None:
     for family in ("", "AB", "a"):
         with pytest.raises(ValueError, match="unknown family"):
             LieType(family, 3)
+
+
+def test_lie_type_is_an_immutable_value() -> None:
+    lt = LieType("A", 3)
+    assert repr(lt) == "LieType(family='A', rank=3)"
+    assert (lt.family, lt.rank) == ("A", 3)
+    assert lt == LieType(family="A", rank=3) == LieType.parse("a3")
+    assert lt != LieType("A", 4) and lt != LieType("B", 3)
+    assert hash(lt) == hash(LieType("A", 3)) == hash(("A", 3))
+    assert {lt: 1}[LieType.parse("A3")] == 1
+    assert len({LieType("B", 2), LieType("B", 2), LieType("C", 2)}) == 2
+    assert LieType._make(["A", 3]) == lt._replace(rank=4)._replace(rank=3) == lt
+    for field in ("family", "rank", "other"):
+        with pytest.raises(AttributeError):
+            setattr(lt, field, "B")
+    assert lt == LieType("A", 3)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(lt, protocol))
+        assert type(back) is LieType and back == lt and str(back) == "A3"
+
+
+@pytest.mark.parametrize("family, rank", [
+    ("X", 3), ("", 3), ("AB", 3), ("a", 3), ("A", 0), ("A", -1), ("B", 1), ("C", 1),
+    ("D", 1), ("E", 5), ("E", 9), ("F", 3), ("G", 3),
+])
+def test_lie_type_refuses_a_bad_family_or_rank(family: str, rank: int) -> None:
+    with pytest.raises(ValueError, match="unknown family|invalid rank"):
+        LieType(family, rank)
+    with pytest.raises(ValueError, match="unknown family|invalid rank"):
+        LieType(family=family, rank=rank)
+    # the namedtuple constructors check too
+    with pytest.raises(ValueError, match="unknown family|invalid rank"):
+        LieType._make((family, rank))
+    with pytest.raises(ValueError, match="unknown family|invalid rank"):
+        LieType("E", 6)._replace(family=family, rank=rank)
 
 
 @pytest.mark.parametrize("bad", ["", "A", "X3", "A0", "B1", "E5", "F3", "G3", "A-1"])
@@ -82,6 +119,85 @@ def test_highest_root_dominates() -> None:
             continue
         theta = rs.highest_root
         assert all(root_leq(r, theta) for r in rs.positive_roots), label
+
+
+TABLES = ("partners", "covers", "filter_masks", "below_masks")
+TABLE_TYPES = [*(f"A{n}" for n in range(1, 15)), *(f"{f}{n}" for f in "BCD" for n in range(2, 11)),
+               "E6", "E7", "E8", "F4", "G2"]
+
+
+def test_a_build_holds_no_table_until_one_is_read() -> None:
+    for label in ("A1", "D2", "B5", "E8"):
+        for first in TABLES:
+            rs = build_root_system(label)
+            assert not set(TABLES) & vars(rs).keys(), label
+            table = getattr(rs, first)
+            # one read builds all four, kept on the instance
+            assert set(TABLES) <= vars(rs).keys(), (label, first)
+            assert getattr(rs, first) is table is vars(rs)[first]
+    assert isinstance(RootSystem.partners, rootsys._Table)
+
+
+def test_lazy_tables_equal_the_eager_build() -> None:
+    # the digest of the four tables of each type as the build made them when
+    # it built them in `__init__`, whichever table is read first
+    for first in TABLES:
+        digest = hashlib.sha256()
+        for label in TABLE_TYPES:
+            rs = build_root_system(label)
+            getattr(rs, first)
+            for name in TABLES:
+                digest.update(f"{label} {name} {getattr(rs, name)!r}\n".encode())
+        assert digest.hexdigest() == (
+            "5e6045f10c1f84494d6376a508a0c3bf9ded9b98c38cb8cac692176277131711"), first
+
+
+@pytest.mark.parametrize("label", TABLE_TYPES + ["D2"])
+def test_highest_root_by_height_is_the_one_maximal_root(label: str) -> None:
+    # the one root whose filter is itself, read before the tables are built
+    rs = build_root_system(label)
+    index, root = rs.highest_index, rs.highest_root
+    tops = [k for k, up in enumerate(rs.filter_masks) if up == 1 << k]
+    if label == "D2":
+        assert index is root is None and len(tops) == 2
+    else:
+        assert tops == [index] and root == rs.positive_roots[index]
+        assert sum(root) == rs.coxeter_number - 1
+
+
+def test_bad_builds_raise_before_any_table_is_read(monkeypatch: pytest.MonkeyPatch) -> None:
+    def unread(rs) -> None:
+        raise AssertionError("a table was read")
+
+    monkeypatch.setattr(RootSystem, "_build_tables", unread)
+    with monkeypatch.context() as patched:
+        # one root too many expected: the closure check
+        patched.setattr(rootsys, "positive_root_count", lambda lt: len(
+            rootsys._reflection_closure(cartan_matrix(lt))) + 1)
+        with pytest.raises(AssertionError, match="closure produced 9 positive roots"):
+            build_root_system("B3")
+    with monkeypatch.context() as patched:
+        patched.setattr(rootsys, "_staircase_key", lambda lt, r: (0, -sum(r), r))
+        with pytest.raises(AssertionError, match="not the staircase widths"):
+            build_root_system("B3")
+    with pytest.raises(AssertionError, match="a table was read"):
+        build_root_system("B3").covers
+
+
+@pytest.mark.parametrize("label", ["A1", "D2", "A10", "D6", "E8", "F4", "G2"])
+def test_pickle_keeps_the_tables(label: str) -> None:
+    # a pool that spawns its workers pickles the root system
+    fresh = build_root_system(label)
+    back = pickle.loads(pickle.dumps(fresh))
+    assert not set(TABLES) & vars(back).keys()
+    built = build_root_system(label)
+    built.partners
+    again = pickle.loads(pickle.dumps(built))
+    assert set(TABLES) <= vars(again).keys()
+    for rs in (back, again):
+        assert vars(rs).keys() - set(TABLES) == vars(fresh).keys()
+        assert all(getattr(rs, name) == vars(fresh)[name] for name in vars(fresh))
+        assert all(getattr(rs, name) == getattr(built, name) for name in TABLES)
 
 
 def test_exponents_and_coxeter_number() -> None:
